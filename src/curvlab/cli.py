@@ -25,9 +25,10 @@ from .io_format import (ParseError, build_tensor, document_from_tensor,
 from .polarization import (bound_forced_identities,
                            complexified_family_expansion,
                            holomorphic_family_expansion)
-from .scalars import format_rational
+from .scalars import format_scalar
 from .spaces import GeometryError, gram_schmidt_tuple, make_space
-from .tensors import failing_symmetries
+from .tensors import (bianchi_project, dense_components, failing_symmetries,
+                      symmetrize_components)
 
 REPORT_HEADER = "curvlab-report/1"
 
@@ -49,16 +50,8 @@ _EXPANSION_MEANING = {
 }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, (int,)):
-        return str(value)
-    return repr(value)
-
-
 def _fmt_vec(vec) -> str:
-    return " ".join(_fmt(Fraction(v)) if not isinstance(v, float) else repr(v)
+    return " ".join(repr(v) if isinstance(v, float) else format_scalar(Fraction(v))
                     for v in np.asarray(vec))
 
 
@@ -74,11 +67,11 @@ def _read_doc(path: str):
 def _verdict_lines(prefix: str, verdict: ConstancyVerdict) -> list[str]:
     lines = [f"{prefix}.status = {verdict.status}"]
     if verdict.is_constant:
-        lines.append(f"{prefix}.value = {_fmt(verdict.value)}")
+        lines.append(f"{prefix}.value = {format_scalar(verdict.value)}")
     else:
         w = verdict.witness
-        lines.append(f"{prefix}.witness.value.1 = {_fmt(w.values[0])}")
-        lines.append(f"{prefix}.witness.value.2 = {_fmt(w.values[1])}")
+        lines.append(f"{prefix}.witness.value.1 = {format_scalar(w.values[0])}")
+        lines.append(f"{prefix}.witness.value.2 = {format_scalar(w.values[1])}")
         for pi, plane in enumerate(w.planes, start=1):
             for vi, vec in enumerate(plane, start=1):
                 lines.append(f"{prefix}.witness.plane.{pi}.v{vi} = {_fmt_vec(vec)}")
@@ -111,14 +104,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_check_symmetries(args) -> int:
     doc = _read_doc(args.input)
-    from .tensors import bianchi_project, symmetrize_components
-    from .spaces import make_space as _mk
-    space = _mk(doc.m, doc.s, J=doc.J)
-    n = space.n
-    C = np.empty((n, n, n, n), dtype=object)
-    C[...] = Fraction(0)
-    for (i, j, k, l, v) in doc.entries:
-        C[i - 1, j - 1, k - 1, l - 1] += v
+    space = make_space(doc.m, doc.s, J=doc.J)
+    C = dense_components(space.n, [(i - 1, j - 1, k - 1, l - 1, v)
+                                   for (i, j, k, l, v) in doc.entries])
     if doc.symmetrize:
         C = symmetrize_components(C)
     if doc.bianchi:
@@ -182,12 +170,12 @@ def _cmd_expand(args) -> int:
              f"pair.second = {_fmt_vec(w)}"]
     coeffs = list(poly.coeffs) + [Fraction(0)] * (5 - len(poly.coeffs))
     for k in range(5):
-        lines.append(f"coeff.t{k} = {_fmt(coeffs[k])}")
+        lines.append(f"coeff.t{k} = {format_scalar(coeffs[k])}")
         lines.append(f"coeff.t{k}.meaning = {_EXPANSION_MEANING[args.family][k]}")
     constraints = bound_forced_identities(poly, multiplicity=envelope)
     labels = ["round1.t=+1", "round1.t=-1", "round2.t=+1", "round2.t=-1"]
     for label, value in zip(labels, constraints):
-        lines.append(f"bound.{label} = {_fmt(value)}")
+        lines.append(f"bound.{label} = {format_scalar(value)}")
     forced = len(constraints) == 2 * envelope and all(v == 0 for v in constraints)
     lines.append(f"bound.compatible = {'true' if forced else 'false'}")
     _emit(lines)
@@ -212,8 +200,8 @@ def _cmd_probe(args) -> int:
     if report.witness is not None:
         w = report.witness
         lines += [f"witness.kind = {w.kind}",
-                  f"witness.t = {_fmt(w.t)}",
-                  f"witness.value = {_fmt(w.value)}",
+                  f"witness.t = {format_scalar(w.t)}",
+                  f"witness.value = {format_scalar(w.value)}",
                   f"witness.u = {_fmt_vec(w.u)}",
                   f"witness.v = {_fmt_vec(w.v)}"]
     _emit(lines)
@@ -248,7 +236,7 @@ def _cmd_lemma3(args) -> int:
              f"condition.c = {str(rep.condition_c).lower()}",
              f"agree = {str(rep.agree).lower()}"]
     if rep.verdict_c.is_constant:
-        lines.append(f"value = {_fmt(rep.verdict_c.value)}")
+        lines.append(f"value = {format_scalar(rep.verdict_c.value)}")
     _emit(lines)
     return 0 if rep.agree else 1
 

@@ -59,37 +59,20 @@ def _tensor_scale(R: CurvatureTensor) -> float:
     return max(1.0, m)
 
 
-def _make_same(R: CurvatureTensor):
+def _comparators(R: CurvatureTensor):
+    """(same, zero) predicates on curvature values: exact, or within tolerance."""
     if R.is_exact:
-        return lambda a, b: a == b
+        return (lambda a, b: a == b), (lambda v: v == 0)
     tol = FLOAT_VERDICT_TOL * _tensor_scale(R)
-    return lambda a, b: abs(float(a) - float(b)) <= tol
+    return (lambda a, b: abs(float(a) - float(b)) <= tol), (lambda v: abs(float(v)) <= tol)
 
 
-def _triple_patterns(space: PseudoHermitianSpace) -> list[tuple]:
-    pats = []
+def _sign_patterns(space: PseudoHermitianSpace, k: int):
+    """Realizable antiholomorphic sign patterns of length k, most positive first."""
     plus, minus = space.m - space.s, space.s
-    if plus >= 3:
-        pats.append((1, 1, 1))
-    if plus >= 2 and minus >= 1:
-        pats.append((1, 1, -1))
-    if plus >= 1 and minus >= 2:
-        pats.append((1, -1, -1))
-    if minus >= 3:
-        pats.append((-1, -1, -1))
-    return pats
-
-
-def _pair_patterns(space: PseudoHermitianSpace) -> list[tuple]:
-    pats = []
-    plus, minus = space.m - space.s, space.s
-    if plus >= 2:
-        pats.append((1, 1))
-    if plus >= 1 and minus >= 1:
-        pats.append((1, -1))
-    if minus >= 2:
-        pats.append((-1, -1))
-    return pats
+    for p in range(k, -1, -1):
+        if p <= plus and k - p <= minus:
+            yield (1,) * p + (-1,) * (k - p)
 
 
 # -- holomorphic ------------------------------------------------------------
@@ -167,7 +150,7 @@ def constant_holomorphic(R: CurvatureTensor, samples: int = 200, seed: int = 0) 
             "holomorphic", planes=((ref, space.apply_J(ref)), (X2, space.apply_J(X2))),
             values=(c, h2)))
     # float backend: deterministic sampled criterion
-    same = _make_same(R)
+    same, _ = _comparators(R)
     ref_val = None
     ref_vec = None
     count = 0
@@ -216,26 +199,24 @@ def constant_antiholomorphic(R: CurvatureTensor, probes: int = 60, seed: int = 0
     space = R.space
     if space.m <= 2:
         raise GeometryError("antiholomorphic constancy needs complex dimension m > 2")
+    if probes < 1:
+        raise GeometryError("antiholomorphic constancy needs at least one probe")
     rng = random.Random(seed)
-    same = _make_same(R)
-    zero = (lambda v: v == 0) if R.is_exact else \
-        (lambda v: abs(float(v)) <= FLOAT_VERDICT_TOL * _tensor_scale(R))
-    records = []          # (plane pair, K value)
+    same, zero = _comparators(R)
+    plane0 = val0 = None
     a_violation = None
-    for pattern in _triple_patterns(space):
+    for pattern in _sign_patterns(space, 3):
         for _ in range(probes):
             u, v, w = tuple_from_rng(space, rng, pattern, antiholomorphic=True)
             for (p, q, r) in ((u, v, w), (v, w, u), (w, u, v)):
-                if a_violation is None:
-                    aval = R.eval(p, q, r, p)
-                    if not zero(aval):
-                        a_violation = (p, q, r)
-                records.append(((p, q), sectional(R, p, q)))
-    (plane0, val0) = records[0]
-    for plane, val in records[1:]:
-        if not same(val, val0):
-            return ConstancyVerdict("nonconstant", witness=Witness(
-                "antiholomorphic", planes=(plane0, plane), values=(val0, val)))
+                if a_violation is None and not zero(R.eval(p, q, r, p)):
+                    a_violation = (p, q, r)
+                val = sectional(R, p, q)
+                if plane0 is None:
+                    plane0, val0 = (p, q), val
+                elif not same(val, val0):
+                    return ConstancyVerdict("nonconstant", witness=Witness(
+                        "antiholomorphic", planes=(plane0, (p, q)), values=(val0, val)))
     if a_violation is not None:
         wit = _derive_plane_witness(R, same, *a_violation)
         if wit is not None:
@@ -261,18 +242,20 @@ def constant_biholomorphic(R: CurvatureTensor, probes: int = 60, seed: int = 0) 
     space = R.space
     if space.m <= 2:
         raise GeometryError("biholomorphic constancy needs complex dimension m > 2")
+    if probes < 1:
+        raise GeometryError("biholomorphic constancy needs at least one probe")
     rng = random.Random(seed)
-    same = _make_same(R)
-    records = []
-    for pattern in _pair_patterns(space):
+    same, _ = _comparators(R)
+    plane0 = val0 = None
+    for pattern in _sign_patterns(space, 2):
         for _ in range(probes):
             u, v = tuple_from_rng(space, rng, pattern, antiholomorphic=True)
-            records.append(((u, v), normalized_biholomorphic(R, u, v)))
-    (plane0, val0) = records[0]
-    for plane, val in records[1:]:
-        if not same(val, val0):
-            return ConstancyVerdict("nonconstant", witness=Witness(
-                "biholomorphic", planes=(plane0, plane), values=(val0, val)))
+            val = normalized_biholomorphic(R, u, v)
+            if plane0 is None:
+                plane0, val0 = (u, v), val
+            elif not same(val, val0):
+                return ConstancyVerdict("nonconstant", witness=Witness(
+                    "biholomorphic", planes=(plane0, (u, v)), values=(val0, val)))
     return ConstancyVerdict("constant", value=val0)
 
 
@@ -304,9 +287,7 @@ def lemma3_check(R: CurvatureTensor, probes: int = 60, seed: int = 0) -> Equival
     if space.m <= 2:
         raise GeometryError("the a/b/c equivalence needs complex dimension m > 2")
     rng = random.Random(seed)
-    same = _make_same(R)
-    zero = (lambda v: v == 0) if R.is_exact else \
-        (lambda v: abs(float(v)) <= FLOAT_VERDICT_TOL * _tensor_scale(R))
+    same, zero = _comparators(R)
     a_ok, b_ok = True, True
     wit_a = wit_b = None
     for _ in range(probes):

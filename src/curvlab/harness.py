@@ -8,6 +8,17 @@ symmetry-reduced component space.  Boundedness statements are tested through
 their dichotomy: bounds hold on constant models, and nonconstant tensors
 must blow up along pinching families approaching isotropic planes.
 
+The catalog is two tables.  `CONDITIONS` describes each hypothesis once: the
+space requirements it needs, its identities as lists of 4-vector slot tuples
+whose R-values must sum to zero, and two configuration samplers.  Constraint
+rows are the identities summed as outer products over small-integer
+configurations; `condition_holds` rechecks the same identities with
+`R.eval` on independent isometry-built configurations.  `_THEOREMS` maps
+each catalog id to its requirements and a runner: imposed-hypothesis
+classification, the unboundedness dichotomy, or the definite-case bound
+check, each parametrized by a row of data.  Each space requirement is a
+named `_Need` written once and shared by every entry that has it.
+
 Pinching families are evaluated through their exact polynomial coefficients
 rewritten in powers of sigma = 1 - t^2.  Near t = +-1 a direct float
 contraction loses all significant digits to cancellation; the sigma form is
@@ -19,21 +30,22 @@ detected blow-up coefficient can meaningfully be.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from typing import Callable, Optional
 
 import numpy as np
 
 from .constancy import (constant_antiholomorphic,
                         constant_biholomorphic, constant_holomorphic)
-from .linsolve import RowReducer
+from .linsolve import RowReducer, integer_row
 from .polarization import (TPolynomial, VectorFamily, bound_forced_identities,
                            complexified_family_expansion, expand)
-from .scalars import rand_rational, scalar_close
-from .spaces import (GeometryError, PseudoHermitianSpace, _draw_isometry,
+from .scalars import format_scalar, rand_rational, scalar_close
+from .spaces import (GeometryError, PseudoHermitianSpace, light_isometry,
                      random_isometry, tuple_from_rng)
 from .tensors import (CurvatureTensor, from_dense, pi1_components, sectional)
 
@@ -115,12 +127,49 @@ def tensor_from_coefficients(space: PseudoHermitianSpace, coeffs) -> CurvatureTe
         if c:
             for idx, sign in orbit:
                 C[idx] = C[idx] + sign * c
-    return CurvatureTensor(space, C)
+    # orbit sums have the pair symmetries by construction
+    return CurvatureTensor(space, C, validate=False)
 
 
 def _outer4(a, b, c, d) -> np.ndarray:
     return np.multiply.outer(np.multiply.outer(np.asarray(a), np.asarray(b)),
                              np.multiply.outer(np.asarray(c), np.asarray(d)))
+
+
+# -- space requirements -------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Need:
+    """One requirement on the space parameters, named as error messages say it."""
+
+    text: str
+    holds: Callable[[PseudoHermitianSpace], bool]
+
+
+def _thmA_x_signs(space) -> list[int]:
+    signs = []
+    if space.m - space.s >= 2 and space.s >= 1:
+        signs.append(1)
+    if space.s >= 2 and space.m - space.s >= 1:
+        signs.append(-1)
+    return signs
+
+
+_M_ABOVE_1 = _Need("m > 1", lambda sp: sp.m > 1)
+_M_ABOVE_2 = _Need("m > 2", lambda sp: sp.m > 2)
+_INDEFINITE = _Need("an indefinite space", lambda sp: sp.is_indefinite)
+_DEFINITE = _Need("a definite space", lambda sp: sp.s == 0)
+_TWO_POSITIVE_BLOCKS = _Need("at least two positive J-blocks (m - s >= 2)",
+                             lambda sp: sp.m - sp.s >= 2)
+_ISOTROPIC_PLANES = _Need("weakly isotropic antiholomorphic planes",
+                          lambda sp: bool(_thmA_x_signs(sp)))
+_MIXED_TRIPLES = _Need("(+,+,-) triples",
+                       lambda sp: _kind_realizable(sp, "biholomorphic"))
+
+
+def _require(name: str, needs: tuple, space: PseudoHermitianSpace) -> None:
+    if not all(need.holds(space) for need in needs):
+        raise HypothesisError(f"{name}: needs {', '.join(n.text for n in needs)}")
 
 
 # -- hypothesis conditions ----------------------------------------------------
@@ -132,20 +181,8 @@ def _outer4(a, b, c, d) -> np.ndarray:
 # keeping elimination entries tiny.  The recheck path `condition_holds`
 # deliberately uses the independent isometry-based constructions instead.
 
-def _thmA_x_signs(space) -> list[int]:
-    signs = []
-    if space.m - space.s >= 2 and space.s >= 1:
-        signs.append(1)
-    if space.s >= 2 and space.m - space.s >= 1:
-        signs.append(-1)
-    return signs
-
-
 def _small_int_vector(rng, n, bound=3) -> np.ndarray:
-    v = np.empty(n, dtype=object)
-    for i in range(n):
-        v[i] = rng.randint(-bound, bound)
-    return v
+    return np.array([rng.randint(-bound, bound) for _ in range(n)], dtype=object)
 
 
 def _int_perp_basis(space, vectors) -> list[np.ndarray]:
@@ -154,20 +191,7 @@ def _int_perp_basis(space, vectors) -> list[np.ndarray]:
     red = RowReducer(n)
     for v in vectors:
         red.add_row([Fraction(space.metric_signs[i] * v[i]) for i in range(n)])
-    basis = []
-    for vec in red.nullspace():
-        lcm = 1
-        for f in vec:
-            lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-        ints = [int(f * lcm) for f in vec]
-        g = 0
-        for x in ints:
-            g = math.gcd(g, x)
-        out = np.empty(n, dtype=object)
-        for i, x in enumerate(ints):
-            out[i] = x // g if g > 1 else x
-        basis.append(out)
-    return basis
+    return [np.array(integer_row(vec), dtype=object) for vec in red.nullspace()]
 
 
 def _reject_combo(rng, basis, predicate, tries=400, bound=3):
@@ -196,115 +220,6 @@ def _small_pair_config(space, rng, x_positive, partner_sign):
         if w is not None:
             return x, w
     raise GeometryError("could not sample a probe configuration (signature too tight?)")
-
-
-def _isotropic_config(space, rng, x_sign):
-    """Unit X of given sign and exact isotropic xi with span{X, xi} weakly
-    isotropic and antiholomorphic."""
-    blocks = range(space.s, space.m) if x_sign == 1 else range(space.s)
-    b0 = rng.choice(list(blocks))
-    T = random_isometry(space, rng, unitary=True)
-    X = T[:, 2 * b0].copy()
-    comp_idx = [i for b in range(space.m) if b != b0 for i in (2 * b, 2 * b + 1)]
-    sub_signs = [space.metric_signs[i] for i in comp_idx]
-    S = _draw_isometry(sub_signs, rng)
-    plus_b = next(b for b in range(space.s, space.m) if b != b0)
-    minus_b = next(b for b in range(space.s) if b != b0)
-    lp, ln = comp_idx.index(2 * plus_b), comp_idx.index(2 * minus_b)
-    xi_local = S[:, lp] + S[:, ln]
-    xi_amb = np.array([Fraction(0)] * space.n, dtype=object)
-    for i, gi in enumerate(comp_idx):
-        xi_amb[gi] = xi_local[i]
-    xi = T.dot(xi_amb)
-    return X, xi
-
-
-def _complexified_isotropic_config(space, rng):
-    """Unit x and orthonormal u, v away from span{x, Jx} (definite metric);
-    xi = u + i v is isotropic and span{x, xi} is weakly isotropic
-    antiholomorphic in the complexification."""
-    b0 = rng.randrange(space.m)
-    T = random_isometry(space, rng, unitary=True)
-    x = T[:, 2 * b0].copy()
-    comp_idx = [i for b in range(space.m) if b != b0 for i in (2 * b, 2 * b + 1)]
-    sub_signs = [space.metric_signs[i] for i in comp_idx]
-    S = _draw_isometry(sub_signs, rng)
-    l1, l2 = rng.sample(range(len(comp_idx)), 2)
-    def embed(col):
-        amb = np.array([Fraction(0)] * space.n, dtype=object)
-        for i, gi in enumerate(comp_idx):
-            amb[gi] = col[i]
-        return T.dot(amb)
-    return x, embed(S[:, l1]), embed(S[:, l2])
-
-
-@dataclass(frozen=True)
-class _Condition:
-    check_space: Callable[[PseudoHermitianSpace], Optional[str]]
-    rows: Callable[[PseudoHermitianSpace, random.Random], list]
-    holds: Callable[[CurvatureTensor, random.Random], bool]
-
-
-def _eq1_rows(space, rng):
-    x, a = _small_pair_config(space, rng, x_positive=True, partner_sign=-1)
-    J = space.apply_J
-    return [_outer4(x, J(x), J(x), a) + _outer4(x, J(x), J(a), x)]
-
-
-def _eq1_holds(R, rng):
-    space = R.space
-    x, a = tuple_from_rng(space, rng, (1, -1), antiholomorphic=True)
-    J = space.apply_J
-    return R.eval(x, J(x), J(x), a) + R.eval(x, J(x), J(a), x) == 0
-
-
-def _lemma2_rows(space, rng):
-    x, y = _small_pair_config(space, rng, x_positive=True, partner_sign=1)
-    J = space.apply_J
-    return [_outer4(x, J(x), J(x), y) + _outer4(x, J(x), J(y), x)]
-
-
-def _lemma2_holds(R, rng):
-    x, y = tuple_from_rng(R.space, rng, (1, 1), antiholomorphic=True)
-    J = R.space.apply_J
-    return R.eval(x, J(x), J(x), y) + R.eval(x, J(x), J(y), x) == 0
-
-
-def _make_isotropic_rows(functional):
-    def rows(space, rng):
-        out = []
-        for x_sign in _thmA_x_signs(space):
-            X, xi = _small_pair_config(space, rng, x_positive=(x_sign == 1),
-                                       partner_sign=0)
-            out.append(functional(space, X, xi))
-        return out
-    return rows
-
-
-def _thmA_functional(space, X, xi):
-    return _outer4(X, xi, xi, X)
-
-
-def _thm3_functional(space, X, xi):
-    J = space.apply_J
-    return _outer4(X, J(X), J(xi), xi)
-
-
-def _thmA_holds(R, rng):
-    for x_sign in _thmA_x_signs(R.space):
-        X, xi = _isotropic_config(R.space, rng, x_sign)
-        if R.eval(X, xi, xi, X) != 0:
-            return False
-    return True
-
-
-def _thm3_holds(R, rng):
-    J = R.space.apply_J
-    for x_sign in _thmA_x_signs(R.space):
-        X, xi = _isotropic_config(R.space, rng, x_sign)
-        if R.eval(X, J(X), J(xi), xi) != 0:
-            return False
-    return True
 
 
 def _thm6_config_small(space, rng):
@@ -338,47 +253,98 @@ def _thm6_config_small(space, rng):
     raise GeometryError("could not sample a complexified probe configuration")
 
 
-def _thm6_rows(space, rng):
-    x, u, v = _thm6_config_small(space, rng)
-    real = _outer4(x, u, u, x) - _outer4(x, v, v, x)
-    imag = _outer4(x, u, v, x) + _outer4(x, v, u, x)
-    return [real, imag]
+def _off_block_frame(space, rng, b0):
+    """x = T e_{2 b0} for a random unitary isometry T, the coordinates outside
+    J-block b0, and T applied to the columns of a random isometry of them."""
+    T = random_isometry(space, rng, unitary=True)
+    comp_idx = [i for b in range(space.m) if b != b0 for i in (2 * b, 2 * b + 1)]
+    S = light_isometry([space.metric_signs[i] for i in comp_idx], rng)
+    return T[:, 2 * b0].copy(), comp_idx, T[:, comp_idx].dot(S)
 
 
-def _thm6_holds(R, rng):
-    from .spaces import ComplexVector
-    x, u, v = _complexified_isotropic_config(R.space, rng)
-    xi = ComplexVector(u, v)
-    return not R.eval_c(x, xi, xi, x)
+def _isotropic_config(space, rng, x_sign):
+    """Unit X of given sign and exact isotropic xi with span{X, xi} weakly
+    isotropic and antiholomorphic."""
+    blocks = range(space.s, space.m) if x_sign == 1 else range(space.s)
+    b0 = rng.choice(list(blocks))
+    X, comp_idx, cols = _off_block_frame(space, rng, b0)
+    plus_b = next(b for b in range(space.s, space.m) if b != b0)
+    minus_b = next(b for b in range(space.s) if b != b0)
+    return X, cols[:, comp_idx.index(2 * plus_b)] + cols[:, comp_idx.index(2 * minus_b)]
 
 
-def _need(predicate, message):
-    return None if predicate else message
+def _complexified_isotropic_config(space, rng):
+    """Unit x and orthonormal u, v away from span{x, Jx} (definite metric);
+    xi = u + i v is isotropic and span{x, xi} is weakly isotropic
+    antiholomorphic in the complexification."""
+    b0 = rng.randrange(space.m)
+    x, comp_idx, cols = _off_block_frame(space, rng, b0)
+    l1, l2 = rng.sample(range(len(comp_idx)), 2)
+    return x, cols[:, l1], cols[:, l2]
+
+
+@dataclass(frozen=True)
+class _Condition:
+    """A quantified hypothesis: identities that vanish on every configuration.
+
+    `identities(J, *config)` lists the identities, each a list of 4-slot
+    vector tuples whose R-values sum to zero; signs ride in the slot vectors.
+    `int_configs` draws small-integer configurations for constraint rows and
+    `iso_configs` the independent isometry-built ones for rechecks.
+    """
+
+    needs: tuple
+    identities: Callable
+    int_configs: Callable[[PseudoHermitianSpace, random.Random], list]
+    iso_configs: Callable[[PseudoHermitianSpace, random.Random], list]
+
+    def rows(self, space, rng) -> list:
+        """One raw coefficient tensor per identity and integer configuration."""
+        J = space.apply_J
+        return [reduce(operator.add, [_outer4(*slots) for slots in identity])
+                for config in self.int_configs(space, rng)
+                for identity in self.identities(J, *config)]
+
+    def holds(self, R: CurvatureTensor, rng) -> bool:
+        J = R.space.apply_J
+        return all(sum(R.eval(*slots) for slots in identity) == 0
+                   for config in self.iso_configs(R.space, rng)
+                   for identity in self.identities(J, *config))
+
+
+def _pair_condition(needs, partner_sign):
+    """R(x,Jx,Jx,a) + R(x,Jx,Ja,x) = 0 on antiholomorphic (+, partner) pairs."""
+    return _Condition(
+        needs,
+        lambda J, x, a: [[(x, J(x), J(x), a), (x, J(x), J(a), x)]],
+        lambda sp, rng: [_small_pair_config(sp, rng, True, partner_sign)],
+        lambda sp, rng: [tuple_from_rng(sp, rng, (1, partner_sign),
+                                        antiholomorphic=True)])
+
+
+def _isotropic_condition(identities):
+    """An identity on weakly isotropic antiholomorphic planes span{X, xi},
+    one configuration per realizable sign of X."""
+    return _Condition(
+        (_M_ABOVE_2, _ISOTROPIC_PLANES), identities,
+        lambda sp, rng: [_small_pair_config(sp, rng, x_sign == 1, 0)
+                         for x_sign in _thmA_x_signs(sp)],
+        lambda sp, rng: [_isotropic_config(sp, rng, x_sign)
+                         for x_sign in _thmA_x_signs(sp)])
 
 
 CONDITIONS = {
-    "eq1": _Condition(
-        lambda sp: _need(sp.m > 1 and 0 < sp.s < sp.m,
-                         "needs an indefinite space with m > 1"),
-        _eq1_rows, _eq1_holds),
-    "lemma2": _Condition(
-        lambda sp: _need(sp.m - sp.s >= 2,
-                         "needs at least two positive J-blocks (m - s >= 2)"),
-        _lemma2_rows, _lemma2_holds),
-    "thmA": _Condition(
-        lambda sp: _need(sp.m > 2 and bool(_thmA_x_signs(sp)),
-                         "needs m > 2 and an indefinite signature admitting "
-                         "weakly isotropic antiholomorphic planes"),
-        _make_isotropic_rows(_thmA_functional), _thmA_holds),
-    "thm3": _Condition(
-        lambda sp: _need(sp.m > 2 and bool(_thmA_x_signs(sp)),
-                         "needs m > 2 and an indefinite signature admitting "
-                         "weakly isotropic antiholomorphic planes"),
-        _make_isotropic_rows(_thm3_functional), _thm3_holds),
+    "eq1": _pair_condition((_INDEFINITE, _M_ABOVE_1), -1),
+    "lemma2": _pair_condition((_TWO_POSITIVE_BLOCKS,), 1),
+    "thmA": _isotropic_condition(lambda J, X, xi: [[(X, xi, xi, X)]]),
+    "thm3": _isotropic_condition(lambda J, X, xi: [[(X, J(X), J(xi), xi)]]),
+    # R_C(x, xi, xi, x) = 0 for xi = u + i v: its real and imaginary parts
     "thm6": _Condition(
-        lambda sp: _need(sp.m > 2 and sp.s == 0,
-                         "needs a definite space with m > 2"),
-        _thm6_rows, _thm6_holds),
+        (_DEFINITE, _M_ABOVE_2),
+        lambda J, x, u, v: [[(x, u, u, x), (x, v, v, -x)],
+                            [(x, u, v, x), (x, v, u, x)]],
+        lambda sp, rng: [_thm6_config_small(sp, rng)],
+        lambda sp, rng: [_complexified_isotropic_config(sp, rng)]),
 }
 
 
@@ -405,13 +371,14 @@ class ConstraintSystem:
             comps = term if comps is None else comps + term
         if comps is None:
             raise GeometryError("constraint system has a trivial solution space")
-        return CurvatureTensor(self.space, comps)
+        # a combination of symmetric basis tensors is symmetric
+        return CurvatureTensor(self.space, comps, validate=False)
 
     def condition_holds(self, R: CurvatureTensor, seed: int, count: int = 30) -> bool:
         """Recheck the named condition on fresh probe configurations."""
         rng = random.Random(seed)
-        holds = CONDITIONS[self.condition_id].holds
-        return all(holds(R, rng) for _ in range(count))
+        cond = CONDITIONS[self.condition_id]
+        return all(cond.holds(R, rng) for _ in range(count))
 
 
 def impose(space: PseudoHermitianSpace, condition_id: str, seed: int = 0,
@@ -425,9 +392,7 @@ def impose(space: PseudoHermitianSpace, condition_id: str, seed: int = 0,
     if condition_id not in CONDITIONS:
         raise GeometryError(f"unknown condition {condition_id!r}")
     cond = CONDITIONS[condition_id]
-    err = cond.check_space(space)
-    if err:
-        raise HypothesisError(f"{condition_id}: {err}")
+    _require(condition_id, cond.needs, space)
     orbits = _pair_orbits(space.n)
     reducer = RowReducer(len(orbits))
     rng = random.Random(seed * 1_000_003 + 17)
@@ -641,134 +606,104 @@ class TheoremReport:
         return self.status == "pass"
 
 
-def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value) if value.denominator != 1 else str(value.numerator)
-    return repr(value)
+@dataclass(frozen=True)
+class _Theorem:
+    needs: tuple
+    run: Callable              # (space, trials, seed, threshold, budget) -> (items, payload)
 
 
-def _run_hypothesis(cond_id, classifier, label):
-    def run(space, trials, seed, threshold, budget):
-        system = impose(space, cond_id, seed=seed)
-        items = [f"constraint rank = {system.rank}, solution dimension = {system.dimension}"]
-        payload = None
-        for i in range(trials):
-            R = system.random_element(seed * 1_000_003 + 7 * i + 1)
-            verdict = classifier(R)
-            ok = verdict.is_constant
-            value = f" value = {_fmt(verdict.value)}" if ok else ""
-            items.append(f"trial {i}: {label} {'constant' if ok else 'NONCONSTANT'}{value}")
-            if not ok and payload is None:
-                payload = (R, verdict)
-        return items, payload
-    return run
+def _run_hypothesis(cond_id, classifier, label, space, trials, seed, threshold, budget):
+    system = impose(space, cond_id, seed=seed)
+    items = [f"constraint rank = {system.rank}, solution dimension = {system.dimension}"]
+    payload = None
+    for i in range(trials):
+        R = system.random_element(seed * 1_000_003 + 7 * i + 1)
+        verdict = classifier(R)
+        ok = verdict.is_constant
+        value = f" value = {format_scalar(verdict.value)}" if ok else ""
+        items.append(f"trial {i}: {label} {'constant' if ok else 'NONCONSTANT'}{value}")
+        if not ok and payload is None:
+            payload = (R, verdict)
+    return items, payload
+
+
+def _hypothesis(cond_id, classifier, label, extra_needs=()) -> _Theorem:
+    """Catalog entry: impose a condition and classify random solutions."""
+    return _Theorem(extra_needs + CONDITIONS[cond_id].needs,
+                    partial(_run_hypothesis, cond_id, classifier, label))
 
 
 _MODEL_EXPECTED = {
-    # family kind prefix -> (constant-curvature value c=3, H-model value c=2)
+    # probe family -> (constant-curvature value c=3, H-model value c=2)
     "holomorphic": (3.0, 2.0),
     "antiholomorphic": (3.0, 0.5),
     "biholomorphic": (0.0, 1.0),
 }
 
 
-def _run_unboundedness(kinds_of, classifier, label):
-    def run(space, trials, seed, threshold, budget):
-        kinds = kinds_of(space)
-        items = []
-        payload = None
-
-        def bounded_check(name, R, expected):
-            nonlocal payload
-            rep = probe_unboundedness(R, threshold, budget, seed=seed, kinds=kinds)
-            ok = not rep.exceeded and scalar_close(rep.max_abs, expected)
-            items.append(f"model {name}: bounded, max = {rep.max_abs!r} "
-                         f"(expected {expected!r}){'' if ok else ' MISMATCH'}")
-            if not ok and payload is None:
-                payload = (R, rep)
-
-        c3, c2 = _MODEL_EXPECTED[kinds[0].split(":")[0]]
-        bounded_check("constant-curvature c=3", model_constant_sectional(space, 3), c3)
-        bounded_check("holomorphic-model c=2", model_complex_space_form(space, 2), c2)
-
-        for i in range(trials):
-            R = random_tensor(space, seed * 1_000_003 + i, bianchi=True)
-            verdict = classifier(R)
-            if verdict.is_constant:
-                rep = probe_unboundedness(R, threshold, budget, seed=seed + i, kinds=kinds)
-                ok = not rep.exceeded
-                items.append(f"trial {i}: {label} constant; probe bounded = {ok}")
-            else:
-                rep = probe_unboundedness(R, threshold, budget, seed=seed + i, kinds=kinds)
-                ok = rep.exceeded
-                if ok:
-                    recomputed = float(rep.witness.reverify(R.to_float()))
-                    stored = float(rep.witness.value)
-                    ok = abs(recomputed - stored) <= 1e-6 * max(1.0, abs(stored))
-                    items.append(
-                        f"trial {i}: nonconstant; witness {rep.witness.kind} "
-                        f"|value| = {abs(stored)!r} at t = {_fmt(rep.witness.t)}"
-                        f"{' (reverified)' if ok else ' REVERIFY-FAILED'}")
-                else:
-                    items.append(f"trial {i}: nonconstant but NO crossing "
-                                 f"(max {rep.max_abs!r})")
-            if not ok and payload is None:
-                payload = (R, rep)
-        return items, payload
-    return run
+def _realizable_kinds(space, family) -> list[str]:
+    return [k for k in PROBE_KINDS
+            if k.split(":")[0] == family and _kind_realizable(space, k)]
 
 
-def _run_restricted_signatures(space, trials, seed, threshold, budget):
-    all_kinds = [k for k in PROBE_KINDS
-                 if k.startswith("antiholomorphic") and _kind_realizable(space, k)]
+def _check_dichotomy(kinds, classifier, label, space, trials, seed, threshold, budget):
+    """Models stay bounded at their constant; nonconstant tensors cross."""
     items = []
     payload = None
-    for kind in all_kinds:
-        sub = _run_unboundedness(lambda sp, kind=kind: [kind],
-                                 constant_antiholomorphic, f"[{kind}]")
-        sub_items, sub_payload = sub(space, trials, seed, threshold, budget)
-        items.extend(f"{kind} :: {line}" for line in sub_items)
-        if sub_payload is not None and payload is None:
-            payload = sub_payload
+
+    def bounded_check(name, R, expected):
+        nonlocal payload
+        rep = probe_unboundedness(R, threshold, budget, seed=seed, kinds=kinds)
+        ok = not rep.exceeded and scalar_close(rep.max_abs, expected)
+        items.append(f"model {name}: bounded, max = {rep.max_abs!r} "
+                     f"(expected {expected!r}){'' if ok else ' MISMATCH'}")
+        if not ok and payload is None:
+            payload = (R, rep)
+
+    c3, c2 = _MODEL_EXPECTED[kinds[0].split(":")[0]]
+    bounded_check("constant-curvature c=3", model_constant_sectional(space, 3), c3)
+    bounded_check("holomorphic-model c=2", model_complex_space_form(space, 2), c2)
+
+    for i in range(trials):
+        R = random_tensor(space, seed * 1_000_003 + i, bianchi=True)
+        verdict = classifier(R)
+        rep = probe_unboundedness(R, threshold, budget, seed=seed + i, kinds=kinds)
+        if verdict.is_constant:
+            ok = not rep.exceeded
+            items.append(f"trial {i}: {label} constant; probe bounded = {ok}")
+        else:
+            ok = rep.exceeded
+            if ok:
+                recomputed = float(rep.witness.reverify(R.to_float()))
+                stored = float(rep.witness.value)
+                ok = abs(recomputed - stored) <= 1e-6 * max(1.0, abs(stored))
+                items.append(
+                    f"trial {i}: nonconstant; witness {rep.witness.kind} "
+                    f"|value| = {abs(stored)!r} at t = {format_scalar(rep.witness.t)}"
+                    f"{' (reverified)' if ok else ' REVERIFY-FAILED'}")
+            else:
+                items.append(f"trial {i}: nonconstant but NO crossing "
+                             f"(max {rep.max_abs!r})")
+        if not ok and payload is None:
+            payload = (R, rep)
     return items, payload
 
 
-def _definite_pairs(space, rng, count):
-    return [tuple_from_rng(space, rng, (1, 1), antiholomorphic=True)
-            for _ in range(count)]
+def _run_unboundedness(family, classifier, label, space, trials, seed, threshold, budget):
+    return _check_dichotomy(_realizable_kinds(space, family), classifier, label,
+                            space, trials, seed, threshold, budget)
 
 
-def _run_definite_holomorphic(space, trials, seed, threshold, budget):
+def _run_restricted_signatures(space, trials, seed, threshold, budget):
     items = []
     payload = None
-    c = Fraction(4)
-    model = model_complex_space_form(space, c)
-    rng = random.Random(seed * 1_000_003 + 3)
-    x, y = tuple_from_rng(space, rng, (1, 1), antiholomorphic=True)
-    p = complexified_family_expansion(model, x, y)
-    want = TPolynomial.of((c, 0, -2 * c, 0, c))
-    ok = p == want and all(v == 0 for v in bound_forced_identities(p))
-    items.append(f"model: expansion equals c*(1-t^2)^2 with c = {_fmt(c)}: {ok}")
-    if not ok:
-        payload = (model, p)
-    for i in range(trials):
-        R = random_tensor(space, seed * 1_000_003 + i, bianchi=True)
-        verdict = constant_holomorphic(R)
-        rng = random.Random(seed * 1_000_003 + 1000 + i)
-        violations = 0
-        for (px, py) in _definite_pairs(space, rng, 20):
-            cons = bound_forced_identities(complexified_family_expansion(R, px, py))
-            if any(v != 0 for v in cons):
-                violations += 1
-        if verdict.is_constant:
-            ok = violations == 0
-            items.append(f"trial {i}: H constant; all pairs bound-compatible = {ok}")
-        else:
-            ok = violations > 0
-            items.append(f"trial {i}: H nonconstant; violated constraints on "
-                         f"{violations}/20 pairs")
-        if not ok and payload is None:
-            payload = (R, verdict)
+    for kind in _realizable_kinds(space, "antiholomorphic"):
+        sub_items, sub_payload = _check_dichotomy(
+            [kind], constant_antiholomorphic, f"[{kind}]",
+            space, trials, seed, threshold, budget)
+        items.extend(f"{kind} :: {line}" for line in sub_items)
+        if sub_payload is not None and payload is None:
+            payload = sub_payload
     return items, payload
 
 
@@ -779,83 +714,88 @@ def _antiholomorphic_even_expansion(R, x, y, z):
     return p.real_part()
 
 
-def _run_definite_antiholomorphic(space, trials, seed, threshold, budget):
+@dataclass(frozen=True)
+class _DefiniteBound:
+    """A definite-case bound: the pinching expansion it constrains, the exact
+    expansion of the c-model, and the report wording."""
+
+    pattern: tuple             # signs of the orthonormal antiholomorphic probe tuple
+    expansion: Callable        # (R, *tuple) -> TPolynomial
+    multiplicity: int          # the bound is |p(t)| <= c (1 - t^2)^multiplicity
+    model_coeffs: Callable     # c -> coefficients of the model's expansion
+    model_label: str           # formatted with c
+    classifier: Callable
+    curvature: str             # name of the classified curvature
+    probes: str                # plural noun for the probe tuples
+    model_offset: int          # rng stream offsets of the model draw
+    trial_offset: int          # and of each trial's probes
+
+
+_DEFINITE_HOLOMORPHIC = _DefiniteBound(
+    (1, 1), complexified_family_expansion, 2, lambda c: (c, 0, -2 * c, 0, c),
+    "expansion equals c*(1-t^2)^2 with c = {c}", constant_holomorphic,
+    "H", "pairs", 3, 1000)
+
+_DEFINITE_ANTIHOLOMORPHIC = _DefiniteBound(
+    (1, 1, 1), _antiholomorphic_even_expansion, 1, lambda c: (c / 4, 0, -c / 4),
+    "K family reduces to (c/4)*(1-t^2)", constant_antiholomorphic,
+    "K", "triples", 5, 2000)
+
+
+def _run_definite_bound(row, space, trials, seed, threshold, budget):
     items = []
     payload = None
+
+    def probe_expansion(R, rng):
+        return row.expansion(R, *tuple_from_rng(space, rng, row.pattern,
+                                                antiholomorphic=True))
+
+    def bound_compatible(p):
+        return all(v == 0 for v in bound_forced_identities(p, multiplicity=row.multiplicity))
+
     c = Fraction(4)
     model = model_complex_space_form(space, c)
-    rng = random.Random(seed * 1_000_003 + 5)
-    x, y, z = tuple_from_rng(space, rng, (1, 1, 1), antiholomorphic=True)
-    p = _antiholomorphic_even_expansion(model, x, y, z)
-    ok = (p == TPolynomial.of((c / 4, 0, -c / 4))
-          and all(v == 0 for v in bound_forced_identities(p, multiplicity=1)))
-    items.append(f"model: K family reduces to (c/4)*(1-t^2): {ok}")
+    p = probe_expansion(model, random.Random(seed * 1_000_003 + row.model_offset))
+    ok = p == TPolynomial.of(row.model_coeffs(c)) and bound_compatible(p)
+    items.append(f"model: {row.model_label.format(c=format_scalar(c))}: {ok}")
     if not ok:
         payload = (model, p)
     for i in range(trials):
         R = random_tensor(space, seed * 1_000_003 + i, bianchi=True)
-        verdict = constant_antiholomorphic(R)
-        rng = random.Random(seed * 1_000_003 + 2000 + i)
-        violations = 0
-        for _ in range(20):
-            tx, ty, tz = tuple_from_rng(space, rng, (1, 1, 1), antiholomorphic=True)
-            p = _antiholomorphic_even_expansion(R, tx, ty, tz)
-            if any(v != 0 for v in bound_forced_identities(p, multiplicity=1)):
-                violations += 1
+        verdict = row.classifier(R)
+        rng = random.Random(seed * 1_000_003 + row.trial_offset + i)
+        violations = sum(not bound_compatible(probe_expansion(R, rng)) for _ in range(20))
         if verdict.is_constant:
             ok = violations == 0
-            items.append(f"trial {i}: K constant; all triples bound-compatible = {ok}")
+            items.append(f"trial {i}: {row.curvature} constant; "
+                         f"all {row.probes} bound-compatible = {ok}")
         else:
             ok = violations > 0
-            items.append(f"trial {i}: K nonconstant; violated constraints on "
-                         f"{violations}/20 triples")
+            items.append(f"trial {i}: {row.curvature} nonconstant; violated "
+                         f"constraints on {violations}/20 {row.probes}")
         if not ok and payload is None:
             payload = (R, verdict)
     return items, payload
 
 
 _THEOREMS = {
-    "lemma1": (
-        lambda sp: _need(sp.m > 1 and sp.is_indefinite, "needs an indefinite space, m > 1"),
-        _run_hypothesis("eq1", constant_holomorphic, "H")),
-    "lemma2": (
-        lambda sp: _need(sp.m > 1 and sp.s == 0, "needs a definite space, m > 1"),
-        _run_hypothesis("lemma2", constant_holomorphic, "H")),
-    "thmA": (
-        lambda sp: _need(sp.m > 2 and bool(_thmA_x_signs(sp)),
-                         "needs m > 2 and weakly isotropic antiholomorphic planes"),
-        _run_hypothesis("thmA", constant_antiholomorphic, "antiholomorphic K")),
-    "thm3": (
-        lambda sp: _need(sp.m > 2 and bool(_thmA_x_signs(sp)),
-                         "needs m > 2 and weakly isotropic antiholomorphic planes"),
-        _run_hypothesis("thm3", constant_biholomorphic, "biholomorphic")),
-    "thm6": (
-        lambda sp: _need(sp.m > 2 and sp.s == 0, "needs a definite space, m > 2"),
-        _run_hypothesis("thm6", constant_antiholomorphic, "antiholomorphic K")),
-    "thm1": (
-        lambda sp: _need(sp.m > 1 and sp.is_indefinite, "needs an indefinite space, m > 1"),
-        _run_unboundedness(lambda sp: ["holomorphic"], constant_holomorphic, "H")),
-    "thm2": (
-        lambda sp: _need(sp.m > 2 and sp.is_indefinite, "needs an indefinite space, m > 2"),
-        _run_unboundedness(
-            lambda sp: [k for k in PROBE_KINDS
-                        if k.startswith("antiholomorphic") and _kind_realizable(sp, k)],
-            constant_antiholomorphic, "antiholomorphic K")),
-    "thm4": (
-        lambda sp: _need(sp.m > 2 and sp.is_indefinite
-                         and _kind_realizable(sp, "biholomorphic"),
-                         "needs an indefinite space, m > 2, with (+,+,-) triples"),
-        _run_unboundedness(lambda sp: ["biholomorphic"], constant_biholomorphic,
-                           "biholomorphic")),
-    "remark1": (
-        lambda sp: _need(sp.m > 2 and sp.is_indefinite, "needs an indefinite space, m > 2"),
-        _run_restricted_signatures),
-    "thm5": (
-        lambda sp: _need(sp.m > 1 and sp.s == 0, "needs a definite space, m > 1"),
-        _run_definite_holomorphic),
-    "thm7": (
-        lambda sp: _need(sp.m > 2 and sp.s == 0, "needs a definite space, m > 2"),
-        _run_definite_antiholomorphic),
+    "lemma1": _hypothesis("eq1", constant_holomorphic, "H"),
+    "lemma2": _hypothesis("lemma2", constant_holomorphic, "H", extra_needs=(_DEFINITE,)),
+    "thmA": _hypothesis("thmA", constant_antiholomorphic, "antiholomorphic K"),
+    "thm3": _hypothesis("thm3", constant_biholomorphic, "biholomorphic"),
+    "thm6": _hypothesis("thm6", constant_antiholomorphic, "antiholomorphic K"),
+    "thm1": _Theorem((_INDEFINITE, _M_ABOVE_1), partial(
+        _run_unboundedness, "holomorphic", constant_holomorphic, "H")),
+    "thm2": _Theorem((_INDEFINITE, _M_ABOVE_2), partial(
+        _run_unboundedness, "antiholomorphic", constant_antiholomorphic,
+        "antiholomorphic K")),
+    "thm4": _Theorem((_INDEFINITE, _M_ABOVE_2, _MIXED_TRIPLES), partial(
+        _run_unboundedness, "biholomorphic", constant_biholomorphic, "biholomorphic")),
+    "remark1": _Theorem((_INDEFINITE, _M_ABOVE_2), _run_restricted_signatures),
+    "thm5": _Theorem((_DEFINITE, _M_ABOVE_1),
+                     partial(_run_definite_bound, _DEFINITE_HOLOMORPHIC)),
+    "thm7": _Theorem((_DEFINITE, _M_ABOVE_2),
+                     partial(_run_definite_bound, _DEFINITE_ANTIHOLOMORPHIC)),
 }
 
 THEOREM_IDS = tuple(_THEOREMS)
@@ -867,11 +807,9 @@ def verify(theorem_id: str, space: PseudoHermitianSpace, trials: int = 20,
     if theorem_id not in _THEOREMS:
         raise GeometryError(f"unknown theorem id {theorem_id!r}; "
                             f"known: {', '.join(THEOREM_IDS)}")
-    pre, runner = _THEOREMS[theorem_id]
-    err = pre(space)
-    if err:
-        raise HypothesisError(f"{theorem_id}: {err}")
-    items, payload = runner(space, trials, seed, threshold, budget)
+    theorem = _THEOREMS[theorem_id]
+    _require(theorem_id, theorem.needs, space)
+    items, payload = theorem.run(space, trials, seed, threshold, budget)
     status = "pass" if payload is None else "fail"
     return TheoremReport(theorem_id, space.m, space.s, trials, seed,
                          status, tuple(items), payload)

@@ -19,24 +19,22 @@ from math import gcd
 _P = (1 << 61) - 1
 
 
-def _integerize(row) -> list[int]:
+def integer_row(row) -> list[int]:
+    """The rational row scaled to coprime integers (a zero row stays zero)."""
     lcm = 1
     for v in row:
         if isinstance(v, Fraction):
             d = v.denominator
             lcm = lcm * d // gcd(lcm, d)
-    return [int(Fraction(v) * lcm) for v in row]
-
-
-def _normalize(row: list[int]) -> list[int]:
+    ints = [int(Fraction(v) * lcm) for v in row]
     g = 0
-    for v in row:
+    for v in ints:
         g = gcd(g, v)
         if g == 1:
-            return row
+            return ints
     if g > 1:
-        row = [v // g for v in row]
-    return row
+        ints = [v // g for v in ints]
+    return ints
 
 
 class RowReducer:
@@ -67,7 +65,7 @@ class RowReducer:
         """Reduce `row` against the basis; absorb it if independent."""
         if len(row) != self.ncols:
             raise ValueError(f"row has {len(row)} entries, expected {self.ncols}")
-        ints = _normalize(_integerize(row))
+        ints = integer_row(row)
         mrow = [v % _P for v in ints]
         for r, c in zip(self._mod_rows, self._mod_pivots):
             f = mrow[c]
@@ -122,13 +120,6 @@ class RowReducer:
         return basis
 
 
-def matrix_rank(rows, ncols: int) -> int:
-    red = RowReducer(ncols)
-    for row in rows:
-        red.add_row(list(row))
-    return red.rank
-
-
 def field_rank(rows, ncols: int) -> int:
     """Rank by plain elimination over any exact field (rational or complex)."""
     work = [list(r) for r in rows]
@@ -146,25 +137,3 @@ def field_rank(rows, ncols: int) -> int:
         rank += 1
     return rank
 
-
-def solve_matrix(a, b):
-    """Solve A X = B exactly for square A given as lists of lists.
-
-    Returns X as lists of lists, or None when A is singular.  Entries may be
-    Fractions or anything supporting exact field arithmetic.
-    """
-    n = len(a)
-    m = len(b[0])
-    aug = [list(a[i]) + list(b[i]) for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [aug[r][k] - f * aug[col][k] for k in range(n + m)]
-    return [row[n:] for row in aug]

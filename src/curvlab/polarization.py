@@ -115,13 +115,6 @@ class VectorFamily:
             d = ComplexVector(-np.asarray(d.im), np.asarray(d.re))
         return base, d
 
-    def at(self, space, t):
-        """The family member at parameter t (exact for exact t)."""
-        base, d = self.parts(space)
-        if d is None:
-            return base
-        return base + d.scaled(t)
-
     def is_real(self) -> bool:
         def real(v):
             return v is None or not isinstance(v, ComplexVector)

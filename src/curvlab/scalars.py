@@ -37,6 +37,11 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def format_scalar(x) -> str:
+    """Report form of a scalar: reduced p/q for rationals, repr otherwise."""
+    return format_rational(x) if isinstance(x, Fraction) else repr(x)
+
+
 @dataclass(frozen=True)
 class ExactComplex:
     """Complex number with exact rational real and imaginary parts."""
@@ -156,7 +161,3 @@ def rand_rational(rng, denominator: int = 64, span: int = 1) -> Fraction:
     """Uniform rational on the grid k/denominator inside [-span, span]."""
     return Fraction(rng.randint(-span * denominator, span * denominator), denominator)
 
-
-def tiny_rational(rng) -> Fraction:
-    # small numerators and denominators keep Cayley transforms cheap
-    return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))

@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .linsolve import field_rank, solve_matrix
-from .scalars import ExactComplex, is_exact, rational, tiny_rational
+from .linsolve import field_rank
+from .scalars import ExactComplex, is_exact, rational
 
 
 class GeometryError(ValueError):
@@ -487,38 +487,12 @@ def light_isometry(signs: Sequence[int], rng: random.Random,
     return T
 
 
-def cayley_isometry(signs: Sequence[int], rng: random.Random, J=None) -> Optional[np.ndarray]:
-    """Random exact isometry of diag(signs); commutes with J when given.
-
-    The Cayley transform of a g-antisymmetric (optionally J-commuting)
-    matrix.  Denser rationals than `light_isometry`; kept as an independent
-    construction for cross-checks.  Returns None when the draw lands on a
-    singular I + A (caller redraws).
-    """
-    n = len(signs)
-    M = [[tiny_rational(rng) for _ in range(n)] for _ in range(n)]
-    M = np.array(M, dtype=object)
-    if J is not None:
-        M = (M - J.dot(M).dot(J)) / 2          # commutant-of-J projection
-    G = np.diag(np.array(list(signs), dtype=object))
-    A = (M - G.dot(M.T).dot(G)) / 2            # g-antisymmetric part
-    eye = np.diag(np.array([Fraction(1)] * n, dtype=object))
-    sol = solve_matrix((eye + A).tolist(), (eye - A).tolist())
-    if sol is None:
-        return None
-    return np.array(sol, dtype=object)
-
-
-def _draw_isometry(signs, rng, unitary: bool = False) -> np.ndarray:
-    return light_isometry(signs, rng, unitary=unitary)
-
-
 def random_isometry(space: PseudoHermitianSpace, rng: random.Random,
                     unitary: bool = False) -> np.ndarray:
     """Exact rational isometry of the space; J-commuting when `unitary`."""
     if unitary and not space.has_canonical_J:
         raise GeometryError("J-commuting isometries require the canonical J")
-    return _draw_isometry(space.metric_signs, rng, unitary=unitary)
+    return light_isometry(space.metric_signs, rng, unitary=unitary)
 
 
 def _normalize_pattern(pattern) -> tuple:

@@ -109,7 +109,9 @@ class CurvatureTensor:
                 raise DimensionMismatch("vector length does not match tensor space")
         out = self.components
         for v in (U, Z, Y, X):
-            out = np.tensordot(out, np.asarray(v), axes=([out.ndim - 1], [0]))
+            # contract in the tensor's own dtype: float64 stays float64
+            out = np.tensordot(out, np.asarray(v, dtype=out.dtype),
+                               axes=([out.ndim - 1], [0]))
         return out.item()
 
     def eval_c(self, X, Y, Z, U):
@@ -182,14 +184,12 @@ def from_dense(space: PseudoHermitianSpace, components: np.ndarray,
                            validate=not symmetrize)
 
 
-def from_components(space: PseudoHermitianSpace, entries,
-                    symmetrize: bool = False, bianchi_projection: bool = False) -> CurvatureTensor:
-    """Build a tensor from a sparse list of (i, j, k, l, value), 0-based.
+def dense_components(n: int, entries) -> np.ndarray:
+    """Dense n^4 component array summing sparse (i, j, k, l, value), 0-based.
 
-    With `symmetrize` the input is projected onto the symmetry subspace;
-    otherwise the entries must already satisfy the symmetries.
+    Exact unless some value is a float.  Out-of-range indices and non-finite
+    values raise instead of wrapping or propagating.
     """
-    n = space.n
     entries = list(entries)
     floaty = any(isinstance(e[4], float) for e in entries)
     if floaty:
@@ -207,6 +207,17 @@ def from_components(space: PseudoHermitianSpace, entries,
             C[i, j, k, l] = C[i, j, k, l] + value
         else:
             C[i, j, k, l] = C[i, j, k, l] + Fraction(value)
+    return C
+
+
+def from_components(space: PseudoHermitianSpace, entries,
+                    symmetrize: bool = False, bianchi_projection: bool = False) -> CurvatureTensor:
+    """Build a tensor from a sparse list of (i, j, k, l, value), 0-based.
+
+    With `symmetrize` the input is projected onto the symmetry subspace;
+    otherwise the entries must already satisfy the symmetries.
+    """
+    C = dense_components(space.n, entries)
     return from_dense(space, C, symmetrize=symmetrize, bianchi_projection=bianchi_projection)
 
 

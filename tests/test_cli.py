@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import pathlib
 from contextlib import redirect_stdout
@@ -9,32 +10,19 @@ from curvlab.cli import main
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "golden"
 
-# the same commands tools/make_golden.py runs, keyed by expected output file
-GOLDEN_COMMANDS = {
-    "spaceform_3_0.tensor": ["generate", "--model", "space-form", "--c", "4",
-                             "--m", "3", "--s", "0"],
-    "constant_2_1.tensor": ["generate", "--model", "constant", "--c", "3",
-                            "--m", "2", "--s", "1"],
-    "random_2_1.tensor": ["generate", "--model", "random", "--m", "2",
-                          "--s", "1", "--seed", "7"],
-    "classify_spaceform.out": ["classify", "-i", str(GOLDEN / "spaceform_3_0.tensor"),
-                               "--probes", "20"],
-    "classify_random.out": ["classify", "-i", str(GOLDEN / "random_2_1.tensor")],
-    "expand_constant_holomorphic.out": ["expand", "-i", str(GOLDEN / "constant_2_1.tensor"),
-                                        "--family", "holomorphic", "--seed", "5"],
-    "expand_spaceform_complexified.out": ["expand", "-i", str(GOLDEN / "spaceform_3_0.tensor"),
-                                          "--family", "complexified", "--seed", "5"],
-    "probe_constant.out": ["probe", "-i", str(GOLDEN / "constant_2_1.tensor")],
-    "probe_random.out": ["probe", "-i", str(GOLDEN / "random_2_1.tensor")],
-    "verify_lemma1.out": ["verify", "--theorem", "lemma1", "--m", "2", "--s", "1",
-                          "--trials", "3", "--seed", "7"],
-    "verify_thm5.out": ["verify", "--theorem", "thm5", "--m", "2", "--s", "0",
-                        "--trials", "2", "--seed", "3"],
-    "lemma3_spaceform.out": ["lemma3", "-i", str(GOLDEN / "spaceform_3_0.tensor"),
-                             "--probes", "10"],
-    "check_spaceform.out": ["check-symmetries", "-i", str(GOLDEN / "spaceform_3_0.tensor"),
-                            "--bianchi"],
-}
+
+def _load_golden_commands() -> dict:
+    """The command table of tools/make_golden.py, keyed by golden file name,
+    with golden/ inputs made absolute so tests run from any directory."""
+    spec = importlib.util.spec_from_file_location(
+        "make_golden", ROOT / "tools" / "make_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: [str(ROOT / arg) if arg.startswith("golden/") else arg for arg in argv]
+            for name, argv in {**module.TENSORS, **module.REPORTS}.items()}
+
+
+GOLDEN_COMMANDS = _load_golden_commands()
 
 
 def run_cli(argv):
@@ -89,6 +77,18 @@ class TestExitCodes:
         code, out = run_cli(["check-symmetries", "-i", str(doc)])
         assert code == 1
         assert "check.antisym-12 = fail" in out
+
+    @pytest.mark.parametrize("command", ["check-symmetries", "classify"])
+    @pytest.mark.parametrize("entry", ["R[1,2,2,9] = 1", "R[0,2,2,1] = 1"])
+    def test_entry_index_out_of_range(self, tmp_path, command, entry):
+        doc = tmp_path / "range.tensor"
+        doc.write_text(f"curvlab-tensor/1\nm = 1\ns = 0\n{entry}\n")
+        assert run_cli([command, "-i", str(doc)])[0] == 2
+
+    def test_zero_probes_rejected(self):
+        code, _ = run_cli(["classify", "-i", str(GOLDEN / "spaceform_3_0.tensor"),
+                           "--probes", "0"])
+        assert code == 2
 
     def test_invariant_violation_named(self, tmp_path, capsys):
         doc = tmp_path / "badj.tensor"

@@ -40,6 +40,8 @@ class TestImpose:
         system = impose(sp31, "thmA", seed=2)
         R = system.random_element(5)
         assert not failing_symmetries(R.components)
+        for B in system.solution_basis:
+            assert not failing_symmetries(B.components)
 
     def test_generic_tensor_violates_conditions(self, sp21):
         system = impose(sp21, "eq1", seed=3)

@@ -8,7 +8,7 @@ from curvlab.scalars import ExactComplex
 from curvlab.spaces import (ComplexVector, DependentVectorsError,
                             DimensionMismatch, GeometryError,
                             InvariantViolation, UnrealizablePatternError,
-                            canonical_complex_structure, cayley_isometry,
+                            canonical_complex_structure,
                             classify_plane, gram_schmidt_tuple, make_space,
                             random_isometry)
 
@@ -185,13 +185,6 @@ class TestIsometries:
             assert (T.T.dot(G.dot(T)) == G).all()
             if unitary:
                 assert (T.dot(sp31.J) == sp31.J.dot(T)).all()
-
-    def test_cayley_cross_check(self, sp21):
-        rng = random.Random(8)
-        G = np.diag(np.array(sp21.metric_signs, dtype=object))
-        T = cayley_isometry(sp21.metric_signs, rng, J=sp21.J)
-        assert (T.T.dot(G.dot(T)) == G).all()
-        assert (T.dot(sp21.J) == sp21.J.dot(T)).all()
 
 
 class TestGramSchmidtTuple:

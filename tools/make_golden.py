@@ -22,12 +22,16 @@ TENSORS = {
                             "--m", "2", "--s", "1"],
     "random_2_1.tensor": ["generate", "--model", "random", "--m", "2",
                           "--s", "1", "--seed", "7"],
+    "random_3_1.tensor": ["generate", "--model", "random", "--m", "3",
+                          "--s", "1", "--seed", "11"],
 }
 
 REPORTS = {
     "classify_spaceform.out": ["classify", "-i", "golden/spaceform_3_0.tensor",
                                "--probes", "20"],
     "classify_random.out": ["classify", "-i", "golden/random_2_1.tensor"],
+    "classify_random_3_1.out": ["classify", "-i", "golden/random_3_1.tensor",
+                                "--probes", "6"],
     "expand_constant_holomorphic.out": ["expand", "-i", "golden/constant_2_1.tensor",
                                         "--family", "holomorphic", "--seed", "5"],
     "expand_spaceform_complexified.out": ["expand", "-i", "golden/spaceform_3_0.tensor",
@@ -38,6 +42,8 @@ REPORTS = {
                           "--trials", "3", "--seed", "7"],
     "verify_thm5.out": ["verify", "--theorem", "thm5", "--m", "2", "--s", "0",
                         "--trials", "2", "--seed", "3"],
+    "verify_thm7.out": ["verify", "--theorem", "thm7", "--m", "3", "--s", "0",
+                        "--trials", "1", "--seed", "3"],
     "lemma3_spaceform.out": ["lemma3", "-i", "golden/spaceform_3_0.tensor",
                              "--probes", "10"],
     "check_spaceform.out": ["check-symmetries", "-i", "golden/spaceform_3_0.tensor",
