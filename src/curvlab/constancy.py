@@ -77,24 +77,20 @@ def _sign_patterns(space: PseudoHermitianSpace, k: int):
 
 # -- holomorphic ------------------------------------------------------------
 
-def _holomorphic_quartic(R: CurvatureTensor) -> np.ndarray:
-    """Coefficient tensor of the quartic X -> R(X, JX, JX, X)."""
-    J = R.space.J if R.is_exact else R.space.J_float
-    T = np.tensordot(R.components, J, axes=([1], [0]))   # (i, q, l, j)
-    T = np.tensordot(T, J, axes=([1], [0]))              # (i, l, j, k)
+def _holomorphic_quartic(C: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Coefficient tensor of the quartic X -> C(X, JX, JX, X)."""
+    T = np.tensordot(C, J, axes=([1], [0]))   # (i, q, l, j)
+    T = np.tensordot(T, J, axes=([1], [0]))   # (i, l, j, k)
     return T.transpose(0, 2, 3, 1)
 
 
-def _norm_square_quartic(space: PseudoHermitianSpace, exact: bool) -> np.ndarray:
+def _norm_square_quartic(space: PseudoHermitianSpace) -> np.ndarray:
+    """Integer coefficient tensor of the quartic X -> g(X, X)^2."""
     n = space.n
-    if exact:
-        G4 = np.empty((n, n, n, n), dtype=object)
-        G4[...] = Fraction(0)
-    else:
-        G4 = np.zeros((n, n, n, n))
+    G4 = np.zeros((n, n, n, n), dtype=object)
     for i in range(n):
         for j in range(n):
-            G4[i, i, j, j] = G4[i, i, j, j] + space.metric_signs[i] * space.metric_signs[j]
+            G4[i, i, j, j] = space.metric_signs[i] * space.metric_signs[j]
     return G4
 
 
@@ -132,9 +128,12 @@ def constant_holomorphic(R: CurvatureTensor, samples: int = 200, seed: int = 0) 
     if R.is_exact:
         ref = space.basis_vector(0)
         c = holomorphic_sectional(R, ref)
-        SA = _symmetrize_quartic(_holomorphic_quartic(R))
-        SG = _symmetrize_quartic(_norm_square_quartic(space, exact=True))
-        if (SA == SG * c).all():
+        # with components = N / D and c = p / q, SA == c SG reads SA_N q == SG p D
+        N, D = R.integer_form or (R.components, 1)
+        p, q = c.as_integer_ratio()
+        SA = _symmetrize_quartic(_holomorphic_quartic(N, space.J))
+        SG = _symmetrize_quartic(_norm_square_quartic(space))
+        if (SA * q == SG * (p * D)).all():
             return ConstancyVerdict("constant", value=c)
         # genuinely nonconstant: hunt a differing pair of holomorphic planes
         found = None

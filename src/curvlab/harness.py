@@ -568,6 +568,8 @@ def probe_unboundedness(R: CurvatureTensor, threshold: float = 1e6,
             if not _kind_realizable(space, k):
                 raise GeometryError(f"probe kind {k!r} not realizable on this signature")
     probes, rungs = budget
+    if probes < 1 or rungs < 1:
+        raise GeometryError("unboundedness probing needs at least one pair and one rung")
     max_abs, max_kind = 0.0, None
     evaluations = 0
     for p_idx in range(probes):
@@ -807,6 +809,8 @@ def verify(theorem_id: str, space: PseudoHermitianSpace, trials: int = 20,
     if theorem_id not in _THEOREMS:
         raise GeometryError(f"unknown theorem id {theorem_id!r}; "
                             f"known: {', '.join(THEOREM_IDS)}")
+    if trials < 1:
+        raise GeometryError("verification needs at least one trial")
     theorem = _THEOREMS[theorem_id]
     _require(theorem_id, theorem.needs, space)
     items, payload = theorem.run(space, trials, seed, threshold, budget)

@@ -13,6 +13,14 @@ curvature form
 
 which makes them basis independent and fixes the sign convention on
 mixed-signature planes (an orthonormal (+,-) pair has pi1(x,a,a,x) = -1).
+
+Exact tensors keep their components as a `Fraction` array, but contract on
+an integer form: Python-int numerators N over one common denominator D (the
+lcm of the component denominators), computed on the first exact contraction
+and cached on the immutable tensor.  Rational vectors are integerized the
+same way, so a contraction is plain integer multiply-add and one reduced
+`Fraction` at the end instead of a gcd per term.  The exact symmetry checks
+run on the numerators too: scaling by D preserves which sums vanish.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -56,9 +65,36 @@ def bianchi_project(C: np.ndarray) -> np.ndarray:
     return (2 * C - C.transpose(1, 2, 0, 3) - C.transpose(2, 0, 1, 3)) / 3
 
 
+def _integerize(values) -> tuple[list, int] | None:
+    """(numerators, d) with values == numerators / d, d the lcm of the denominators.
+
+    Numerators are Python ints.  None when some value is not an int, a
+    numpy integer or a Fraction.
+    """
+    values = list(values)
+    if not all(isinstance(x, (int, np.integer, Fraction)) for x in values):
+        return None
+    d = math.lcm(*(int(x.denominator) for x in values))
+    return [int(x.numerator) * (d // int(x.denominator)) for x in values], d
+
+
+def _integer_components(C: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """(N, D) with C == N / D: Python-int numerators over one common denominator."""
+    form = _integerize(C.flat)
+    if form is None:
+        return None
+    nums, d = form
+    return np.array(nums, dtype=object).reshape(C.shape), d
+
+
 def failing_symmetries(C: np.ndarray, bianchi: bool = False) -> list[str]:
     """Names of violated tensor invariants, empty when all hold."""
     exact = C.dtype == object
+    if exact:
+        # scaling by the common denominator preserves which sums vanish
+        form = _integer_components(C)
+        if form is not None:
+            C = form[0]
     checks = [
         ("antisym-12", C + C.transpose(1, 0, 2, 3)),
         ("antisym-34", C + C.transpose(0, 1, 3, 2)),
@@ -100,6 +136,11 @@ class CurvatureTensor:
     def is_exact(self) -> bool:
         return self.components.dtype == object
 
+    @cached_property
+    def integer_form(self) -> tuple[np.ndarray, int] | None:
+        """(N, D) with components == N / D, computed once; None unless exact and rational."""
+        return _integer_components(self.components) if self.is_exact else None
+
     # -- evaluation --------------------------------------------------------
 
     def eval(self, X, Y, Z, U):
@@ -107,6 +148,16 @@ class CurvatureTensor:
         for v in (X, Y, Z, U):
             if len(v) != self.space.n:
                 raise DimensionMismatch("vector length does not match tensor space")
+        form = self.integer_form
+        if form is not None:
+            vecs = [_integerize(v) for v in (U, Z, Y, X)]
+            if None not in vecs:
+                out, den = form
+                for nums, d in vecs:
+                    out = np.tensordot(out, np.array(nums, dtype=object),
+                                       axes=([out.ndim - 1], [0]))
+                    den *= d
+                return Fraction(out.item(), den)
         out = self.components
         for v in (U, Z, Y, X):
             # contract in the tensor's own dtype: float64 stays float64

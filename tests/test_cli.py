@@ -90,6 +90,19 @@ class TestExitCodes:
                            "--probes", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_rejected(self, trials):
+        code, out = run_cli(["verify", "--theorem", "lemma1", "--m", "2", "--s", "1",
+                             "--trials", trials])
+        assert code == 2
+        assert "status = pass" not in out
+
+    @pytest.mark.parametrize("budget", [["--pairs", "0"], ["--rungs", "-1"]])
+    def test_empty_probe_budget_rejected(self, budget):
+        code, out = run_cli(["probe", "-i", str(GOLDEN / "random_2_1.tensor"), *budget])
+        assert code == 2
+        assert "exceeded" not in out
+
     def test_invariant_violation_named(self, tmp_path, capsys):
         doc = tmp_path / "badj.tensor"
         doc.write_text("curvlab-tensor/1\nm = 1\ns = 0\nJ = custom\n"

@@ -1,11 +1,16 @@
+import pathlib
+
 import pytest
 
 from curvlab.harness import (HypothesisError, THEOREM_IDS, impose,
                              model_complex_space_form, model_constant_sectional,
                              probe_unboundedness, random_tensor, verify)
 from curvlab.constancy import constant_holomorphic
+from curvlab.io_format import build_tensor, parse_document
 from curvlab.spaces import GeometryError, gram_schmidt_tuple, make_space
 from curvlab.tensors import failing_symmetries
+
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
 
 
 class TestImpose:
@@ -121,6 +126,13 @@ class TestProbeUnboundedness:
         rep = probe_unboundedness(model_constant_sectional(sp21, 3), budget=(4, 10))
         assert rep.evaluations == 4 * 10
 
+    @pytest.mark.parametrize("budget", [(0, 40), (64, 0), (-1, 40), (64, -1)])
+    def test_empty_budget_rejected(self, budget):
+        # a bounded verdict from zero evaluations would assert nothing
+        R = build_tensor(parse_document((GOLDEN / "random_2_1.tensor").read_text()))
+        with pytest.raises(GeometryError):
+            probe_unboundedness(R, budget=budget)
+
     def test_deterministic_for_seed(self, sp21):
         R = random_tensor(sp21, 35)
         r1 = probe_unboundedness(R, seed=3)
@@ -149,6 +161,12 @@ class TestVerify:
     def test_unknown_id(self, sp21):
         with pytest.raises(GeometryError):
             verify("thm99", sp21)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_rejected(self, sp21, trials):
+        # a pass after checking no trial would assert nothing
+        with pytest.raises(GeometryError):
+            verify("lemma1", sp21, trials=trials)
 
     @pytest.mark.parametrize("tid,m,s", [
         ("lemma1", 2, 0), ("thm1", 1, 0), ("thmA", 2, 1),
