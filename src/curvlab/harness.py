@@ -3,10 +3,11 @@
 Quantified curvature hypotheses ("... = 0 for every antiholomorphic pair")
 are linear in the tensor, so they are imposed by instantiating the condition
 on seeded exact-rational probe configurations until the constraint rank is
-stable for ten consecutive draws, then solving for the nullspace inside the
-symmetry-reduced component space.  Boundedness statements are tested through
-their dichotomy: bounds hold on constant models, and nonconstant tensors
-must blow up along pinching families approaching isotropic planes.
+stable for ten consecutive draws, then taking the certified exact nullspace
+inside the symmetry-reduced component space.  Boundedness statements are
+tested through their dichotomy: bounds hold on constant models, and
+nonconstant tensors must blow up along pinching families approaching
+isotropic planes.
 
 The catalog is two tables.  `CONDITIONS` describes each hypothesis once: the
 space requirements it needs, its identities as lists of 4-vector slot tuples
@@ -34,7 +35,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -350,29 +351,36 @@ CONDITIONS = {
 
 @dataclass(frozen=True, eq=False)
 class ConstraintSystem:
-    """Solution space of a curvature hypothesis imposed as linear constraints."""
+    """Solution space of a curvature hypothesis imposed as linear constraints.
+
+    `coefficients` is the certified nullspace basis as vectors of rational
+    coordinates on the pair-symmetric basis (`_pair_orbits`); tensors are
+    built from them only on demand.
+    """
 
     space: PseudoHermitianSpace
     condition_id: str
     rank: int
-    solution_basis: tuple
+    coefficients: tuple
     probes_used: int
     seed: int
 
     @property
     def dimension(self) -> int:
-        return len(self.solution_basis)
+        return len(self.coefficients)
+
+    @cached_property
+    def solution_basis(self) -> tuple:
+        return tuple(tensor_from_coefficients(self.space, vec) for vec in self.coefficients)
 
     def random_element(self, seed: int) -> CurvatureTensor:
-        rng = random.Random(seed)
-        comps = None
-        for B in self.solution_basis:
-            term = B.components * rand_rational(rng)
-            comps = term if comps is None else comps + term
-        if comps is None:
+        """The basis combined with seeded `rand_rational` weights, one per vector."""
+        if not self.coefficients:
             raise GeometryError("constraint system has a trivial solution space")
-        # a combination of symmetric basis tensors is symmetric
-        return CurvatureTensor(self.space, comps, validate=False)
+        rng = random.Random(seed)
+        weights = np.array([rand_rational(rng) for _ in self.coefficients], dtype=object)
+        return tensor_from_coefficients(
+            self.space, weights.dot(np.array(self.coefficients, dtype=object)))
 
     def condition_holds(self, R: CurvatureTensor, seed: int, count: int = 30) -> bool:
         """Recheck the named condition on fresh probe configurations."""
@@ -386,8 +394,10 @@ def impose(space: PseudoHermitianSpace, condition_id: str, seed: int = 0,
     """Impose a quantified curvature condition by rank-saturating probes.
 
     Fresh probe configurations are instantiated until `saturation_run`
-    consecutive draws add no rank; the returned basis spans the solutions
-    inside the pair-symmetric component space (no Bianchi projection).
+    consecutive draws add no rank; the system's coefficient vectors then
+    span the solutions inside the pair-symmetric component space (no
+    Bianchi projection).  `RowReducer.nullspace` certifies them exactly
+    against every row offered, so rank and basis are exact over Q.
     """
     if condition_id not in CONDITIONS:
         raise GeometryError(f"unknown condition {condition_id!r}")
@@ -408,8 +418,8 @@ def impose(space: PseudoHermitianSpace, condition_id: str, seed: int = 0,
         consecutive = 0 if grew else consecutive + 1
         if used > cap:
             raise GeometryError(f"rank saturation did not stabilize after {cap} probes")
-    basis = tuple(tensor_from_coefficients(space, vec) for vec in reducer.nullspace())
-    return ConstraintSystem(space, condition_id, reducer.rank, basis, used, seed)
+    return ConstraintSystem(space, condition_id, reducer.rank,
+                            tuple(reducer.nullspace()), used, seed)
 
 
 # -- pinching families and the unboundedness probe ----------------------------

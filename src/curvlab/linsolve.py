@@ -1,20 +1,27 @@
 """Exact linear algebra over the rationals (and exact complex scalars).
 
-`RowReducer` combines two representations.  Rank bookkeeping runs in reduced
-row echelon form modulo a 61-bit prime, so dependent probe rows cost only
-machine arithmetic.  Rows that grow the rank are also kept as gcd-normalized
-integer vectors, forward-reduced against the rows already stored; the exact
-nullspace then falls out by back substitution in reverse insertion order.
-A row nonzero mod p is nonzero over Q, so rank can never be overcounted; a
-row that is exactly independent but vanishes mod p (probability ~ ncols/p
-per row) would only leave an extra nullspace direction, which the callers'
-fresh-probe rechecks are designed to catch.
+`RowReducer` keeps one elimination: the offered rows in reduced row echelon
+form modulo the prime p = 2^61 - 1, so rank bookkeeping and dependent probe
+rows cost only machine-size integer arithmetic.  The nullspace is read off
+that echelon form (each free column a unit vector, each pivot coordinate the
+negated echelon entry in that column) and every entry is lifted to a
+rational by rational reconstruction (Wang, Guy & Davenport 1982).
+
+The lift is certified, not trusted.  Every offered row is kept as integers
+and multiplied exactly by the lifted basis.  Rank over Q is at least rank
+mod p, so nullity-mod-p independent vectors that annihilate every offered
+row are a basis of the rational nullspace, and the result is exactly the
+echelon basis over Q.  A row independent over Q but zero mod p (probability
+about ncols/p per row), or an entry too large to reconstruct from one
+residue, makes `nullspace` raise instead of returning a wrong basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+
+import numpy as np
 
 _P = (1 << 61) - 1
 
@@ -37,35 +44,41 @@ def integer_row(row) -> list[int]:
     return ints
 
 
-class RowReducer:
-    """Incremental rank tracker and exact nullspace for rational row systems.
+def rational_lift(u: int) -> Fraction:
+    """The a/b with a = b*u mod p and |a|, b <= sqrt(p/2); ArithmeticError if none."""
+    p = _P
+    u %= p
+    bound = isqrt((p - 1) // 2)
+    r0, r1 = p, u
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        raise ArithmeticError(f"residue {u} mod {p} has no rational lift within {bound}")
+    return Fraction(r1, t1)
 
-    Independent rows are stored in one-step fraction-free (Bareiss) form:
-    each new row walks the ladder of stored rows, cross-multiplying by the
-    current pivot and dividing exactly by the previous one, so entries stay
-    at determinant-minor size instead of cascading.
-    """
+
+class RowReducer:
+    """Incremental rank tracker and certified exact nullspace for rational rows."""
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self._mod_rows: list[list[int]] = []    # RREF mod p, pivots normalized to 1
         self._mod_pivots: list[int] = []
-        self._rows: list[list[int]] = []        # exact Bareiss rows, insertion order
-        self._pivots: list[int] = []            # leading column of each exact row
+        self._offered: list[list[int]] = []     # every offered row, for the certificate
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
-
-    @property
-    def pivot_cols(self) -> list[int]:
-        return sorted(self._pivots)
+        return len(self._mod_rows)
 
     def add_row(self, row) -> bool:
-        """Reduce `row` against the basis; absorb it if independent."""
+        """Reduce `row` against the echelon form; absorb it if independent mod p."""
         if len(row) != self.ncols:
             raise ValueError(f"row has {len(row)} entries, expected {self.ncols}")
         ints = integer_row(row)
+        self._offered.append(ints)
         mrow = [v % _P for v in ints]
         for r, c in zip(self._mod_rows, self._mod_pivots):
             f = mrow[c]
@@ -82,41 +95,30 @@ class RowReducer:
                 self._mod_rows[i] = [(a - f * b) % _P for a, b in zip(r, mrow)]
         self._mod_rows.append(mrow)
         self._mod_pivots.append(pivot)
-
-        erow = ints
-        prev = 1
-        for r, c in zip(self._rows, self._pivots):
-            f = erow[c]
-            pv = r[c]
-            if f:
-                erow = [(pv * a - f * b) // prev for a, b in zip(erow, r)]
-            else:
-                erow = [(pv * a) // prev for a in erow]
-            prev = pv
-        self._rows.append(erow)
-        self._pivots.append(next(k for k, v in enumerate(erow) if v))
         return True
 
     def nullspace(self) -> list[list[Fraction]]:
-        """Basis of the solution space of the accumulated homogeneous system.
+        """Echelon basis of the rational solution space of the offered rows.
 
-        Each stored row vanishes at the pivots of rows inserted before it,
-        so walking the rows in reverse insertion order determines one pivot
-        coordinate at a time.
+        Raises ArithmeticError if an entry has no rational lift or the lifted
+        basis fails to annihilate some offered row exactly.
         """
-        pivot_set = set(self._pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
+        pivot_set = set(self._mod_pivots)
         basis = []
-        for fc in free:
+        for fc in range(self.ncols):
+            if fc in pivot_set:
+                continue
             x = [Fraction(0)] * self.ncols
             x[fc] = Fraction(1)
-            for r, c in zip(reversed(self._rows), reversed(self._pivots)):
-                s = Fraction(0)
-                for k, rv in enumerate(r):
-                    if rv and k != c and x[k]:
-                        s += rv * x[k]
-                x[c] = -s / r[c]
+            for r, c in zip(self._mod_rows, self._mod_pivots):
+                if r[fc]:
+                    x[c] = rational_lift(-r[fc])
             basis.append(x)
+        if basis and self._offered:
+            rows = np.array(self._offered, dtype=object)
+            cols = np.array([integer_row(x) for x in basis], dtype=object).T
+            if (rows.dot(cols) != 0).any():
+                raise ArithmeticError("lifted nullspace fails the exact row certificate")
         return basis
 
 
@@ -136,4 +138,3 @@ def field_rank(rows, ncols: int) -> int:
                 work[i] = [a - (f / pv) * b for a, b in zip(work[i], work[rank])]
         rank += 1
     return rank
-

@@ -187,7 +187,7 @@ class PseudoHermitianSpace:
         if isinstance(u, ComplexVector):
             return ComplexVector(self.apply_J(u.re), self.apply_J(u.im))
         self._check_vec(u)
-        J = self.J if isinstance(u, np.ndarray) and u.dtype == object else self.J_float
+        J = self.J_float if is_float_vector(u) else self.J
         return J.dot(np.asarray(u))
 
     # -- planes -----------------------------------------------------------
@@ -226,7 +226,7 @@ def as_complex(space: PseudoHermitianSpace, u) -> ComplexVector:
     if isinstance(u, ComplexVector):
         return u
     space._check_vec(u)
-    if isinstance(u, np.ndarray) and u.dtype != object:
+    if is_float_vector(u):
         zero = np.zeros(space.n)
     else:
         zero = np.array([Fraction(0)] * space.n, dtype=object)
@@ -234,9 +234,10 @@ def as_complex(space: PseudoHermitianSpace, u) -> ComplexVector:
 
 
 def is_float_vector(u) -> bool:
+    """True for float or complex numpy arrays; int arrays count as exact."""
     if isinstance(u, ComplexVector):
         return is_float_vector(u.re) or is_float_vector(u.im)
-    return isinstance(u, np.ndarray) and u.dtype != object
+    return isinstance(u, np.ndarray) and u.dtype.kind in "fc"
 
 
 @dataclass(frozen=True)
@@ -366,8 +367,11 @@ def _imag_part(x):
     return x.imag if isinstance(x, (ExactComplex, complex)) else 0
 
 
+MAX_M = 6
+
+
 def make_space(m: int, s: int, J=None) -> PseudoHermitianSpace:
-    """Space of complex dimension m with s negative 2-blocks.
+    """Space of complex dimension m <= MAX_M with s negative 2-blocks.
 
     With J omitted the canonical block structure is used.  A custom J is
     accepted iff it satisfies J^2 = -id and g(JX,JY) = g(X,Y); entries may
@@ -377,6 +381,9 @@ def make_space(m: int, s: int, J=None) -> PseudoHermitianSpace:
         raise GeometryError("m and s must be integers")
     if m < 1 or s < 0 or s > m:
         raise GeometryError(f"need m >= 1 and 0 <= s <= m, got m={m}, s={s}")
+    if m > MAX_M:
+        # past this, dense n^4 arrays and ~m^4-column constraint systems are impractical
+        raise GeometryError(f"complex dimension m={m} exceeds the supported maximum {MAX_M}")
     signs = (-1,) * (2 * s) + (1,) * (2 * (m - s))
     if J is None:
         Jm = canonical_complex_structure(m)

@@ -1,8 +1,23 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from curvlab.spaces import make_space
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def run_python(argv, timeout):
+    """Run `python argv...` in a fresh process that imports curvlab from src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=env, timeout=timeout, cwd=ROOT)
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,8 @@ import pytest
 
 from curvlab.cli import main
 
+from conftest import run_python
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "golden"
 
@@ -58,6 +60,14 @@ class TestExitCodes:
         bad = tmp_path / "bad.tensor"
         bad.write_text("not a tensor file\n")
         assert run_cli(["classify", "-i", str(bad)])[0] == 2
+
+    def test_oversized_dimension_exits_quickly(self, tmp_path):
+        text = (GOLDEN / "constant_2_1.tensor").read_text()
+        big = tmp_path / "m40.tensor"
+        big.write_text(text.replace("m = 2\n", "m = 40\n", 1))
+        done = run_python(["-m", "curvlab.cli", "classify", "-i", str(big)], timeout=10)
+        assert done.returncode == 2
+        assert "m=40" in done.stderr
 
     def test_hypothesis_violation(self):
         code, _ = run_cli(["verify", "--theorem", "thm1", "--m", "2", "--s", "0",

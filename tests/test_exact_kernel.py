@@ -149,3 +149,15 @@ def test_integer_form_is_cached_and_exact():
     assert (N == R.components * D).all()
     assert D == math.lcm(*(x.denominator for x in R.components.flat))
     assert R.to_float().integer_form is None
+
+
+@PROPERTY
+@given(st.lists(st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4),
+                min_size=4, max_size=4))
+def test_eval_c_on_int64_vectors_is_exact(rows):
+    R = random_tensor(make_space(2, 1), 3)
+    ints = [np.array(r, dtype=np.int64) for r in rows]
+    objs = [np.array(r, dtype=object) for r in rows]
+    got = R.eval_c(*ints)
+    assert isinstance(got, ExactComplex)
+    assert got == R.eval_c(*objs) == ExactComplex(R.eval(*ints), Fraction(0))

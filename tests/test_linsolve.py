@@ -1,0 +1,101 @@
+"""The certified modular nullspace of `RowReducer` and `random_element`."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from curvlab import linsolve
+from curvlab.harness import impose
+from curvlab.linsolve import RowReducer, field_rank, rational_lift
+from curvlab.scalars import rand_rational
+
+
+def reducer_for(rows, ncols):
+    red = RowReducer(ncols)
+    for row in rows:
+        red.add_row(row)
+    return red
+
+
+class TestCertificate:
+    def test_row_zero_mod_p_but_not_over_q_raises(self, monkeypatch):
+        # (1, 103) = (1, 2) mod 101, so the mod-p echelon form sees rank 1
+        # and offers (-2, 1), which (1, 103) does not annihilate over Q
+        monkeypatch.setattr(linsolve, "_P", 101)
+        red = RowReducer(2)
+        assert red.add_row([1, 2])
+        assert not red.add_row([1, 103])
+        with pytest.raises(ArithmeticError, match="certificate"):
+            red.nullspace()
+
+    def test_lift_past_reconstruction_bound_raises(self):
+        # the nullspace of (3, -2^31) is (2^31/3, 1); the numerator is past
+        # the reconstruction bound sqrt(p/2) ~ 2^30
+        red = reducer_for([[3, -2 ** 31]], 2)
+        with pytest.raises(ArithmeticError, match="no rational lift"):
+            red.nullspace()
+
+    def test_wrong_lift_inside_the_bound_fails_certificate(self):
+        # 2^35 = 2^-26 mod 2^61 - 1, so the true entry 2^35 lifts to the
+        # small fraction 1/2^26, which the exact row product rejects
+        red = reducer_for([[1, -2 ** 35]], 2)
+        with pytest.raises(ArithmeticError, match="certificate"):
+            red.nullspace()
+
+    def test_lift_inside_the_bound(self):
+        p = linsolve._P
+        for value in (Fraction(0), Fraction(-3, 7), Fraction(2 ** 29, 2 ** 30 - 1)):
+            residue = value.numerator * pow(value.denominator, -1, p) % p
+            assert rational_lift(residue) == value
+        with pytest.raises(ArithmeticError):
+            rational_lift(2 ** 31 * pow(3, -1, p))
+
+    def test_fractional_rows_and_basis(self):
+        red = reducer_for([[Fraction(1, 2), Fraction(1, 3), 0],
+                           [1, Fraction(2, 3), 0]], 3)
+        assert red.rank == 1
+        assert red.nullspace() == [[Fraction(-2, 3), 1, 0], [0, 0, 1]]
+
+
+small_int = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def row_systems(draw):
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    base = draw(st.lists(st.lists(small_int, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=5))
+    rows = list(base)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        ca, cb = draw(small_int), draw(small_int)
+        rows.append([ca * x + cb * y for x, y in zip(a, b)])
+    rows += draw(st.lists(st.sampled_from(base), max_size=2))
+    return ncols, draw(st.permutations(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_systems())
+def test_rank_and_nullspace_against_plain_elimination(system):
+    ncols, rows = system
+    red = reducer_for(rows, ncols)
+    rank = field_rank([[Fraction(v) for v in r] for r in rows], ncols)
+    assert red.rank == rank
+    basis = red.nullspace()
+    assert len(basis) == ncols - rank
+    for x in basis:
+        for r in rows:
+            assert sum(Fraction(a) * b for a, b in zip(r, x)) == 0
+
+
+@pytest.mark.parametrize("cond,space", [("eq1", "sp21"), ("thmA", "sp31")])
+def test_random_element_is_the_weighted_basis_sum(cond, space, request):
+    system = impose(request.getfixturevalue(space), cond, seed=0)
+    rng = random.Random(7)
+    expected = sum(B.components * rand_rational(rng) for B in system.solution_basis)
+    got = system.random_element(7).components
+    assert got.shape == expected.shape
+    assert all(a == b for a, b in zip(got.ravel(), expected.ravel()))
+    assert all(isinstance(a, Fraction) for a in got.ravel())

@@ -25,7 +25,7 @@ class TestMakeSpace:
         assert make_space(1, 0).metric_signs == (1, 1)
         assert make_space(3, 3).metric_signs == (-1,) * 6
 
-    @pytest.mark.parametrize("m,s", [(0, 0), (2, -1), (2, 3)])
+    @pytest.mark.parametrize("m,s", [(0, 0), (2, -1), (2, 3), (7, 0), (40, 1)])
     def test_rejects_bad_parameters(self, m, s):
         with pytest.raises(GeometryError):
             make_space(m, s)
@@ -173,6 +173,24 @@ class TestClassifyPlane:
         pc = classify_plane(sp21, np.array([1.0, 0.0, 1.0, 0.0]),
                             np.array([0.0, 1.0, 0.0, 0.0]))
         assert pc.gram_rank == 1
+
+    def test_int64_vectors_are_exact(self, sp21):
+        # holomorphic, antiholomorphic, weakly isotropic, then random planes
+        planes = [([1, 0, 0, 0], [0, 1, 0, 0]), ([1, 0, 0, 0], [0, 0, 1, 0]),
+                  ([1, 0, 1, 0], [0, 1, 0, 0])]
+        rng = random.Random(8)
+        planes += [([rng.randint(-2, 2) for _ in range(4)],
+                    [rng.randint(-2, 2) for _ in range(4)]) for _ in range(30)]
+        for u, v in planes:
+            try:
+                ref = classify_plane(sp21, np.array(u, dtype=object),
+                                     np.array(v, dtype=object))
+            except DependentVectorsError:
+                with pytest.raises(DependentVectorsError):
+                    classify_plane(sp21, np.array(u), np.array(v))
+                continue
+            assert classify_plane(sp21, np.array(u, dtype=np.int64),
+                                  np.array(v, dtype=np.int64)) == ref
 
 
 class TestIsometries:
