@@ -316,8 +316,12 @@ def main(argv=None) -> int:
     except HypothesisError as exc:
         print(f"error: hypothesis violation: {exc}", file=sys.stderr)
         return 2
-    except (GeometryError, OSError) as exc:
+    except (GeometryError, OSError, ArithmeticError) as exc:
+        # ArithmeticError: exact elimination could not certify its result
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

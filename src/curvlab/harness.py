@@ -2,7 +2,8 @@
 
 Quantified curvature hypotheses ("... = 0 for every antiholomorphic pair")
 are linear in the tensor, so they are imposed by instantiating the condition
-on seeded exact-rational probe configurations until the constraint rank is
+on seeded integer points of its configuration variety, drawn from a
+polynomial parametrization of that variety, until the constraint rank is
 stable for ten consecutive draws, then taking the certified exact nullspace
 inside the symmetry-reduced component space.  Boundedness statements are
 tested through their dichotomy: bounds hold on constant models, and
@@ -12,9 +13,10 @@ isotropic planes.
 The catalog is two tables.  `CONDITIONS` describes each hypothesis once: the
 space requirements it needs, its identities as lists of 4-vector slot tuples
 whose R-values must sum to zero, and two configuration samplers.  Constraint
-rows are the identities summed as outer products over small-integer
-configurations; `condition_holds` rechecks the same identities with
-`R.eval` on independent isometry-built configurations.  `_THEOREMS` maps
+rows are the identities written as functionals on the pair-symmetric basis
+(products of 2-form components) at parametrized integer configurations;
+`condition_holds` rechecks the same identities with `R.eval` on independent
+isometry-built unit configurations.  `_THEOREMS` maps
 each catalog id to its requirements and a runner: imposed-hypothesis
 classification, the unboundedness dichotomy, or the definite-case bound
 check, each parametrized by a row of data.  Each space requirement is a
@@ -31,11 +33,10 @@ detected blow-up coefficient can meaningfully be.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -114,9 +115,28 @@ def _pair_orbits(n: int) -> tuple:
     return tuple(orbits)
 
 
-def functional_row(C: np.ndarray, orbits) -> list:
-    """Project a raw coefficient tensor onto the pair-symmetric basis."""
-    return [sum(sign * C[idx] for idx, sign in orbit) for orbit in orbits]
+@lru_cache(maxsize=None)
+def _orbit_pairs(n: int) -> tuple:
+    """Indices (a, b), a <= b, of the 2-form pairs {P_a, P_b} of each orbit,
+    in `_pair_orbits` order."""
+    return np.triu_indices(n * (n - 1) // 2)
+
+
+def _wedge(a, b) -> np.ndarray:
+    """(a ^ b)_P = a_i b_j - a_j b_i for the 2-form indices P = (i < j)."""
+    W = np.multiply.outer(np.asarray(a), np.asarray(b))
+    return (W - W.T)[np.triu_indices(len(a), 1)]
+
+
+def _functional(a, b, c, d) -> np.ndarray:
+    """The functional R -> R(a, b, c, d) on the pair-symmetric basis.
+
+    The orbit of {P, Q} contributes (a^b)_P (c^d)_Q + (a^b)_Q (c^d)_P, once
+    when P = Q; this is the orbit's signed sum of the outer product a b c d.
+    """
+    w1, w2 = _wedge(a, b), _wedge(c, d)
+    ia, ib = _orbit_pairs(len(a))
+    return w1[ia] * w2[ib] + np.where(ia == ib, 0, w1[ib] * w2[ia])
 
 
 def tensor_from_coefficients(space: PseudoHermitianSpace, coeffs) -> CurvatureTensor:
@@ -130,11 +150,6 @@ def tensor_from_coefficients(space: PseudoHermitianSpace, coeffs) -> CurvatureTe
                 C[idx] = C[idx] + sign * c
     # orbit sums have the pair symmetries by construction
     return CurvatureTensor(space, C, validate=False)
-
-
-def _outer4(a, b, c, d) -> np.ndarray:
-    return np.multiply.outer(np.multiply.outer(np.asarray(a), np.asarray(b)),
-                             np.multiply.outer(np.asarray(c), np.asarray(d)))
 
 
 # -- space requirements -------------------------------------------------------
@@ -175,83 +190,133 @@ def _require(name: str, needs: tuple, space: PseudoHermitianSpace) -> None:
 
 # -- hypothesis conditions ----------------------------------------------------
 #
-# Every condition functional is homogeneous in each quantified vector, so
-# unit-length normalizations can be dropped when building constraint rows:
-# small-integer points of the quantifier variety (found by rejection
-# sampling) impose the same hyperplanes as orthonormal configurations while
-# keeping elimination entries tiny.  The recheck path `condition_holds`
-# deliberately uses the independent isometry-based constructions instead.
+# Every condition is a polynomial identity in its configuration, linear in R
+# and homogeneous in each quantified vector, so unit-length normalizations
+# are dropped: constraint rows come from integer points of the configuration
+# variety, drawn from a polynomial parametrization evaluated on the box
+# [-3, 3]^n, with no sign tests and no rejection.
+#
+# - Pair variety (eq1, lemma2): P = {(x, a): g(x,a) = g(x,Ja) = 0}.  Over
+#   q(x) != 0 it is a vector bundle of rank n - 2, a smooth manifold of
+#   dimension 2n - 2.  a = g(x,x) t - g(x,t) x - g(Jx,t) Jx is g(x,x) times
+#   the projection of t onto span{x, Jx}^perp, so (x, t) -> (x, a) maps
+#   onto that bundle.  eq1's (+,-) and lemma2's (+,+) pairs are its open
+#   subsets q(x) > 0, q(a) < 0 or > 0.
+# - Isotropic variety (thmA, thm3): I = {(X, xi): q(xi) = 0, g(X,xi) =
+#   g(X,J xi) = 0}.  Over the null cone minus 0 (smooth of dimension n - 1,
+#   and xi, J xi independent there) it is a bundle of rank n - 2.  With a
+#   fixed null e, xi = q(t) e - 2 b(t,e) t projects from e onto the cone
+#   (t = xi' + lambda e gives -2 b(xi',e) xi'), and X, the generalized cross
+#   product of the two forms with free vectors, sweeps out the fibre.  The
+#   planes span{X, xi} the theorems quantify over are the open subsets
+#   q(X) > 0 or q(X) < 0.
+# - Complexified isotropic variety (thm6): the same projection over C^n,
+#   with t = t1 + i t2 and e = e_0 + i e_2, covers the complex null cone
+#   xi = u + i v, and x comes from the real kernel of u, v, Ju, Jv.  Where
+#   those four are independent (an open condition that orthonormal
+#   configurations meet off a null set) the kernel is a bundle of rank n - 4.
+#
+# Each variety is the Zariski closure of the image of an affine space under
+# its parametrization, hence irreducible, and the image contains a nonempty
+# Euclidean-open set of its smooth real points of top dimension.  The
+# sign-restricted configurations of the theorems are another such open set
+# wherever the `_Need`s hold.  A nonempty open set of smooth real points of
+# an irreducible variety is Zariski-dense in it (Bochnak, Coste & Roy, *Real
+# Algebraic Geometry*, ch. 2-3), so an identity vanishes on the
+# sign-restricted set iff it vanishes on the variety iff it vanishes on the
+# parametrized points, and the certified echelon basis of the solutions is
+# the same as with sign-restricted configurations.  Saturation is
+# unchanged: sampling stops after ten consecutive draws with no rank
+# growth.  A Schwartz-Zippel bound on missing a constraint (degree over box
+# size) says nothing useful at box size 7, so no such bound is claimed.
+# The recheck path `condition_holds` uses the independent isometry-based
+# unit configurations of `iso_configs`.
 
 def _small_int_vector(rng, n, bound=3) -> np.ndarray:
     return np.array([rng.randint(-bound, bound) for _ in range(n)], dtype=object)
 
 
-def _int_perp_basis(space, vectors) -> list[np.ndarray]:
-    """Integer basis of the g-orthogonal complement of the given vectors."""
+def _unit(n, i) -> np.ndarray:
+    e = np.zeros(n, dtype=object)
+    e[i] = 1
+    return e
+
+
+def _det(rows) -> int:
+    """Determinant of a square integer matrix (fraction-free Bareiss elimination)."""
+    M = [list(r) for r in rows]
+    n = len(M)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not M[k][k]:
+            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1]
+
+
+def _kernel_point(rows, frees) -> np.ndarray:
+    """Generalized cross product of the n - 1 vectors `rows` + `frees`.
+
+    Entry i is (-1)^i times the minor with column i deleted, so the result
+    annihilates every row; as the free vectors vary it sweeps out the common
+    kernel of the rows.  Rows may be rational (they are scaled to integers)
+    and the result is divided by its content.
+    """
+    M = [integer_row(r) for r in rows] + [list(f) for f in frees]
+    x = [(-1) ** i * _det([r[:i] + r[i + 1:] for r in M]) for i in range(len(M) + 1)]
+    g = math.gcd(*x)
+    return np.array([v // g for v in x] if g > 1 else x, dtype=object)
+
+
+def _lower(space, v) -> list:
+    """The linear form g(., v) as a coefficient row."""
+    return [sg * a for sg, a in zip(space.metric_signs, v)]
+
+
+def _null_point(space, t, e):
+    """xi = q(t) e - 2 b(t,e) t for complex t = t[0] + i t[1] and e = e[0] + i e[1],
+    with q and b complex-bilinear; xi = xi[0] + i xi[1] is null when e is."""
+    g = space.inner
+    (t0, t1), (e0, e1) = t, e
+    qr, qi = g(t0, t0) - g(t1, t1), 2 * g(t0, t1)
+    br, bi = g(t0, e0) - g(t1, e1), g(t0, e1) + g(t1, e0)
+    return (qr * e0 - qi * e1 - 2 * (br * t0 - bi * t1),
+            qr * e1 + qi * e0 - 2 * (br * t1 + bi * t0))
+
+
+def _int_pair_config(space, rng):
+    """(x, a) with g(x,a) = g(x,Ja) = 0."""
+    g, J = space.inner, space.apply_J
+    x, t = _small_int_vector(rng, space.n), _small_int_vector(rng, space.n)
+    return [(x, g(x, x) * t - g(x, t) * x - g(J(x), t) * J(x))]
+
+
+def _int_isotropic_config(space, rng):
+    """(X, xi) with q(xi) = 0 and g(X,xi) = g(X,J xi) = 0."""
     n = space.n
-    red = RowReducer(n)
-    for v in vectors:
-        red.add_row([Fraction(space.metric_signs[i] * v[i]) for i in range(n)])
-    return [np.array(integer_row(vec), dtype=object) for vec in red.nullspace()]
+    zero = np.zeros(n, dtype=object)
+    e = _unit(n, 0) + _unit(n, 2 * space.s)     # one negative, one positive coordinate
+    xi, _ = _null_point(space, (_small_int_vector(rng, n), zero), (e, zero))
+    X = _kernel_point([_lower(space, xi), _lower(space, space.apply_J(xi))],
+                      [_small_int_vector(rng, n) for _ in range(n - 3)])
+    return [(X, xi)]
 
 
-def _reject_combo(rng, basis, predicate, tries=400, bound=3):
-    for _ in range(tries):
-        w = None
-        for b in basis:
-            term = b * rng.randint(-bound, bound)
-            w = term if w is None else w + term
-        if w is not None and any(w) and predicate(w):
-            return w
-    return None
-
-
-def _small_pair_config(space, rng, x_positive, partner_sign):
-    """Integer (x, w) with g(x,w) = g(x,Jw) = 0 and Q-signs as requested."""
-    for _ in range(100):
-        x = _small_int_vector(rng, space.n)
-        q = space.inner(x, x)
-        if (q <= 0) if x_positive else (q >= 0):
-            continue
-        basis = _int_perp_basis(space, [x, space.apply_J(x)])
-        def want(w, sign=partner_sign):
-            qw = space.inner(w, w)
-            return qw > 0 if sign > 0 else (qw < 0 if sign < 0 else qw == 0)
-        w = _reject_combo(rng, basis, want)
-        if w is not None:
-            return x, w
-    raise GeometryError("could not sample a probe configuration (signature too tight?)")
-
-
-def _thm6_config_small(space, rng):
-    """Integer x and orthogonal u, v with equal norms away from span{x, Jx}."""
-    for _ in range(100):
-        x = _small_int_vector(rng, space.n)
-        if space.inner(x, x) == 0:
-            continue
-        basis_u = _int_perp_basis(space, [x, space.apply_J(x)])
-        u = _reject_combo(rng, basis_u, lambda w: space.inner(w, w) != 0)
-        if u is None:
-            continue
-        basis_v = _int_perp_basis(space, [x, space.apply_J(x), u])
-        alpha = space.inner(u, u)
-
-        def equal_norm_possible(w):
-            beta = space.inner(w, w)
-            if beta == 0:
-                return False
-            prod = alpha * beta
-            if prod < 0:
-                return False
-            return math.isqrt(prod) ** 2 == prod
-
-        v = _reject_combo(rng, basis_v, equal_norm_possible)
-        if v is None:
-            continue
-        beta = space.inner(v, v)
-        # scale so norms match exactly: Q(beta*u) = Q(isqrt(alpha*beta)*v)
-        return x, u * beta, v * math.isqrt(alpha * beta)
-    raise GeometryError("could not sample a complexified probe configuration")
+def _int_complex_isotropic_config(space, rng):
+    """(x, u, v) with q_C(u + i v) = 0 and u, v, Ju, Jv orthogonal to x."""
+    n = space.n
+    t = (_small_int_vector(rng, n), _small_int_vector(rng, n))
+    u, v = _null_point(space, t, (_unit(n, 0), _unit(n, 2)))   # definite metric
+    x = _kernel_point([_lower(space, w) for w in (u, v, space.apply_J(u), space.apply_J(v))],
+                      [_small_int_vector(rng, n) for _ in range(n - 5)])
+    return [(x, u, v)]
 
 
 def _off_block_frame(space, rng, b0):
@@ -290,8 +355,9 @@ class _Condition:
 
     `identities(J, *config)` lists the identities, each a list of 4-slot
     vector tuples whose R-values sum to zero; signs ride in the slot vectors.
-    `int_configs` draws small-integer configurations for constraint rows and
-    `iso_configs` the independent isometry-built ones for rechecks.
+    `int_configs` draws integer points of the configuration variety for
+    constraint rows and `iso_configs` the independent isometry-built unit
+    configurations for rechecks.
     """
 
     needs: tuple
@@ -300,9 +366,9 @@ class _Condition:
     iso_configs: Callable[[PseudoHermitianSpace, random.Random], list]
 
     def rows(self, space, rng) -> list:
-        """One raw coefficient tensor per identity and integer configuration."""
+        """One constraint row per identity and integer configuration."""
         J = space.apply_J
-        return [reduce(operator.add, [_outer4(*slots) for slots in identity])
+        return [sum(_functional(*slots) for slots in identity)
                 for config in self.int_configs(space, rng)
                 for identity in self.identities(J, *config)]
 
@@ -318,18 +384,16 @@ def _pair_condition(needs, partner_sign):
     return _Condition(
         needs,
         lambda J, x, a: [[(x, J(x), J(x), a), (x, J(x), J(a), x)]],
-        lambda sp, rng: [_small_pair_config(sp, rng, True, partner_sign)],
+        _int_pair_config,
         lambda sp, rng: [tuple_from_rng(sp, rng, (1, partner_sign),
                                         antiholomorphic=True)])
 
 
 def _isotropic_condition(identities):
-    """An identity on weakly isotropic antiholomorphic planes span{X, xi},
-    one configuration per realizable sign of X."""
+    """An identity on weakly isotropic antiholomorphic planes span{X, xi};
+    rechecks draw one configuration per realizable sign of X."""
     return _Condition(
-        (_M_ABOVE_2, _ISOTROPIC_PLANES), identities,
-        lambda sp, rng: [_small_pair_config(sp, rng, x_sign == 1, 0)
-                         for x_sign in _thmA_x_signs(sp)],
+        (_M_ABOVE_2, _ISOTROPIC_PLANES), identities, _int_isotropic_config,
         lambda sp, rng: [_isotropic_config(sp, rng, x_sign)
                          for x_sign in _thmA_x_signs(sp)])
 
@@ -344,7 +408,7 @@ CONDITIONS = {
         (_DEFINITE, _M_ABOVE_2),
         lambda J, x, u, v: [[(x, u, u, x), (x, v, v, -x)],
                             [(x, u, v, x), (x, v, u, x)]],
-        lambda sp, rng: [_thm6_config_small(sp, rng)],
+        _int_complex_isotropic_config,
         lambda sp, rng: [_complexified_isotropic_config(sp, rng)]),
 }
 
@@ -373,14 +437,24 @@ class ConstraintSystem:
     def solution_basis(self) -> tuple:
         return tuple(tensor_from_coefficients(self.space, vec) for vec in self.coefficients)
 
+    @cached_property
+    def _integer_coefficients(self) -> tuple:
+        """Each coefficient vector as integers over its own denominator."""
+        dens = [math.lcm(*(c.denominator for c in vec)) for vec in self.coefficients]
+        ints = np.array([[c.numerator * (d // c.denominator) for c in vec]
+                         for vec, d in zip(self.coefficients, dens)], dtype=object)
+        return ints, dens
+
     def random_element(self, seed: int) -> CurvatureTensor:
         """The basis combined with seeded `rand_rational` weights, one per vector."""
         if not self.coefficients:
             raise GeometryError("constraint system has a trivial solution space")
         rng = random.Random(seed)
-        weights = np.array([rand_rational(rng) for _ in self.coefficients], dtype=object)
-        return tensor_from_coefficients(
-            self.space, weights.dot(np.array(self.coefficients, dtype=object)))
+        ints, dens = self._integer_coefficients
+        factors = [rand_rational(rng) / d for d in dens]
+        D = math.lcm(*(f.denominator for f in factors))
+        weights = np.array([f.numerator * (D // f.denominator) for f in factors], dtype=object)
+        return tensor_from_coefficients(self.space, [Fraction(v, D) for v in weights.dot(ints)])
 
     def condition_holds(self, R: CurvatureTensor, seed: int, count: int = 30) -> bool:
         """Recheck the named condition on fresh probe configurations."""
@@ -403,16 +477,16 @@ def impose(space: PseudoHermitianSpace, condition_id: str, seed: int = 0,
         raise GeometryError(f"unknown condition {condition_id!r}")
     cond = CONDITIONS[condition_id]
     _require(condition_id, cond.needs, space)
-    orbits = _pair_orbits(space.n)
-    reducer = RowReducer(len(orbits))
+    ncols = len(_pair_orbits(space.n))
+    reducer = RowReducer(ncols)
     rng = random.Random(seed * 1_000_003 + 17)
     consecutive = 0
     used = 0
-    cap = 10 * len(orbits) + 100
+    cap = 10 * ncols + 100
     while consecutive < saturation_run:
         grew = False
-        for C in cond.rows(space, rng):
-            if reducer.add_row(functional_row(C, orbits)):
+        for row in cond.rows(space, rng):
+            if reducer.add_row(row):
                 grew = True
         used += 1
         consecutive = 0 if grew else consecutive + 1

@@ -5,6 +5,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from curvlab import cli, linsolve
 from curvlab.cli import main
 
 from conftest import run_python
@@ -112,6 +113,24 @@ class TestExitCodes:
         code, out = run_cli(["probe", "-i", str(GOLDEN / "random_2_1.tensor"), *budget])
         assert code == 2
         assert "exceeded" not in out
+
+    def test_uncertified_elimination_exits_two(self, monkeypatch, capsys):
+        # with tiny primes the echelon basis cannot be lifted and certified;
+        # the ArithmeticError becomes an error line, not a traceback
+        monkeypatch.setattr(linsolve, "_PRIMES", (2, 3, 5))
+        code, out = run_cli(["verify", "--theorem", "lemma1", "--m", "2", "--s", "1",
+                             "--trials", "1"])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_of_memory_exits_two(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(cli, "verify", exhausted)
+        code, _ = run_cli(["verify", "--theorem", "lemma1", "--m", "2", "--s", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
 
     def test_invariant_violation_named(self, tmp_path, capsys):
         doc = tmp_path / "badj.tensor"

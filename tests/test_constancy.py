@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from curvlab import constancy
 from curvlab.constancy import (constant_antiholomorphic,
                                constant_biholomorphic, constant_holomorphic,
                                lemma3_check, normalized_biholomorphic)
@@ -46,6 +47,15 @@ class TestConstantHolomorphic:
             exact = constant_holomorphic(R)
             sampled = constant_holomorphic(R.to_float())
             assert exact.status == sampled.status
+
+    def test_exhausted_witness_hunt_raises(self, sp21, monkeypatch):
+        # a doubled norm-square quartic makes the exact comparison call a
+        # constant model nonconstant; no plane has another H value, so the
+        # bounded hunt must end with an error instead of running forever
+        quartic = constancy._norm_square_quartic
+        monkeypatch.setattr(constancy, "_norm_square_quartic", lambda sp: 2 * quartic(sp))
+        with pytest.raises(GeometryError, match="candidates"):
+            constant_holomorphic(model_constant_sectional(sp21, 3))
 
     def test_float_constant_model(self, sp21):
         v = constant_holomorphic(model_constant_sectional(sp21, 3).to_float())

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,38 +20,61 @@ def reducer_for(rows, ncols):
     return red
 
 
+P0, P1, P2 = linsolve._PRIMES
+MODULUS = P0 * P1 * P2
+BOUND = isqrt((MODULUS - 1) // 2)          # the lift bound, about 2^37
+
+
 class TestCertificate:
-    def test_row_zero_mod_p_but_not_over_q_raises(self, monkeypatch):
-        # (1, 103) = (1, 2) mod 101, so the mod-p echelon form sees rank 1
-        # and offers (-2, 1), which (1, 103) does not annihilate over Q
-        monkeypatch.setattr(linsolve, "_P", 101)
+    def test_row_zero_mod_p_but_not_over_q_raises(self):
+        # (1, 2 + p0) = (1, 2) mod p0, so the echelon form sees rank 1 and
+        # offers (-2, 1), which (1, 2 + p0) does not annihilate over Q
         red = RowReducer(2)
         assert red.add_row([1, 2])
-        assert not red.add_row([1, 103])
+        assert not red.add_row([1, 2 + P0])
         with pytest.raises(ArithmeticError, match="certificate"):
             red.nullspace()
 
+    @pytest.mark.parametrize("prime", [P1, P2])
+    def test_pivot_vanishing_mod_one_other_prime_raises(self, prime):
+        # the second row reduces to (0, prime, 1): its pivot entry is nonzero
+        # mod p0 but zero mod `prime`, so the primes disagree on the echelon
+        # form and the combined entries cannot pass the exact certificate
+        red = RowReducer(3)
+        assert red.add_row([1, 2, 0])
+        assert red.add_row([1, 2 + prime, 1])
+        with pytest.raises(ArithmeticError):
+            red.nullspace()
+
+    def test_true_pivot_shift_is_still_exact(self):
+        # (1, 2 + p0, 1) reduces to (0, 0, 1) mod p0 but (0, p0, 1) over Q;
+        # the echelon form picks pivot column 2, and the basis it offers is
+        # still the exact nullspace, so the certificate accepts it
+        red = reducer_for([[1, 2, 0], [1, 2 + P0, 1]], 3)
+        assert red.nullspace() == [[-2, 1, -P0]]
+
     def test_lift_past_reconstruction_bound_raises(self):
-        # the nullspace of (3, -2^31) is (2^31/3, 1); the numerator is past
-        # the reconstruction bound sqrt(p/2) ~ 2^30
-        red = reducer_for([[3, -2 ** 31]], 2)
+        # the nullspace of (3, -2^40) is (2^40/3, 1); the numerator is past
+        # the reconstruction bound sqrt(M/2) ~ 2^37
+        red = reducer_for([[3, -2 ** 40]], 2)
         with pytest.raises(ArithmeticError, match="no rational lift"):
             red.nullspace()
 
     def test_wrong_lift_inside_the_bound_fails_certificate(self):
-        # 2^35 = 2^-26 mod 2^61 - 1, so the true entry 2^35 lifts to the
-        # small fraction 1/2^26, which the exact row product rejects
-        red = reducer_for([[1, -2 ** 35]], 2)
+        # (M + 1)/2 = 1/2 mod M, so the true entry (M + 1)/2 ~ 2^74 lifts to
+        # the small fraction 1/2, which the exact row product rejects; the
+        # row entry is far past int64 and is reduced before the cast
+        red = reducer_for([[1, -(MODULUS + 1) // 2]], 2)
         with pytest.raises(ArithmeticError, match="certificate"):
             red.nullspace()
 
     def test_lift_inside_the_bound(self):
-        p = linsolve._P
-        for value in (Fraction(0), Fraction(-3, 7), Fraction(2 ** 29, 2 ** 30 - 1)):
-            residue = value.numerator * pow(value.denominator, -1, p) % p
-            assert rational_lift(residue) == value
+        for value in (Fraction(0), Fraction(-3, 7), Fraction(BOUND, BOUND - 1),
+                      Fraction(-BOUND, BOUND - 2)):
+            residue = value.numerator * pow(value.denominator, -1, MODULUS) % MODULUS
+            assert rational_lift(residue, MODULUS) == value
         with pytest.raises(ArithmeticError):
-            rational_lift(2 ** 31 * pow(3, -1, p))
+            rational_lift(2 ** 40 * pow(3, -1, MODULUS), MODULUS)
 
     def test_fractional_rows_and_basis(self):
         red = reducer_for([[Fraction(1, 2), Fraction(1, 3), 0],
