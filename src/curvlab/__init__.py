@@ -20,7 +20,7 @@ from .harness import (BoundWitness, ConstraintSystem, HypothesisError,
                       probe_unboundedness, random_tensor, verify)
 from .io_format import (ParseError, TensorDocument, build_tensor,
                         document_from_tensor, parse_document,
-                        serialize_document)
+                        read_document, serialize_document)
 from .polarization import (TPolynomial, VectorFamily, bound_forced_identities,
                            complexified_family_expansion, expand,
                            holomorphic_family_expansion)
@@ -54,6 +54,6 @@ __all__ = [
     "lemma3_check", "make_space", "model_complex_space_form",
     "model_constant_sectional", "normalized_biholomorphic",
     "parse_document", "pi1", "pi1_c", "pi1_components", "probe_unboundedness",
-    "random_isometry", "random_tensor", "sectional", "sectional_c",
+    "random_isometry", "random_tensor", "read_document", "sectional", "sectional_c",
     "serialize_document", "verify",
 ]

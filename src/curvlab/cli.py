@@ -21,7 +21,7 @@ from .harness import (HypothesisError, THEOREM_IDS, model_complex_space_form,
                       model_constant_sectional, probe_unboundedness,
                       random_tensor, verify)
 from .io_format import (ParseError, build_tensor, document_from_tensor,
-                        parse_document, serialize_document)
+                        read_document, serialize_document)
 from .polarization import (bound_forced_identities,
                            complexified_family_expansion,
                            holomorphic_family_expansion)
@@ -57,11 +57,6 @@ def _fmt_vec(vec) -> str:
 
 def _emit(lines) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
-
-
-def _read_doc(path: str):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_document(fh.read())
 
 
 def _verdict_lines(prefix: str, verdict: ConstancyVerdict) -> list[str]:
@@ -103,7 +98,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_check_symmetries(args) -> int:
-    doc = _read_doc(args.input)
+    doc = read_document(args.input)
     space = make_space(doc.m, doc.s, J=doc.J)
     C = dense_components(space.n, [(i - 1, j - 1, k - 1, l - 1, v)
                                    for (i, j, k, l, v) in doc.entries])
@@ -126,7 +121,7 @@ def _cmd_check_symmetries(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    doc = _read_doc(args.input)
+    doc = read_document(args.input)
     R = build_tensor(doc)
     if args.backend == "float":
         R = R.to_float()
@@ -150,7 +145,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    doc = _read_doc(args.input)
+    doc = read_document(args.input)
     R = build_tensor(doc)
     space = R.space
     if args.family == "holomorphic":
@@ -183,7 +178,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    doc = _read_doc(args.input)
+    doc = read_document(args.input)
     R = build_tensor(doc)
     report = probe_unboundedness(R, threshold=args.threshold,
                                  budget=(args.pairs, args.rungs), seed=args.seed)
@@ -225,7 +220,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_lemma3(args) -> int:
-    doc = _read_doc(args.input)
+    doc = read_document(args.input)
     R = build_tensor(doc)
     rep = lemma3_check(R, probes=args.probes, seed=args.seed)
     lines = [REPORT_HEADER, "command = lemma3",

@@ -35,7 +35,7 @@ from .tensors import CurvatureTensor, from_components
 
 HEADER = "curvlab-tensor/1"
 
-_RATIONAL = re.compile(r"-?\d+(/\d+)?$")
+_RATIONAL = re.compile(r"-?\d+(/\d*[1-9]\d*)?$")       # no zero denominator
 _NAME = re.compile(r"[A-Za-z0-9_.+-]+$")
 _ENTRY_KEY = re.compile(r"R\[(\d+),(\d+),(\d+),(\d+)\]$")
 _JROW_KEY = re.compile(r"J\[(\d+)\]$")
@@ -76,13 +76,41 @@ class TensorDocument:
             tuple((i, j, k, l, v) for i, j, k, l, v in merged if v != 0))
 
 
+def _number(convert, tok: str, lineno: int, col: int):
+    """convert(tok) for a token the grammar already accepted."""
+    try:
+        return convert(tok)
+    except ValueError:      # more digits than the interpreter converts
+        raise ParseError(f"number {tok[:20]}... has too many digits", lineno, col) from None
+
+
 def _rational_value(tok: str, lineno: int, col: int) -> Fraction:
     if not _RATIONAL.match(tok):
-        raise ParseError(f"expected a rational p or p/q, got {tok!r}", lineno, col)
-    return Fraction(tok)
+        raise ParseError(f"expected a rational p or p/q with q > 0, got {tok!r}", lineno, col)
+    return _number(Fraction, tok, lineno, col)
+
+
+def _check_ascii(text: str) -> None:
+    if text.isascii():
+        return
+    index = next(i for i, ch in enumerate(text) if not ch.isascii())
+    before = (text[:index] + "?").splitlines()
+    raise ParseError(f"non-ASCII character {ord(text[index]):#x}; tensor files are ASCII",
+                     len(before), len(before[-1]))
+
+
+def read_document(path) -> TensorDocument:
+    """Parse the tensor file at `path`.
+
+    Bytes are read as Latin-1, so a non-ASCII byte reaches the parser as the
+    character of the same code and is reported with its line and column.
+    """
+    with open(path, "rb") as fh:
+        return parse_document(fh.read().decode("latin-1"))
 
 
 def parse_document(text: str) -> TensorDocument:
+    _check_ascii(text)
     lines = text.splitlines()
     fields = {"J_rows": {}, "entries": []}
     header_seen = False
@@ -103,7 +131,7 @@ def parse_document(text: str) -> TensorDocument:
         if key in ("m", "s", "seed"):
             if not re.fullmatch(r"-?\d+", value):
                 raise ParseError(f"{key} must be an integer", lineno, col)
-            fields[key] = int(value)
+            fields[key] = _number(int, value, lineno, col)
         elif key == "J":
             if value not in ("canonical", "custom"):
                 raise ParseError("J must be 'canonical' or 'custom'", lineno, col)
@@ -117,11 +145,11 @@ def parse_document(text: str) -> TensorDocument:
                 raise ParseError(f"{key} must be true or false", lineno, col)
             fields[key] = value == "true"
         elif _JROW_KEY.match(key):
-            r = int(_JROW_KEY.match(key).group(1))
+            r = _number(int, _JROW_KEY.match(key).group(1), lineno, 1)
             toks = value.split()
             fields["J_rows"][r] = [_rational_value(t, lineno, col) for t in toks]
         elif _ENTRY_KEY.match(key):
-            i, j, k, l = (int(g) for g in _ENTRY_KEY.match(key).groups())
+            i, j, k, l = (_number(int, g, lineno, 1) for g in _ENTRY_KEY.match(key).groups())
             fields["entries"].append((i, j, k, l, _rational_value(value, lineno, col)))
         else:
             raise ParseError(f"unknown key {key!r}", lineno)
@@ -135,7 +163,8 @@ def parse_document(text: str) -> TensorDocument:
     if fields.get("J") == "custom" or fields["J_rows"]:
         rows = fields["J_rows"]
         n = 2 * m
-        if sorted(rows) != list(range(1, n + 1)):
+        # the length test comes first: a hostile m must not size a list
+        if len(rows) != n or sorted(rows) != list(range(1, n + 1)):
             raise ParseError(f"custom J needs rows J[1] .. J[{n}]", len(lines))
         for r, row in rows.items():
             if len(row) != n:

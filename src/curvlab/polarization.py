@@ -68,9 +68,14 @@ class TPolynomial:
         return TPolynomial.of([f(c) for c in self.coeffs])
 
     def deflate_even_root_pair(self) -> Optional["TPolynomial"]:
-        """Quotient by (1 - t^2) when t = +-1 are both roots, else None."""
+        """Quotient by (1 - t^2) when t = +-1 are both roots, else None.
+
+        The zero polynomial deflates to itself.
+        """
         if self(1) != 0 or self(-1) != 0:
             return None
+        if self.is_zero():
+            return self
         # divide by (t - 1), then (t + 1); flip sign since (1-t^2) = -(t-1)(t+1)
         cs = list(self.coeffs)
         for root in (1, -1):

@@ -405,46 +405,38 @@ def make_space(m: int, s: int, J=None) -> PseudoHermitianSpace:
 # produced as images of standard basis vectors under random exact isometries:
 # products of plane rotations with Pythagorean-triple coefficients (and their
 # hyperbolic counterparts across mixed-sign coordinate pairs).  Rotation
-# coefficients come from a fixed small table, so entries stay short rationals
-# and downstream exact elimination is cheap.  For antiholomorphic tuples the
-# rotations act per J-block (complex phases and block mixes), which makes the
-# isometry commute with J and preserves the J-orthogonality of the
-# block-representative seeds.
+# coefficients come from a fixed small table of integer triples (c, s, d),
+# read as cos = c/d and sin = s/d (cosh and sinh for boosts), so entries stay
+# short rationals and downstream exact elimination is cheap.  A row rotation
+# acts on each column separately, so only the requested columns are rotated:
+# Python-int numerators over one common denominator, which every step
+# multiplies by d, with one reduced Fraction per entry at the end.  For
+# antiholomorphic tuples the rotations act per J-block (complex phases and
+# block mixes), which makes the isometry commute with J and preserves the
+# J-orthogonality of the block-representative seeds.
 
-_CIRCLE_PAIRS = tuple((Fraction(a, c), Fraction(b, c))
-                      for a, b, c in ((3, 4, 5), (5, 12, 13), (8, 15, 17),
-                                      (7, 24, 25), (20, 21, 29)))
-_BOOST_PAIRS = tuple((Fraction(c, a), Fraction(b, a))
-                     for a, b, c in ((3, 4, 5), (5, 12, 13), (12, 5, 13),
-                                     (8, 15, 17), (15, 8, 17), (7, 24, 25),
-                                     (24, 7, 25), (20, 21, 29)))
+_CIRCLE_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29))
+_BOOST_TRIPLES = tuple((c, b, a) for a, b, c in
+                       ((3, 4, 5), (5, 12, 13), (12, 5, 13), (8, 15, 17),
+                        (15, 8, 17), (7, 24, 25), (24, 7, 25), (20, 21, 29)))
 
 
-def _rotation_coeffs(rng: random.Random, same_sign: bool):
+def _rotation_coeffs(rng: random.Random, same_sign: bool) -> tuple[int, int, int]:
     if same_sign:
-        c, s = rng.choice(_CIRCLE_PAIRS)
+        c, s, d = rng.choice(_CIRCLE_TRIPLES)
         if rng.getrandbits(1):
             c, s = s, c
     else:
-        c, s = rng.choice(_BOOST_PAIRS)
+        c, s, d = rng.choice(_BOOST_TRIPLES)
     if rng.getrandbits(1):
         s = -s
-    return c, s
-
-
-def _rotate_rows(T: np.ndarray, i: int, j: int, c, s, same_sign: bool):
-    ri, rj = T[i].copy(), T[j].copy()
-    if same_sign:
-        T[i] = c * ri - s * rj
-        T[j] = s * ri + c * rj
-    else:
-        T[i] = c * ri + s * rj
-        T[j] = s * ri + c * rj
+    return c, s, d
 
 
 def light_isometry(signs: Sequence[int], rng: random.Random,
                    unitary: bool = False, depth: Optional[int] = None,
-                   max_boosts: int = 2) -> np.ndarray:
+                   max_boosts: int = 2,
+                   columns: Optional[Sequence[int]] = None) -> np.ndarray:
     """Exact isometry of diag(signs) as a product of table rotations.
 
     With `unitary` the sign list must consist of equal-sign coordinate pairs
@@ -452,13 +444,30 @@ def light_isometry(signs: Sequence[int], rng: random.Random,
     identical rotations across two blocks, so the result commutes with the
     canonical J.  Hyperbolic steps across mixed-sign pairs are capped at
     `max_boosts` to keep frame coordinates moderate (each boost stretches
-    them by its table factor).
+    them by its table factor).  With `columns` only those columns of the
+    isometry are computed and returned, in the given order; the draws from
+    `rng` are the same either way.
     """
     n = len(signs)
-    T = np.empty((n, n), dtype=object)
-    T[...] = Fraction(0)
-    for i in range(n):
-        T[i, i] = Fraction(1)
+    if columns is None:
+        columns = range(n)
+    # N[r][t] / D is entry (r, columns[t])
+    N = [[int(r == col) for col in columns] for r in range(n)]
+    D = 1
+
+    def rotate(pairs, c, s, d, same_sign):
+        nonlocal D
+        touched = {r for pair in pairs for r in pair}
+        for r in range(n):
+            if r not in touched:
+                N[r] = [d * x for x in N[r]]
+        sign = -1 if same_sign else 1
+        for i, j in pairs:
+            ri, rj = N[i], N[j]
+            N[i] = [c * a + sign * s * b for a, b in zip(ri, rj)]
+            N[j] = [s * a + c * b for a, b in zip(ri, rj)]
+        D *= d
+
     if depth is None:
         depth = 2 * n + 4
     boosts = 0
@@ -469,8 +478,7 @@ def light_isometry(signs: Sequence[int], rng: random.Random,
         for _ in range(depth):
             if m == 1 or rng.random() < 0.4:
                 b = rng.randrange(m)
-                c, s = _rotation_coeffs(rng, True)
-                _rotate_rows(T, 2 * b, 2 * b + 1, c, s, True)
+                rotate([(2 * b, 2 * b + 1)], *_rotation_coeffs(rng, True), True)
             else:
                 b1, b2 = rng.sample(range(m), 2)
                 same = signs[2 * b1] == signs[2 * b2]
@@ -478,9 +486,8 @@ def light_isometry(signs: Sequence[int], rng: random.Random,
                     if boosts >= max_boosts:
                         continue
                     boosts += 1
-                c, s = _rotation_coeffs(rng, same)
-                _rotate_rows(T, 2 * b1, 2 * b2, c, s, same)
-                _rotate_rows(T, 2 * b1 + 1, 2 * b2 + 1, c, s, same)
+                rotate([(2 * b1, 2 * b2), (2 * b1 + 1, 2 * b2 + 1)],
+                       *_rotation_coeffs(rng, same), same)
     else:
         for _ in range(depth):
             i, j = rng.sample(range(n), 2)
@@ -489,9 +496,8 @@ def light_isometry(signs: Sequence[int], rng: random.Random,
                 if boosts >= max_boosts:
                     continue
                 boosts += 1
-            c, s = _rotation_coeffs(rng, same)
-            _rotate_rows(T, i, j, c, s, same)
-    return T
+            rotate([(i, j)], *_rotation_coeffs(rng, same), same)
+    return np.array([[Fraction(x, D) for x in row] for row in N], dtype=object)
 
 
 def random_isometry(space: PseudoHermitianSpace, rng: random.Random,
@@ -518,7 +524,12 @@ def _normalize_pattern(pattern) -> tuple:
 
 def tuple_from_rng(space: PseudoHermitianSpace, rng: random.Random, pattern,
                    antiholomorphic: bool = False) -> list[np.ndarray]:
-    """Exact orthonormal tuple with the requested signs, drawn from `rng`."""
+    """Exact orthonormal tuple with the requested signs, drawn from `rng`.
+
+    The tuple is the image of standard basis vectors (one per J-block when
+    antiholomorphic) under a random isometry, of which only those columns
+    are computed.
+    """
     pattern = _normalize_pattern(pattern)
     plus, minus = pattern.count(1), pattern.count(-1)
     if antiholomorphic:
@@ -528,31 +539,22 @@ def tuple_from_rng(space: PseudoHermitianSpace, rng: random.Random, pattern,
             raise UnrealizablePatternError(
                 f"antiholomorphic pattern {pattern} needs {plus} positive and "
                 f"{minus} negative J-blocks; space has {space.m - space.s} and {space.s}")
-        T = random_isometry(space, rng, unitary=True)
-        next_minus, next_plus = 0, space.s
-        cols = []
-        for p in pattern:
-            if p == 1:
-                cols.append(2 * next_plus)
-                next_plus += 1
-            else:
-                cols.append(2 * next_minus)
-                next_minus += 1
-    else:
-        if plus > 2 * (space.m - space.s) or minus > 2 * space.s:
-            raise UnrealizablePatternError(
-                f"pattern {pattern} exceeds signature ({2*space.s}, {2*(space.m-space.s)})")
-        T = random_isometry(space, rng, unitary=False)
-        next_minus, next_plus = 0, 2 * space.s
-        cols = []
-        for p in pattern:
-            if p == 1:
-                cols.append(next_plus)
-                next_plus += 1
-            else:
-                cols.append(next_minus)
-                next_minus += 1
-    return [_freeze(T[:, c].copy()) for c in cols]
+    elif plus > 2 * (space.m - space.s) or minus > 2 * space.s:
+        raise UnrealizablePatternError(
+            f"pattern {pattern} exceeds signature ({2*space.s}, {2*(space.m-space.s)})")
+    # negative coordinates come first; one seed per J-block when antiholomorphic
+    step = 2 if antiholomorphic else 1
+    next_minus, next_plus = 0, 2 * space.s
+    cols = []
+    for p in pattern:
+        if p == 1:
+            cols.append(next_plus)
+            next_plus += step
+        else:
+            cols.append(next_minus)
+            next_minus += step
+    T = light_isometry(space.metric_signs, rng, unitary=antiholomorphic, columns=cols)
+    return [_freeze(T[:, t].copy()) for t in range(len(cols))]
 
 
 def gram_schmidt_tuple(space: PseudoHermitianSpace, seed: int, pattern,

@@ -62,6 +62,18 @@ class TestExitCodes:
         bad.write_text("not a tensor file\n")
         assert run_cli(["classify", "-i", str(bad)])[0] == 2
 
+    @pytest.mark.parametrize("line,where", [
+        (b"name = caf\xc3\xa9", "line 4, col 11:"),
+        (b"R[1,2,2,1] = 1/0", "line 4, col 13:"),
+        (b"R[1,2,2,1] = 1/000", "line 4, col 13:"),
+    ])
+    def test_hostile_file_is_a_located_parse_error(self, tmp_path, capsys, line, where):
+        doc = tmp_path / "hostile.tensor"
+        doc.write_bytes(b"curvlab-tensor/1\nm = 2\ns = 1\n" + line + b"\n")
+        code, out = run_cli(["classify", "-i", str(doc)])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith(f"error: {where}")
+
     def test_oversized_dimension_exits_quickly(self, tmp_path):
         text = (GOLDEN / "constant_2_1.tensor").read_text()
         big = tmp_path / "m40.tensor"
@@ -152,6 +164,18 @@ class TestCommandBehavior:
         assert "holomorphic.value = 4" in out
         assert "antiholomorphic.value = 1" in out
         assert "biholomorphic.value = 2" in out
+
+    def test_expand_vanishing_expansion(self, tmp_path):
+        flat = tmp_path / "flat.tensor"
+        assert run_cli(["generate", "--model", "constant", "--m", "2", "--s", "1",
+                        "--c", "0", "-o", str(flat)])[0] == 0
+        code, out = run_cli(["expand", "-i", str(flat), "--family", "holomorphic"])
+        assert code == 0
+        for k in range(5):
+            assert f"coeff.t{k} = 0\n" in out
+        for label in ("round1.t=+1", "round1.t=-1", "round2.t=+1", "round2.t=-1"):
+            assert f"bound.{label} = 0\n" in out
+        assert "bound.compatible = true\n" in out
 
     def test_probe_bounded_report(self):
         code, out = run_cli(["probe", "-i", str(GOLDEN / "constant_2_1.tensor")])

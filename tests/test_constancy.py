@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from curvlab.constancy import (constant_antiholomorphic,
                                lemma3_check, normalized_biholomorphic)
 from curvlab.harness import (impose, model_complex_space_form,
                              model_constant_sectional, random_tensor)
-from curvlab.spaces import GeometryError, gram_schmidt_tuple
+from curvlab.spaces import GeometryError, gram_schmidt_tuple, make_space
 from curvlab.tensors import (CurvatureTensor, from_components,
                              holomorphic_sectional, pi1_components, sectional)
 
@@ -60,6 +61,125 @@ class TestConstantHolomorphic:
     def test_float_constant_model(self, sp21):
         v = constant_holomorphic(model_constant_sectional(sp21, 3).to_float())
         assert v.is_constant and abs(v.value - 3.0) < 1e-9
+
+
+def scalar_holomorphic(R, samples=200, seed=0):
+    """The sampled criterion as one scalar `holomorphic_sectional` per
+    candidate, in order, with Fraction candidate vectors: the reference the
+    batched float screen and the exact witness hunt must reproduce, verdict
+    for verdict and value for value."""
+    space = R.space
+    rng = random.Random(seed)
+    tol = 0 if R.is_exact else (constancy.FLOAT_VERDICT_TOL
+                                * max(1.0, float(np.abs(R.components).max())))
+
+    def candidates():
+        n = space.n
+        for i in range(n):
+            yield space.basis_vector(i)
+        for i in range(n):
+            for j in range(i + 1, n):
+                for coef in (1, -1, 2):
+                    yield space.basis_vector(i) + coef * space.basis_vector(j)
+        while True:
+            yield space.vector([Fraction(rng.randint(-3, 3)) for _ in range(n)])
+
+    ref_vec = ref_val = None
+    count = 0
+    for v in candidates():
+        if space.inner(v, v) == 0:
+            continue
+        h = holomorphic_sectional(R, v)
+        if ref_val is None:
+            ref_vec, ref_val = v, h
+        elif abs(h - ref_val) > tol:
+            return "nonconstant", (ref_val, h), (ref_vec, v)
+        count += 1
+        if count >= samples:
+            break
+    return "constant", ref_val, None
+
+
+def block_bump(space, block, delta):
+    """delta times pi1 restricted to the J-block span{e_2b, e_2b+1}: it moves
+    H(e_2b) by delta and H of a vector v by at most delta on a definite space."""
+    i, j = 2 * block, 2 * block + 1
+    return from_components(space, [(i, j, j, i, delta), (j, i, i, j, delta),
+                                   (i, j, i, j, -delta), (j, i, j, i, -delta)])
+
+
+def assert_same_as_scalar_loop(R, samples=200, seed=0):
+    verdict = constant_holomorphic(R, samples=samples, seed=seed)
+    status, values, planes = scalar_holomorphic(R, samples=samples, seed=seed)
+    assert verdict.status == status
+    if status == "constant":
+        assert verdict.value == values
+    else:
+        assert verdict.witness.values == values
+        assert all((plane[0] == v).all() for plane, v in zip(verdict.witness.planes, planes))
+    return verdict
+
+
+class TestFloatHolomorphicScreen:
+    SIGNATURES = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (4, 2)]
+
+    @pytest.mark.parametrize("m,s", SIGNATURES)
+    def test_models_agree_with_scalar_loop(self, m, s):
+        space = make_space(m, s)
+        for R in (model_constant_sectional(space, Fraction(-7, 3)),
+                  model_complex_space_form(space, Fraction(5, 2))):
+            assert assert_same_as_scalar_loop(R.to_float(), seed=m + s).is_constant
+
+    @pytest.mark.parametrize("m,s", SIGNATURES)
+    def test_random_tensors_agree_with_scalar_loop(self, m, s):
+        space = make_space(m, s)
+        for seed in range(3):
+            R = random_tensor(space, 700 + seed).to_float()
+            assert_same_as_scalar_loop(R, seed=seed)
+            assert_same_as_scalar_loop(R, samples=5, seed=seed)
+
+    @pytest.mark.parametrize("m,s", [(2, 0), (2, 1), (3, 1), (4, 2)])
+    def test_pair_candidate_witnesses_agree_with_scalar_loop(self, m, s):
+        # the bump leaves H(e_i) alone, so the first witness is a later candidate
+        R = perturbed_pi1(make_space(m, s))
+        for T in (R, R.to_float()):
+            verdict = assert_same_as_scalar_loop(T, samples=1000, seed=m)
+            assert not verdict.is_constant
+            assert (verdict.witness.planes[1][0] != 0).sum() > 1
+
+    @pytest.mark.parametrize("m,s", SIGNATURES)
+    @pytest.mark.parametrize("fraction", [0.4, 0.6, 1.2, 2.5])
+    def test_nudged_models_agree_with_scalar_loop(self, m, s, fraction):
+        space = make_space(m, s)
+        model = model_constant_sectional(space, Fraction(1, 2)).to_float()
+        # model components stay within 1, so the verdict tolerance is 1e-8
+        delta = fraction * constancy.FLOAT_VERDICT_TOL
+        bump = block_bump(space, space.m - 1, Fraction(1)).to_float()
+        R = CurvatureTensor(space, model.components + delta * bump.components)
+        assert_same_as_scalar_loop(R, seed=3)
+
+    @pytest.mark.parametrize("fraction,constant,flags_ok", [
+        (0.4, True, lambda k: k == 0),      # nothing past tol/2: no re-evaluation
+        (0.6, True, lambda k: k > 0),       # flagged, and every flag refuted
+        (1.2, False, lambda k: k == 1),     # the first flag confirmed
+    ])
+    def test_screen_flags_past_half_the_tolerance(self, sp30, fraction, constant, flags_ok,
+                                                  monkeypatch):
+        # on a definite space the bump moves H by at most delta, and by
+        # exactly delta on e_4, the first candidate it moves at all
+        calls = []
+        scalar = constancy.holomorphic_sectional
+        monkeypatch.setattr(constancy, "holomorphic_sectional",
+                            lambda R, v: calls.append(v) or scalar(R, v))
+        model = model_constant_sectional(sp30, Fraction(1, 2)).to_float()
+        delta = fraction * constancy.FLOAT_VERDICT_TOL
+        bump = block_bump(sp30, 2, Fraction(1)).to_float()
+        verdict = constant_holomorphic(
+            CurvatureTensor(sp30, model.components + delta * bump.components))
+        assert verdict.is_constant == constant
+        assert flags_ok(len(calls) - 1)     # the first call is the reference value
+        if not constant:
+            assert (verdict.witness.planes[1][0] == sp30.basis_vector(4)).all()
 
 
 class TestConstantAntiholomorphic:

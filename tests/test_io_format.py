@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvlab.io_format import (HEADER, ParseError, TensorDocument,
                                build_tensor, document_from_tensor,
-                               parse_document, serialize_document)
+                               parse_document, read_document,
+                               serialize_document)
 from curvlab.harness import model_constant_sectional, random_tensor
-from curvlab.spaces import InvariantViolation, make_space
+from curvlab.spaces import (GeometryError, InvariantViolation,
+                            canonical_complex_structure, make_space)
 
 
 GOOD = """\
@@ -61,6 +64,12 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_document(text)
 
+    def test_custom_J_row_count_checked_before_the_dimension(self):
+        # a huge m must fail on the row count, not size a list of 2m row numbers
+        text = f"{HEADER}\nm = {10 ** 12}\ns = 0\nJ[1] = 0 -1\n"
+        with pytest.raises(ParseError, match="custom J needs rows"):
+            parse_document(text)
+
     def test_bad_J_names_invariant(self):
         text = (f"{HEADER}\nm = 1\ns = 0\nJ = custom\n"
                 "J[1] = 1 0\nJ[2] = 0 1\n")
@@ -113,3 +122,87 @@ class TestBuild:
         R2 = build_tensor(parse_document(text))
         assert (R2.space.J == sp.J).all()
         assert (R.components == R2.components).all()
+
+
+# -- fuzzing -------------------------------------------------------------------
+
+RATIONALS = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+
+
+@st.composite
+def documents(draw):
+    m = draw(st.integers(1, 3))
+    n = 2 * m
+    index = st.integers(1, n)
+    J = draw(st.sampled_from(["canonical", "custom", "random"]))
+    if J == "canonical":
+        J = None
+    elif J == "custom":
+        J = tuple(tuple(Fraction(x) for x in row) for row in -canonical_complex_structure(m))
+    else:
+        J = tuple(tuple(draw(RATIONALS) for _ in range(n)) for _ in range(n))
+    return TensorDocument(
+        m=m, s=draw(st.integers(0, m)), J=J,
+        name=draw(st.none() | st.from_regex(r"[A-Za-z0-9_.+-]{1,8}", fullmatch=True)),
+        seed=draw(st.none() | st.integers(-10 ** 6, 10 ** 6)),
+        symmetrize=draw(st.booleans()), bianchi=draw(st.booleans()),
+        entries=tuple(draw(st.lists(st.tuples(index, index, index, index, RATIONALS),
+                                    min_size=1, max_size=6))))
+
+
+# replacement values that probe the grammar's edges
+VALUES = st.sampled_from([
+    b"1/0", b"-7/00", b"0/0", b"9" * 4400, b"1/" + b"9" * 4400, b"caf\xc3\xa9", b"\xff",
+    b"", b"1.5", b"--1", b"1/-2", b"custom", b"true", b"-1", b"7", b"40",
+])
+BYTES = st.sampled_from([b"\xc3\xa9", b"\x00", b"/0", b"0", b"9", b"=", b"#", b"\n", b"\r",
+                         b" ", b"[", b",", b"R[1,2,2,1] = ", b"J = custom\n", b"J[1] = "]) \
+    | st.binary(min_size=1, max_size=3)
+POSITIONS = st.floats(0, 1, exclude_max=True)
+
+# (line, new value) edits, then (position, kind, bytes) edits of the raw file
+MUTATIONS = st.tuples(
+    st.lists(st.tuples(POSITIONS, VALUES), max_size=3),
+    st.lists(st.tuples(POSITIONS, st.sampled_from(["insert", "delete", "replace"]), BYTES),
+             max_size=3))
+
+
+def mutate(data: bytes, mutations) -> bytes:
+    line_edits, byte_edits = mutations
+    lines = data.split(b"\n")
+    for where, value in line_edits:
+        at = int(where * len(lines))
+        lines[at] = lines[at].partition(b"=")[0] + b"= " + value
+    data = b"\n".join(lines)
+    for where, kind, payload in byte_edits:
+        at = int(where * len(data))
+        if kind == "insert":
+            data = data[:at] + payload + data[at:]
+        elif kind == "delete":
+            data = data[:at] + data[at + len(payload):]
+        else:
+            data = data[:at] + payload + data[at + len(payload):]
+    return data
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(documents())
+    def test_canonical_documents_round_trip(self, doc):
+        text = serialize_document(doc)
+        assert serialize_document(parse_document(text)) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(documents(), MUTATIONS)
+    def test_mutated_files_raise_only_input_errors(self, fuzz_dir, doc, mutations):
+        path = fuzz_dir / "mutated.tensor"
+        path.write_bytes(mutate(serialize_document(doc).encode("ascii"), mutations))
+        try:
+            build_tensor(read_document(path))
+        except (ParseError, GeometryError):
+            pass

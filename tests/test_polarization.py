@@ -37,6 +37,10 @@ class TestTPolynomial:
     def test_deflation_requires_roots(self):
         assert TPolynomial.of([1, 1]).deflate_even_root_pair() is None
 
+    def test_zero_polynomial_deflates_to_zero(self):
+        zero = TPolynomial.of([Fraction(0)] * 5)
+        assert zero.is_zero() and zero.deflate_even_root_pair().is_zero()
+
 
 class TestExpand:
     def test_pi1_along_pinching_family(self, sp31):
@@ -178,6 +182,14 @@ class TestBoundForcedIdentities:
         p = TPolynomial.of([1, 0, 0, 0, -1])
         got = bound_forced_identities(p)
         assert got[:2] == [0, 0] and got[2:] == [2, 2]
+
+    def test_vanishing_expansion_is_compatible(self, sp21):
+        # the flat tensor expands to the zero polynomial: four zero rounds
+        R = model_constant_sectional(sp21, 0)
+        x, a = gram_schmidt_tuple(sp21, 5, (1, -1), antiholomorphic=True)
+        p = holomorphic_family_expansion(R, x, a)
+        assert p.is_zero()
+        assert bound_forced_identities(p) == [0, 0, 0, 0]
 
     def test_multiplicity_one(self):
         p = TPolynomial.of([Fraction(3), 0, Fraction(-3)])
