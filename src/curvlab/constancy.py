@@ -25,11 +25,10 @@ from typing import Optional
 
 import numpy as np
 
-from .scalars import is_exact
+from .scalars import FLOAT_DEGENERATE_TOL, FLOAT_VERDICT_TOL, is_zero
 from .spaces import GeometryError, PseudoHermitianSpace, tuple_from_rng
-from .tensors import CurvatureTensor, holomorphic_sectional, sectional
-
-FLOAT_VERDICT_TOL = 1e-8
+from .tensors import (CurvatureTensor, component_scale, holomorphic_sectional,
+                      sectional)
 
 # Candidate vectors the exact holomorphic branch tries for a witness.  When
 # the quartic comparison says nonconstant, a random candidate from [-3, 3]^n
@@ -61,19 +60,17 @@ class ConstancyVerdict:
         return self.status == "constant"
 
 
-def _tensor_scale(R: CurvatureTensor) -> float:
-    if R.is_exact:
-        return 1.0
-    m = float(np.abs(np.asarray(R.components, dtype=float)).max())
-    return max(1.0, m)
-
-
 def _comparators(R: CurvatureTensor):
-    """(same, zero) predicates on curvature values: exact, or within tolerance."""
-    if R.is_exact:
-        return (lambda a, b: a == b), (lambda v: v == 0)
-    tol = FLOAT_VERDICT_TOL * _tensor_scale(R)
-    return (lambda a, b: abs(float(a) - float(b)) <= tol), (lambda v: abs(float(v)) <= tol)
+    """(same, zero) predicates on curvature values under the verdict tolerance."""
+    scale = component_scale(R.components)
+
+    def zero(v):
+        return is_zero(v, FLOAT_VERDICT_TOL, scale)
+
+    def same(a, b):
+        return a == b or zero(a - b)
+
+    return same, zero
 
 
 def _sign_patterns(space: PseudoHermitianSpace, k: int):
@@ -137,12 +134,12 @@ def constant_holomorphic(R: CurvatureTensor, samples: int = 200, seed: int = 0) 
 
     Exact backend: polynomial-identity comparison of symmetrized quartic
     coefficient arrays (no sampling).  Float backend: H is constant when it
-    agrees, within 1e-8 times the tensor scale (largest component, at least
-    1), on `samples` deterministic nonisotropic probe vectors.  H of all of
-    them is computed in one float64 contraction; those more than half the
-    tolerance away from the first are re-evaluated in order with
-    `holomorphic_sectional`, which decides the verdict and gives every
-    reported value.
+    agrees, within `FLOAT_VERDICT_TOL` times the tensor scale (largest
+    component, at least 1), on `samples` deterministic nonisotropic probe
+    vectors.  H of all of them is computed in one float64 contraction;
+    those more than half the tolerance away from the first are re-evaluated
+    in order with `holomorphic_sectional`, which decides the verdict and
+    gives every reported value.
     """
     space = R.space
     rng = random.Random(seed)
@@ -174,7 +171,7 @@ def constant_holomorphic(R: CurvatureTensor, samples: int = 200, seed: int = 0) 
     # Then every candidate the scalar comparison rejects is flagged, and the
     # first confirmed flag is the candidate the scalar loop stopped at.
     same, _ = _comparators(R)
-    tol = FLOAT_VERDICT_TOL * _tensor_scale(R)
+    tol = FLOAT_VERDICT_TOL * component_scale(R.components)
     nonisotropic = (v for v in _candidate_coords(space.n, rng) if _norm(space, v) != 0)
     coords = list(islice(nonisotropic, max(samples, 1)))
     V = np.array(coords, dtype=float)
@@ -201,8 +198,7 @@ def _derive_plane_witness(R, same, p, q, r):
     base = sectional(R, p, q)
     for t in (Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), 2, 3, -2):
         w = np.asarray(q) + t * np.asarray(r)
-        den_sign = R.space.inner(w, w)
-        if (den_sign == 0) if is_exact(den_sign) else abs(float(den_sign)) < 1e-12:
+        if is_zero(R.space.inner(w, w), FLOAT_DEGENERATE_TOL):
             continue
         k = sectional(R, p, w)
         if not same(k, base):

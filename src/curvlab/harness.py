@@ -46,7 +46,8 @@ from .constancy import (constant_antiholomorphic,
 from .linsolve import RowReducer, integer_row
 from .polarization import (TPolynomial, VectorFamily, bound_forced_identities,
                            complexified_family_expansion, expand)
-from .scalars import format_scalar, rand_rational, scalar_close
+from .scalars import (FLOAT_IDENTITY_TOL, FLOAT_REVERIFY_TOL, format_scalar,
+                      is_zero, rand_rational)
 from .spaces import (GeometryError, PseudoHermitianSpace, light_isometry,
                      random_isometry, tuple_from_rng)
 from .tensors import (CurvatureTensor, from_dense, pi1_components, sectional)
@@ -463,11 +464,15 @@ class ConstraintSystem:
         return all(cond.holds(R, rng) for _ in range(count))
 
 
-def impose(space: PseudoHermitianSpace, condition_id: str, seed: int = 0,
-           saturation_run: int = 10) -> ConstraintSystem:
+# Consecutive probe configurations that must add no rank before `impose`
+# stops (the "ten consecutive draws" of the saturation note above).
+SATURATION_RUN = 10
+
+
+def impose(space: PseudoHermitianSpace, condition_id: str, seed: int = 0) -> ConstraintSystem:
     """Impose a quantified curvature condition by rank-saturating probes.
 
-    Fresh probe configurations are instantiated until `saturation_run`
+    Fresh probe configurations are instantiated until `SATURATION_RUN`
     consecutive draws add no rank; the system's coefficient vectors then
     span the solutions inside the pair-symmetric component space (no
     Bianchi projection).  `RowReducer.nullspace` certifies them exactly
@@ -483,7 +488,7 @@ def impose(space: PseudoHermitianSpace, condition_id: str, seed: int = 0,
     consecutive = 0
     used = 0
     cap = 10 * ncols + 100
-    while consecutive < saturation_run:
+    while consecutive < SATURATION_RUN:
         grew = False
         for row in cond.rows(space, rng):
             if reducer.add_row(row):
@@ -740,7 +745,8 @@ def _check_dichotomy(kinds, classifier, label, space, trials, seed, threshold, b
     def bounded_check(name, R, expected):
         nonlocal payload
         rep = probe_unboundedness(R, threshold, budget, seed=seed, kinds=kinds)
-        ok = not rep.exceeded and scalar_close(rep.max_abs, expected)
+        ok = not rep.exceeded and is_zero(rep.max_abs - expected, FLOAT_IDENTITY_TOL,
+                                          max(rep.max_abs, expected))
         items.append(f"model {name}: bounded, max = {rep.max_abs!r} "
                      f"(expected {expected!r}){'' if ok else ' MISMATCH'}")
         if not ok and payload is None:
@@ -762,7 +768,7 @@ def _check_dichotomy(kinds, classifier, label, space, trials, seed, threshold, b
             if ok:
                 recomputed = float(rep.witness.reverify(R.to_float()))
                 stored = float(rep.witness.value)
-                ok = abs(recomputed - stored) <= 1e-6 * max(1.0, abs(stored))
+                ok = is_zero(recomputed - stored, FLOAT_REVERIFY_TOL, stored)
                 items.append(
                     f"trial {i}: nonconstant; witness {rep.witness.kind} "
                     f"|value| = {abs(stored)!r} at t = {format_scalar(rep.witness.t)}"

@@ -90,11 +90,20 @@ def _rational_value(tok: str, lineno: int, col: int) -> Fraction:
     return _number(Fraction, tok, lineno, col)
 
 
+def _lines(text: str) -> list[str]:
+    """Lines broken at \\n, \\r\\n and \\r only (`str.splitlines` also breaks at
+    \\v, \\f and \\x1c-\\x1e, which would shift every reported line number)."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
 def _check_ascii(text: str) -> None:
     if text.isascii():
         return
     index = next(i for i, ch in enumerate(text) if not ch.isascii())
-    before = (text[:index] + "?").splitlines()
+    before = _lines(text[:index] + "?")
     raise ParseError(f"non-ASCII character {ord(text[index]):#x}; tensor files are ASCII",
                      len(before), len(before[-1]))
 
@@ -111,7 +120,7 @@ def read_document(path) -> TensorDocument:
 
 def parse_document(text: str) -> TensorDocument:
     _check_ascii(text)
-    lines = text.splitlines()
+    lines = _lines(text)
     fields = {"J_rows": {}, "entries": []}
     header_seen = False
     for lineno, raw in enumerate(lines, start=1):
@@ -126,7 +135,7 @@ def parse_document(text: str) -> TensorDocument:
         if "=" not in line:
             raise ParseError("expected 'key = value'", lineno, len(line))
         key, _, value = line.partition("=")
-        col = len(key) + 2
+        col = len(line) - len(value.lstrip()) + 1       # first column of the value
         key, value = key.strip(), value.strip()
         if key in ("m", "s", "seed"):
             if not re.fullmatch(r"-?\d+", value):

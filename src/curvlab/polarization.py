@@ -21,15 +21,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .scalars import ExactComplex, is_exact
-from .spaces import ComplexVector, GeometryError, as_complex
+from .scalars import ExactComplex
+from .spaces import (ComplexVector, GeometryError, as_complex,
+                     require_antiholomorphic_pair)
 from .tensors import CurvatureTensor
-
-
-def _is_falsy_zero(c) -> bool:
-    if isinstance(c, (ExactComplex, complex)):
-        return not (c.real or c.imag) if isinstance(c, ExactComplex) else c == 0
-    return not c
 
 
 @dataclass(frozen=True)
@@ -41,7 +36,7 @@ class TPolynomial:
     @staticmethod
     def of(coeffs: Sequence) -> "TPolynomial":
         cs = list(coeffs)
-        while cs and _is_falsy_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         return TPolynomial(tuple(cs))
 
@@ -163,20 +158,6 @@ def expand(R: CurvatureTensor, f1: VectorFamily, f2: VectorFamily,
     return TPolynomial.of(coeffs)
 
 
-def _require_antiholomorphic_unit_pair(space, x, w, w_norm: int, what: str):
-    g = space.inner
-    conditions = [
-        ("g(x,x)=1", g(x, x) - 1),
-        (f"g(w,w)={w_norm}", g(w, w) - w_norm),
-        ("g(x,w)=0", g(x, w)),
-        ("g(x,Jw)=0", g(x, space.apply_J(w))),
-    ]
-    for name, val in conditions:
-        bad = (val != 0) if is_exact(val) else abs(float(val)) > 1e-9
-        if bad:
-            raise GeometryError(f"{what} needs an orthonormal antiholomorphic pair: {name} fails")
-
-
 def holomorphic_family_expansion(R: CurvatureTensor, x, a) -> TPolynomial:
     """Numerator of H along x + t*a for an orthonormal (+,-) pair {x,a}.
 
@@ -186,7 +167,7 @@ def holomorphic_family_expansion(R: CurvatureTensor, x, a) -> TPolynomial:
     mirror, and the quadratic one collects the four mixed-plane terms.
     """
     space = R.space
-    _require_antiholomorphic_unit_pair(space, x, a, -1, "holomorphic family expansion")
+    require_antiholomorphic_pair(space, x, a, "holomorphic family expansion", signs=(1, -1))
     J = space.apply_J
     fx = VectorFamily.affine(x, a)
     fJ = VectorFamily.affine(J(x), J(a))
@@ -202,7 +183,7 @@ def complexified_family_expansion(R: CurvatureTensor, x, y) -> TPolynomial:
     space = R.space
     if space.is_indefinite:
         raise GeometryError("complexified family expansion is a definite-metric tool")
-    _require_antiholomorphic_unit_pair(space, x, y, 1, "complexified family expansion")
+    require_antiholomorphic_pair(space, x, y, "complexified family expansion", signs=(1, 1))
     J = space.apply_J
     fx = VectorFamily.imaginary(x, y)
     fJ = VectorFamily.imaginary(J(x), J(y))

@@ -13,8 +13,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Relative tolerance for float-backend equality of scalars.
-FLOAT_REL_TOL = 1e-9
+# The float backend's tolerance policy.  Every tolerance test in the
+# package is `is_zero(x, tol, scale)` with one of these tolerances (the
+# batched float holomorphic screen applies FLOAT_VERDICT_TOL to an array);
+# exact values are compared exactly whatever the tolerance.
+#
+# Isotropy of vectors and planes (the denominator of a sectional curvature)
+# and the identities a float J must satisfy.
+FLOAT_DEGENERATE_TOL = 1e-12
+# Relations that hold exactly on exact input: tensor symmetries, numerical
+# ranks of spans and Gram matrices, the orthonormal antiholomorphic pair
+# conditions, a model's bounded probe value.
+FLOAT_IDENTITY_TOL = 1e-9
+# Agreement of curvature values in the constancy verdicts, per unit of
+# tensor scale.
+FLOAT_VERDICT_TOL = 1e-8
+# A float recomputation of an exact witness value.
+FLOAT_REVERIFY_TOL = 1e-6
 
 
 def rational(x) -> Fraction:
@@ -140,21 +155,12 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction, ExactComplex)) and not isinstance(x, bool)
 
 
-def to_float(x):
-    """Map any scalar to the float backend."""
-    if isinstance(x, ExactComplex):
-        return complex(float(x.re), float(x.im))
-    if isinstance(x, complex):
-        return x
-    return float(x)
-
-
-def scalar_close(a, b, rel: float = FLOAT_REL_TOL) -> bool:
-    """Backend-aware equality: exact `==` or relative float comparison."""
-    if is_exact(a) and is_exact(b):
-        return a == b
-    fa, fb = to_float(a), to_float(b)
-    return abs(fa - fb) <= rel * max(1.0, abs(fa), abs(fb))
+def is_zero(x, tol: float, scale=1) -> bool:
+    """Backend-aware zero test: `not x` for exact scalars (`tol` and `scale`
+    unused), else |x| <= tol * max(1, |scale|)."""
+    if is_exact(x):
+        return not x
+    return abs(x) <= tol * max(1, abs(scale))
 
 
 def rand_rational(rng, denominator: int = 64, span: int = 1) -> Fraction:

@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linsolve import field_rank
-from .scalars import ExactComplex, is_exact, rational
+from .scalars import (FLOAT_DEGENERATE_TOL, FLOAT_IDENTITY_TOL, ExactComplex,
+                      is_exact, is_zero, rational)
 
 
 class GeometryError(ValueError):
@@ -114,22 +115,13 @@ class PseudoHermitianSpace:
         J = self.J
         if J.shape != (self.n, self.n):
             raise InvariantViolation("J.shape", f"J must be {self.n}x{self.n}")
-        exact = all(is_exact(x) for x in J.flat)
-        JJ = J.dot(J)
-        minus_id = -np.eye(self.n)
         G = np.diag(np.array(signs, dtype=object))
-        JGJ = J.T.dot(G.dot(J))
-        if exact:
-            if not (JJ == np.diag(np.array([-1] * self.n, dtype=object))).all():
-                raise InvariantViolation("J.square", "J o J != -identity")
-            if not (JGJ == G).all():
-                raise InvariantViolation("J.metric-compat", "g(JX,JY) != g(X,Y)")
-        else:
-            if not np.allclose(np.asarray(JJ, dtype=float), minus_id, atol=1e-12):
-                raise InvariantViolation("J.square", "J o J != -identity (1e-12)")
-            if not np.allclose(np.asarray(JGJ, dtype=float),
-                               np.asarray(G, dtype=float), atol=1e-12):
-                raise InvariantViolation("J.metric-compat", "g(JX,JY) != g(X,Y) (1e-12)")
+        minus_id = np.diag(np.array([-1] * self.n, dtype=object))
+        for name, residual, what in (("J.square", J.dot(J) - minus_id, "J o J != -identity"),
+                                     ("J.metric-compat", J.T.dot(G.dot(J)) - G,
+                                      "g(JX,JY) != g(X,Y)")):
+            if not all(is_zero(x, FLOAT_DEGENERATE_TOL) for x in residual.flat):
+                raise InvariantViolation(name, f"{what} (float tolerance {FLOAT_DEGENERATE_TOL})")
 
     # -- vectors ----------------------------------------------------------
 
@@ -258,17 +250,21 @@ class PlaneClass:
         return self.gram_rank == 1
 
 
-def _rank_exact(rows: Sequence[Sequence], ncols: int) -> int:
-    return field_rank([list(r) for r in rows], ncols)
-
-
-def _rank_float(rows, tol_scale: float = 1.0) -> int:
+def _rank_float(rows) -> int:
     a = np.array(rows, dtype=complex)
-    if not a.any():
-        return 0
     sv = np.linalg.svd(a, compute_uv=False)
-    thresh = 1e-9 * max(1.0, float(abs(a).max())) * tol_scale
-    return int((sv > thresh).sum())
+    scale = float(abs(a).max())
+    return sum(not is_zero(x, FLOAT_IDENTITY_TOL, scale) for x in sv)
+
+
+def gram_rank(guu, guv, gvv, exact: bool) -> int:
+    """Rank of the Gram matrix [[guu, guv], [guv, gvv]] of a plane basis:
+    exact, or numerical against the largest Gram entry."""
+    if exact:
+        if guu * gvv - guv * guv:
+            return 2
+        return 1 if (guu or guv or gvv) else 0
+    return _rank_float([[guu, guv], [guv, gvv]])
 
 
 def _complex_rows(vectors) -> list[list]:
@@ -285,7 +281,7 @@ def _complex_rows(vectors) -> list[list]:
 
 def _span_rank(space, vectors, exact: bool) -> int:
     if exact:
-        return _rank_exact(_complex_rows(vectors), space.n)
+        return field_rank(_complex_rows(vectors), space.n)
     rows = []
     for w in vectors:
         if isinstance(w, ComplexVector):
@@ -312,30 +308,20 @@ def classify_plane(space: PseudoHermitianSpace, u, v) -> PlaneClass:
 
     if _span_rank(space, [u, v, ju], exact) == 2 and _span_rank(space, [u, v, jv], exact) == 2:
         holomorphy = "holomorphic"
-    elif _is_zero_scalar(ip(u, jv), exact):
+    elif is_zero(ip(u, jv), FLOAT_IDENTITY_TOL):
         # g(u,Ju) = g(v,Jv) = 0 automatically; the single cross term decides
         holomorphy = "antiholomorphic"
     else:
         holomorphy = "generic"
 
     guu, guv, gvv = ip(u, u), ip(u, v), ip(v, v)
-    if exact:
-        det = guu * gvv - guv * guv
-        if det != 0:
-            rank = 2
-        elif guu or guv or gvv:
-            rank = 1
-        else:
-            rank = 0
-    else:
-        gram = np.array([[complex(guu), complex(guv)], [complex(guv), complex(gvv)]])
-        rank = _rank_float(gram)
+    rank = gram_rank(guu, guv, gvv, exact)
 
     label = None
     if rank == 2:
         entries = [guu, guv, gvv]
         if complex_input:
-            real = all(_is_zero_scalar(_imag_part(x), exact) for x in entries)
+            real = all(is_zero(_imag_part(x), FLOAT_IDENTITY_TOL) for x in entries)
             if real:
                 entries = [_real_part(x) for x in entries]
             else:
@@ -353,10 +339,22 @@ def classify_plane(space: PseudoHermitianSpace, u, v) -> PlaneClass:
     return PlaneClass(holomorphy, rank, label)
 
 
-def _is_zero_scalar(x, exact: bool) -> bool:
-    if exact:
-        return not x
-    return abs(complex(x)) <= 1e-9
+def require_antiholomorphic_pair(space: PseudoHermitianSpace, x, w, what: str,
+                                 signs: Optional[tuple] = None) -> None:
+    """Raise GeometryError unless {x, w} is an orthonormal antiholomorphic pair:
+    g(x,w) = g(x,Jw) = 0, and g(x,x), g(w,w) equal to `signs`, or to either
+    of +-1 when `signs` is None."""
+    g = space.inner
+    gxx, gww = g(x, x), g(w, w)
+    if signs is None:
+        conditions = [("g(x,x)^2=1", gxx * gxx - 1), ("g(w,w)^2=1", gww * gww - 1)]
+    else:
+        conditions = [(f"g(x,x)={signs[0]}", gxx - signs[0]),
+                      (f"g(w,w)={signs[1]}", gww - signs[1])]
+    conditions += [("g(x,w)=0", g(x, w)), ("g(x,Jw)=0", g(x, space.apply_J(w)))]
+    for name, val in conditions:
+        if not is_zero(val, FLOAT_IDENTITY_TOL):
+            raise GeometryError(f"{what} needs an orthonormal antiholomorphic pair: {name} fails")
 
 
 def _real_part(x):
@@ -433,20 +431,23 @@ def _rotation_coeffs(rng: random.Random, same_sign: bool) -> tuple[int, int, int
     return c, s, d
 
 
+# Hyperbolic steps per isometry, capped to keep frame coordinates moderate
+# (each boost stretches them by its table factor).
+_MAX_BOOSTS = 2
+
+
 def light_isometry(signs: Sequence[int], rng: random.Random,
-                   unitary: bool = False, depth: Optional[int] = None,
-                   max_boosts: int = 2,
+                   unitary: bool = False,
                    columns: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Exact isometry of diag(signs) as a product of table rotations.
+    """Exact isometry of diag(signs) as a product of up to 2n + 4 table rotations.
 
     With `unitary` the sign list must consist of equal-sign coordinate pairs
     (the J-block layout); rotations are then phases inside one block or
     identical rotations across two blocks, so the result commutes with the
     canonical J.  Hyperbolic steps across mixed-sign pairs are capped at
-    `max_boosts` to keep frame coordinates moderate (each boost stretches
-    them by its table factor).  With `columns` only those columns of the
-    isometry are computed and returned, in the given order; the draws from
-    `rng` are the same either way.
+    `_MAX_BOOSTS`.  With `columns` only those columns of the isometry are
+    computed and returned, in the given order; the draws from `rng` are the
+    same either way.
     """
     n = len(signs)
     if columns is None:
@@ -468,14 +469,12 @@ def light_isometry(signs: Sequence[int], rng: random.Random,
             N[j] = [s * a + c * b for a, b in zip(ri, rj)]
         D *= d
 
-    if depth is None:
-        depth = 2 * n + 4
     boosts = 0
     if unitary:
         m = n // 2
         if n % 2 or any(signs[2 * b] != signs[2 * b + 1] for b in range(m)):
             raise GeometryError("unitary rotations need equal-sign coordinate pairs")
-        for _ in range(depth):
+        for _ in range(2 * n + 4):
             if m == 1 or rng.random() < 0.4:
                 b = rng.randrange(m)
                 rotate([(2 * b, 2 * b + 1)], *_rotation_coeffs(rng, True), True)
@@ -483,17 +482,17 @@ def light_isometry(signs: Sequence[int], rng: random.Random,
                 b1, b2 = rng.sample(range(m), 2)
                 same = signs[2 * b1] == signs[2 * b2]
                 if not same:
-                    if boosts >= max_boosts:
+                    if boosts >= _MAX_BOOSTS:
                         continue
                     boosts += 1
                 rotate([(2 * b1, 2 * b2), (2 * b1 + 1, 2 * b2 + 1)],
                        *_rotation_coeffs(rng, same), same)
     else:
-        for _ in range(depth):
+        for _ in range(2 * n + 4):
             i, j = rng.sample(range(n), 2)
             same = signs[i] == signs[j]
             if not same:
-                if boosts >= max_boosts:
+                if boosts >= _MAX_BOOSTS:
                     continue
                 boosts += 1
             rotate([(i, j)], *_rotation_coeffs(rng, same), same)

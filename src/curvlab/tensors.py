@@ -33,18 +33,20 @@ from itertools import product
 
 import numpy as np
 
-from .scalars import ExactComplex, is_exact
+from .scalars import (FLOAT_DEGENERATE_TOL, FLOAT_IDENTITY_TOL, ExactComplex,
+                      is_exact, is_zero)
 from .spaces import (ComplexVector, DegeneratePlaneError, DimensionMismatch,
                      GeometryError, InvariantViolation, PseudoHermitianSpace,
-                     as_complex, is_float_vector)
-
-# absolute tolerance (relative to the largest component) for float tensors
-FLOAT_SYMMETRY_TOL = 1e-9
+                     as_complex, gram_rank, is_float_vector,
+                     require_antiholomorphic_pair)
 
 
-def _scale(C: np.ndarray) -> float:
-    m = float(max((abs(float(x)) for x in np.asarray(C, dtype=float).flat), default=0.0))
-    return max(1.0, m)
+def component_scale(C: np.ndarray) -> float:
+    """Largest |component| of a float array, at least 1: the scale of its
+    tolerances.  1 for exact (object) arrays, whose zero tests ignore it."""
+    if C.dtype == object:
+        return 1.0
+    return max(1.0, float(np.abs(C).max()))
 
 
 def symmetrize_components(C: np.ndarray) -> np.ndarray:
@@ -89,8 +91,8 @@ def _integer_components(C: np.ndarray) -> tuple[np.ndarray, int] | None:
 
 def failing_symmetries(C: np.ndarray, bianchi: bool = False) -> list[str]:
     """Names of violated tensor invariants, empty when all hold."""
-    exact = C.dtype == object
-    if exact:
+    scale = component_scale(C)
+    if C.dtype == object:
         # scaling by the common denominator preserves which sums vanish
         form = _integer_components(C)
         if form is not None:
@@ -102,15 +104,8 @@ def failing_symmetries(C: np.ndarray, bianchi: bool = False) -> list[str]:
     ]
     if bianchi:
         checks.append(("bianchi", bianchi_cyclic_sum(C)))
-    bad = []
-    tol = 0 if exact else FLOAT_SYMMETRY_TOL * _scale(C)
-    for name, diff in checks:
-        if exact:
-            if (diff != 0).any():
-                bad.append(name)
-        elif np.abs(diff).max() > tol:
-            bad.append(name)
-    return bad
+    return [name for name, diff in checks
+            if not is_zero(np.abs(diff).max(), FLOAT_IDENTITY_TOL, scale)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,19 +293,6 @@ def pi1_components(space: PseudoHermitianSpace) -> np.ndarray:
     return C
 
 
-def _gram_rank_real(space, u, v, exact: bool) -> int:
-    g = space.inner
-    a, b, c = g(u, u), g(u, v), g(v, v)
-    if exact:
-        if a * c - b * b != 0:
-            return 2
-        return 1 if (a or b or c) else 0
-    gram = np.array([[a, b], [b, c]], dtype=float)
-    sv = np.linalg.svd(gram, compute_uv=False)
-    thresh = 1e-9 * max(1.0, float(np.abs(gram).max()))
-    return int((sv > thresh).sum())
-
-
 def sectional(R: CurvatureTensor, u, v):
     """Sectional curvature of span{u,v}: eval(u,v,v,u) / pi1(u,v,v,u).
 
@@ -319,10 +301,10 @@ def sectional(R: CurvatureTensor, u, v):
     """
     space = R.space
     den = pi1(space, u, v, v, u)
-    exact = is_exact(den)
     num = R.eval(u, v, v, u)
-    if (exact and den == 0) or (not exact and abs(den) <= 1e-12 * max(1.0, abs(num))):
-        rank = _gram_rank_real(space, u, v, exact)
+    if is_zero(den, FLOAT_DEGENERATE_TOL, num):
+        g = space.inner
+        rank = gram_rank(g(u, u), g(u, v), g(v, v), is_exact(den))
         raise DegeneratePlaneError(
             f"plane is degenerate (gram rank {rank}); sectional curvature undefined", rank)
     return num / den
@@ -333,23 +315,14 @@ def sectional_c(R: CurvatureTensor, u, v):
     space = R.space
     den = pi1_c(space, u, v, v, u)
     num = R.eval_c(u, v, v, u)
-    if isinstance(den, ExactComplex):
-        degenerate = not den
-    else:
-        degenerate = abs(den) <= 1e-12 * max(1.0, abs(num))
-    if degenerate:
+    if is_zero(den, FLOAT_DEGENERATE_TOL, num):
         raise DegeneratePlaneError("complexified plane is degenerate", 1)
     return num / den
 
 
 def holomorphic_sectional(R: CurvatureTensor, X):
     """H(X): sectional curvature of the holomorphic plane span{X, JX}."""
-    g = R.space.inner(X, X)
-    if is_exact(g):
-        isotropic = g == 0
-    else:
-        isotropic = abs(g) <= 1e-12
-    if isotropic:
+    if is_zero(R.space.inner(X, X), FLOAT_DEGENERATE_TOL):
         raise DegeneratePlaneError("X is isotropic; holomorphic plane degenerate", 1)
     return sectional(R, X, R.space.apply_J(X))
 
@@ -361,17 +334,5 @@ def biholomorphic(R: CurvatureTensor, X, Y):
     (its sign normalization across signatures is the caller's business).
     """
     space = R.space
-    g = space.inner
-    checks = [
-        ("unit-X", g(X, X) * g(X, X) - 1),
-        ("unit-Y", g(Y, Y) * g(Y, Y) - 1),
-        ("orthogonal", g(X, Y)),
-        ("antiholomorphic", g(X, space.apply_J(Y))),
-    ]
-    exact = all(is_exact(v) for _, v in checks)
-    for name, v in checks:
-        bad = (v != 0) if exact else abs(float(v)) > 1e-9
-        if bad:
-            raise GeometryError(
-                f"biholomorphic curvature needs an antiholomorphic orthonormal pair ({name} fails)")
+    require_antiholomorphic_pair(space, X, Y, "biholomorphic curvature")
     return R.eval(X, space.apply_J(X), space.apply_J(Y), Y)

@@ -64,8 +64,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("line,where", [
         (b"name = caf\xc3\xa9", "line 4, col 11:"),
-        (b"R[1,2,2,1] = 1/0", "line 4, col 13:"),
-        (b"R[1,2,2,1] = 1/000", "line 4, col 13:"),
+        (b"R[1,2,2,1] = 1/0", "line 4, col 14:"),
+        (b"R[1,2,2,1] = 1/000", "line 4, col 14:"),
     ])
     def test_hostile_file_is_a_located_parse_error(self, tmp_path, capsys, line, where):
         doc = tmp_path / "hostile.tensor"

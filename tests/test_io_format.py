@@ -49,6 +49,23 @@ class TestParse:
             parse_document(bad)
         assert exc.value.line == len(bad.splitlines())
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_lines_break_only_at_newlines(self, newline):
+        assert parse_document(GOOD.replace("\n", newline)) == parse_document(GOOD)
+        # \f is not a line break: the bad value of m sits on line 2
+        bad = f"{HEADER}\nm = 2\x0cs = 1\nbogus = 1\n".replace("\n", newline)
+        with pytest.raises(ParseError) as exc:
+            parse_document(bad)
+        assert (exc.value.line, exc.value.col) == (2, 5)
+
+    @pytest.mark.parametrize("line,col", [
+        ("R[1,2,2,1] = 0.5", 14), ("R[1,2,2,1]=0.5", 12), ("  m =   x", 9), ("s =", 4),
+    ])
+    def test_error_column_is_the_first_of_the_value(self, line, col):
+        with pytest.raises(ParseError) as exc:
+            parse_document(f"{HEADER}\n{line}\n")
+        assert (exc.value.line, exc.value.col) == (2, col)
+
     def test_unknown_key(self):
         with pytest.raises(ParseError) as exc:
             parse_document(f"{HEADER}\nm = 2\ns = 1\nbogus = 1\n")

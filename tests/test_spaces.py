@@ -56,6 +56,12 @@ class TestMakeSpace:
         with pytest.raises(InvariantViolation):
             make_space(1, 0, J=[[0.0, -1.001], [1.0, 0.0]])
 
+    def test_float_J_tolerance_is_absolute(self):
+        # 1e-6 off: inside numpy's default relative tolerance, far outside 1e-12
+        with pytest.raises(InvariantViolation) as exc:
+            make_space(1, 0, J=[[0.0, -1.000001], [1.0, 0.0]])
+        assert exc.value.invariant == "J.square"
+
 
 class TestInner:
     def test_basis_values(self, sp21):

@@ -32,6 +32,10 @@ REPORTS = {
     "classify_random.out": ["classify", "-i", "golden/random_2_1.tensor"],
     "classify_random_3_1.out": ["classify", "-i", "golden/random_3_1.tensor",
                                 "--probes", "6"],
+    "classify_random_3_1_float.out": ["classify", "-i", "golden/random_3_1.tensor",
+                                      "--probes", "6", "--backend", "float"],
+    "classify_spaceform_float.out": ["classify", "-i", "golden/spaceform_3_0.tensor",
+                                     "--probes", "20", "--backend", "float"],
     "expand_constant_holomorphic.out": ["expand", "-i", "golden/constant_2_1.tensor",
                                         "--family", "holomorphic", "--seed", "5"],
     "expand_spaceform_complexified.out": ["expand", "-i", "golden/spaceform_3_0.tensor",
