@@ -41,13 +41,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constancy import (constant_antiholomorphic,
-                        constant_biholomorphic, constant_holomorphic)
+from .constancy import (constant_antiholomorphic, constant_biholomorphic,
+                        constant_holomorphic, normalized_biholomorphic)
 from .linsolve import RowReducer, integer_row
 from .polarization import (TPolynomial, VectorFamily, bound_forced_identities,
                            complexified_family_expansion, expand)
 from .scalars import (FLOAT_IDENTITY_TOL, FLOAT_REVERIFY_TOL, format_scalar,
-                      is_zero, rand_rational)
+                      integerize, is_zero, rand_rational)
 from .spaces import (GeometryError, PseudoHermitianSpace, light_isometry,
                      random_isometry, tuple_from_rng)
 from .tensors import (CurvatureTensor, from_dense, pi1_components, sectional)
@@ -438,24 +438,17 @@ class ConstraintSystem:
     def solution_basis(self) -> tuple:
         return tuple(tensor_from_coefficients(self.space, vec) for vec in self.coefficients)
 
-    @cached_property
-    def _integer_coefficients(self) -> tuple:
-        """Each coefficient vector as integers over its own denominator."""
-        dens = [math.lcm(*(c.denominator for c in vec)) for vec in self.coefficients]
-        ints = np.array([[c.numerator * (d // c.denominator) for c in vec]
-                         for vec, d in zip(self.coefficients, dens)], dtype=object)
-        return ints, dens
-
     def random_element(self, seed: int) -> CurvatureTensor:
         """The basis combined with seeded `rand_rational` weights, one per vector."""
         if not self.coefficients:
             raise GeometryError("constraint system has a trivial solution space")
         rng = random.Random(seed)
-        ints, dens = self._integer_coefficients
-        factors = [rand_rational(rng) / d for d in dens]
-        D = math.lcm(*(f.denominator for f in factors))
-        weights = np.array([f.numerator * (D // f.denominator) for f in factors], dtype=object)
-        return tensor_from_coefficients(self.space, [Fraction(v, D) for v in weights.dot(ints)])
+        # each vector over its own denominator keeps the numerators small
+        rows = [integerize(vec) for vec in self.coefficients]
+        weights, D = integerize(rand_rational(rng) / d for _, d in rows)
+        combined = np.array(weights, dtype=object).dot(
+            np.array([nums for nums, _ in rows], dtype=object))
+        return tensor_from_coefficients(self.space, [Fraction(v, D) for v in combined])
 
     def condition_holds(self, R: CurvatureTensor, seed: int, count: int = 30) -> bool:
         """Recheck the named condition on fresh probe configurations."""
@@ -621,10 +614,8 @@ class BoundWitness:
 
     def reverify(self, R: CurvatureTensor):
         """Recompute the curvature at the stored plane by direct evaluation."""
-        space = R.space
         if self.kind == "biholomorphic":
-            num = R.eval(self.u, space.apply_J(self.u), space.apply_J(self.v), self.v)
-            return num / (space.inner(self.u, self.u) * space.inner(self.v, self.v))
+            return normalized_biholomorphic(R, self.u, self.v)
         return sectional(R, self.u, self.v)
 
 

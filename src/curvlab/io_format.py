@@ -155,8 +155,8 @@ def parse_document(text: str) -> TensorDocument:
             fields[key] = value == "true"
         elif _JROW_KEY.match(key):
             r = _number(int, _JROW_KEY.match(key).group(1), lineno, 1)
-            toks = value.split()
-            fields["J_rows"][r] = [_rational_value(t, lineno, col) for t in toks]
+            fields["J_rows"][r] = [_rational_value(tok.group(), lineno, col + tok.start())
+                                   for tok in re.finditer(r"\S+", value)]
         elif _ENTRY_KEY.match(key):
             i, j, k, l = (_number(int, g, lineno, 1) for g in _ENTRY_KEY.match(key).groups())
             fields["entries"].append((i, j, k, l, _rational_value(value, lineno, col)))

@@ -29,9 +29,11 @@ of returning a wrong basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 
 import numpy as np
+
+from .scalars import integerize
 
 _PRIMES = (33554393, 33554383, 33554371)    # the three largest primes below 2^25
 
@@ -39,9 +41,7 @@ _PRIMES = (33554393, 33554383, 33554371)    # the three largest primes below 2^2
 def integer_row(row) -> list[int]:
     """The rational row (ints, numpy ints, Fractions) scaled to coprime
     integers (a zero row stays zero)."""
-    scale = lcm(*(v.denominator for v in row if type(v) is Fraction))
-    ints = [v.numerator * (scale // v.denominator) if type(v) is Fraction
-            else int(v) * scale for v in row]
+    ints, _ = integerize(row)
     g = gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
 

@@ -15,16 +15,11 @@ four scalars are exactly what `bound_forced_identities` returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .scalars import ExactComplex
-from .spaces import (ComplexVector, GeometryError, as_complex,
-                     require_antiholomorphic_pair)
-from .tensors import CurvatureTensor
+from .spaces import GeometryError, require_antiholomorphic_pair
+from .tensors import CurvatureTensor, complex_terms, polarized_coefficients
 
 
 @dataclass(frozen=True)
@@ -106,55 +101,29 @@ class VectorFamily:
         """Family base + i*t*direction, as in complexified pinching."""
         return VectorFamily(base, direction, imaginary_direction=True)
 
-    def parts(self, space):
-        base = as_complex(space, self.base)
-        if self.direction is None:
-            return base, None
-        d = as_complex(space, self.direction)
-        if self.imaginary_direction:
-            d = ComplexVector(-np.asarray(d.im), np.asarray(d.re))
-        return base, d
-
-    def is_real(self) -> bool:
-        def real(v):
-            return v is None or not isinstance(v, ComplexVector)
-        return real(self.base) and real(self.direction) and not self.imaginary_direction
+    def terms(self) -> list:
+        """The `complex_terms` of base + t*direction (i*t*direction when
+        imaginary): the rows one slot contributes to `expand`."""
+        terms = complex_terms(self.base)
+        if self.direction is not None:
+            terms += complex_terms(self.direction, 1, 1 if self.imaginary_direction else 0)
+        return terms
 
 
 def expand(R: CurvatureTensor, f1: VectorFamily, f2: VectorFamily,
            f3: VectorFamily, f4: VectorFamily) -> TPolynomial:
     """Expand R(f1(t), f2(t), f3(t), f4(t)) into a polynomial in t.
 
-    Coefficient k is the sum of evaluations picking the direction vector in
-    exactly k slots.  Real families take the real evaluation path; anything
-    complex goes through the complex-multilinear extension.
+    One stacked contraction on each slot's base and direction rows (their
+    real and imaginary parts for complex families); coefficient k is the sum
+    of the values of t-degree k, signed by their power of i.  Real families
+    give real coefficients (`Fraction` or float), anything complex gives
+    `ExactComplex` or `complex` ones.
     """
-    fams = (f1, f2, f3, f4)
-    all_real = all(f.is_real() for f in fams)
-    space = R.space
-    if all_real:
-        slots = [(np.asarray(f.base), None if f.direction is None else np.asarray(f.direction))
-                 for f in fams]
-        ev = R.eval
-        zero = Fraction(0) if R.is_exact else 0.0
-    else:
-        slots = [f.parts(space) for f in fams]
-        ev = R.eval_c
-        zero = ExactComplex(Fraction(0), Fraction(0)) if R.is_exact else 0j
-    coeffs = [zero] * 5
-    for bits in product((0, 1), repeat=4):
-        vs = []
-        usable = True
-        for (base, direction), b in zip(slots, bits):
-            v = direction if b else base
-            if v is None:
-                usable = False
-                break
-            vs.append(v)
-        if not usable:
-            continue
-        k = sum(bits)
-        coeffs[k] = coeffs[k] + ev(*vs)
+    slots = [f.terms() for f in (f1, f2, f3, f4)]
+    coeffs = polarized_coefficients(R, slots)
+    if all(p == 0 for terms in slots for _, _, p in terms):
+        coeffs = [c.real for c in coeffs]
     return TPolynomial.of(coeffs)
 
 

@@ -10,6 +10,7 @@ exact backend and the builtin `complex` in the float backend.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,6 +83,9 @@ class ExactComplex:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
+    def __complex__(self) -> complex:
+        return complex(float(self.re), float(self.im))
+
     def _coerce(self, other):
         if isinstance(other, ExactComplex):
             return other
@@ -148,6 +152,24 @@ class ExactComplex:
 
     def __repr__(self):
         return f"({format_rational(self.re)}{'+' if self.im >= 0 else '-'}{format_rational(abs(self.im))}i)"
+
+
+def integerize(values) -> tuple[list, int] | None:
+    """(numerators, d) with values == numerators / d, d the lcm of the denominators.
+
+    Numerators are Python ints.  None when some value is not rational, that
+    is, has no numerator and denominator (ints, numpy integers and Fractions
+    have them, floats do not).
+    """
+    values = list(values)
+    try:
+        d = math.lcm(*{x.denominator for x in values})
+    except AttributeError:
+        return None
+    if d == 1:
+        return [int(x) for x in values], 1
+    # int() keeps numpy integers from overflowing against a large d
+    return [int(x.numerator) * (d // int(x.denominator)) for x in values], d
 
 
 def is_exact(x) -> bool:

@@ -14,13 +14,19 @@ curvature form
 which makes them basis independent and fixes the sign convention on
 mixed-signature planes (an orthonormal (+,-) pair has pi1(x,a,a,x) = -1).
 
-Exact tensors keep their components as a `Fraction` array, but contract on
-an integer form: Python-int numerators N over one common denominator D (the
-lcm of the component denominators), computed on the first exact contraction
-and cached on the immutable tensor.  Rational vectors are integerized the
-same way, so a contraction is plain integer multiply-add and one reduced
-`Fraction` at the end instead of a gcd per term.  The exact symmetry checks
-run on the numerators too: scaling by D preserves which sums vanish.
+Every evaluation is one kernel, `CurvatureTensor.contract`: four stacks of
+real vectors in, the array of R on every choice of one row per stack out.
+`eval` is the one-row case; `eval_c` stacks the real and imaginary parts of
+each slot and `polarization.expand` the base and direction rows of each
+family, and both sum the values by their powers of t and i
+(`polarized_coefficients`).  Exact tensors keep their components as a
+`Fraction` array, but contract on an integer form: Python-int numerators N
+over one common denominator D (the lcm of the component denominators),
+computed on the first exact contraction and cached on the immutable tensor.
+Rational vectors are integerized the same way (`scalars.integerize`), so a
+contraction is plain integer multiply-add and one reduced `Fraction` per
+value at the end instead of a gcd per term.  The exact symmetry checks run
+on the numerators too: scaling by D preserves which sums vanish.
 """
 
 from __future__ import annotations
@@ -34,11 +40,10 @@ from itertools import product
 import numpy as np
 
 from .scalars import (FLOAT_DEGENERATE_TOL, FLOAT_IDENTITY_TOL, ExactComplex,
-                      is_exact, is_zero)
+                      integerize, is_exact, is_zero)
 from .spaces import (ComplexVector, DegeneratePlaneError, DimensionMismatch,
                      GeometryError, InvariantViolation, PseudoHermitianSpace,
-                     as_complex, gram_rank, is_float_vector,
-                     require_antiholomorphic_pair)
+                     gram_rank, require_antiholomorphic_pair)
 
 
 def component_scale(C: np.ndarray) -> float:
@@ -67,36 +72,14 @@ def bianchi_project(C: np.ndarray) -> np.ndarray:
     return (2 * C - C.transpose(1, 2, 0, 3) - C.transpose(2, 0, 1, 3)) / 3
 
 
-def _integerize(values) -> tuple[list, int] | None:
-    """(numerators, d) with values == numerators / d, d the lcm of the denominators.
-
-    Numerators are Python ints.  None when some value is not an int, a
-    numpy integer or a Fraction.
-    """
-    values = list(values)
-    if not all(isinstance(x, (int, np.integer, Fraction)) for x in values):
-        return None
-    d = math.lcm(*(int(x.denominator) for x in values))
-    return [int(x.numerator) * (d // int(x.denominator)) for x in values], d
-
-
-def _integer_components(C: np.ndarray) -> tuple[np.ndarray, int] | None:
-    """(N, D) with C == N / D: Python-int numerators over one common denominator."""
-    form = _integerize(C.flat)
-    if form is None:
-        return None
-    nums, d = form
-    return np.array(nums, dtype=object).reshape(C.shape), d
-
-
 def failing_symmetries(C: np.ndarray, bianchi: bool = False) -> list[str]:
     """Names of violated tensor invariants, empty when all hold."""
     scale = component_scale(C)
     if C.dtype == object:
         # scaling by the common denominator preserves which sums vanish
-        form = _integer_components(C)
+        form = integerize(C.flat)
         if form is not None:
-            C = form[0]
+            C = np.array(form[0], dtype=object).reshape(C.shape)
     checks = [
         ("antisym-12", C + C.transpose(1, 0, 2, 3)),
         ("antisym-34", C + C.transpose(0, 1, 3, 2)),
@@ -134,61 +117,64 @@ class CurvatureTensor:
     @cached_property
     def integer_form(self) -> tuple[np.ndarray, int] | None:
         """(N, D) with components == N / D, computed once; None unless exact and rational."""
-        return _integer_components(self.components) if self.is_exact else None
+        form = integerize(self.components.flat) if self.is_exact else None
+        if form is None:
+            return None
+        return np.array(form[0], dtype=object).reshape(self.components.shape), form[1]
 
     # -- evaluation --------------------------------------------------------
 
+    def _contract(self, stacks) -> tuple[np.ndarray, int | None]:
+        """(values, D): R on every choice of one row from each of the four
+        stacks, as a (k1, k2, k3, k4) array.
+
+        On the integer form when the tensor and every row are rational: the
+        values are integer numerators over D.  Otherwise they are the
+        contraction in the tensor's own dtype (float64 stays float64) and D
+        is None.  U contracts first, on the last axis, then Z, Y and X, so
+        one-row stacks repeat the single-vector contraction bit for bit.
+        """
+        n = self.space.n
+        if any(len(v) != n for S in stacks for v in S):
+            raise DimensionMismatch("vector length does not match tensor space")
+        forms = ([integerize(x for v in S for x in v) for S in stacks]
+                 if self.integer_form else [None])
+        if None in forms:
+            out, den = self.components, None
+            rows = [np.asarray(S, dtype=out.dtype) for S in stacks]
+        else:
+            out, den = self.integer_form
+            rows = [np.array(N, dtype=object).reshape(len(S), n)
+                    for (N, _), S in zip(forms, stacks)]
+            den *= math.prod(d for _, d in forms)
+        k = 1
+        for S in reversed(rows):
+            # the axis to contract is last, the stacks so far lead
+            out = np.dot(out.reshape(-1, n, k).transpose(2, 0, 1).reshape(-1, n), S.T)
+            k = len(S)
+        k1, k2, k3, k4 = map(len, rows)
+        return out.reshape(k2, k3, k4, k1).transpose(3, 0, 1, 2), den
+
+    def contract(self, S1, S2, S3, S4) -> np.ndarray:
+        """The (k1, k2, k3, k4) array of R(S1[a], S2[b], S3[c], S4[d]) for
+        stacks of real vectors: Fractions on exact rational input, else in
+        the tensor's dtype."""
+        values, den = self._contract((S1, S2, S3, S4))
+        if den is None:
+            return values
+        return np.array([Fraction(v, den) for v in values.flat],
+                        dtype=object).reshape(values.shape)
+
     def eval(self, X, Y, Z, U):
-        """Multilinear contraction R(X,Y,Z,U) on real vectors."""
-        for v in (X, Y, Z, U):
-            if len(v) != self.space.n:
-                raise DimensionMismatch("vector length does not match tensor space")
-        form = self.integer_form
-        if form is not None:
-            vecs = [_integerize(v) for v in (U, Z, Y, X)]
-            if None not in vecs:
-                out, den = form
-                for nums, d in vecs:
-                    out = np.tensordot(out, np.array(nums, dtype=object),
-                                       axes=([out.ndim - 1], [0]))
-                    den *= d
-                return Fraction(out.item(), den)
-        out = self.components
-        for v in (U, Z, Y, X):
-            # contract in the tensor's own dtype: float64 stays float64
-            out = np.tensordot(out, np.asarray(v, dtype=out.dtype),
-                               axes=([out.ndim - 1], [0]))
-        return out.item()
+        """Multilinear contraction R(X,Y,Z,U) on real vectors: the one-row
+        case of `contract`."""
+        values, den = self._contract(((X,), (Y,), (Z,), (U,)))
+        return values.item() if den is None else Fraction(values.item(), den)
 
     def eval_c(self, X, Y, Z, U):
-        """Complex-multilinear extension; restricts to `eval` on real input."""
-        vs = [as_complex(self.space, v) for v in (X, Y, Z, U)]
-        floaty = not self.is_exact or any(is_float_vector(v) for v in (X, Y, Z, U))
-        re = im = 0
-        for bits in product((0, 1), repeat=4):
-            parts = []
-            skip = False
-            for v, b in zip(vs, bits):
-                p = v.im if b else v.re
-                if not np.any(np.asarray(p) != 0):
-                    skip = True
-                    break
-                parts.append(p)
-            if skip:
-                continue
-            val = self.eval(*parts)
-            k = sum(bits) % 4
-            if k == 0:
-                re = re + val
-            elif k == 1:
-                im = im + val
-            elif k == 2:
-                re = re - val
-            else:
-                im = im - val
-        if floaty:
-            return complex(float(re), float(im))
-        return ExactComplex(Fraction(re), Fraction(im))
+        """Complex-multilinear extension: one contraction of the real and
+        imaginary rows of every slot; restricts to `eval` on real input."""
+        return polarized_coefficients(self, [complex_terms(v) for v in (X, Y, Z, U)])[0]
 
     def to_float(self) -> "CurvatureTensor":
         if not self.is_exact:
@@ -196,6 +182,33 @@ class CurvatureTensor:
         return CurvatureTensor(self.space,
                                np.asarray(self.components, dtype=float),
                                bianchi=self.bianchi, validate=False)
+
+
+def complex_terms(v, degree: int = 0, power: int = 0) -> list:
+    """(real row, t-degree, power of i) terms of i^power * t^degree * v: one
+    for a real vector, its real and imaginary parts for a ComplexVector."""
+    if isinstance(v, ComplexVector):
+        return [(v.re, degree, power), (v.im, degree, power + 1)]
+    return [(v, degree, power)]
+
+
+def polarized_coefficients(R: CurvatureTensor, slots) -> list:
+    """Coefficients of t^0, t^1, ... of R on four slots of `complex_terms`.
+
+    One stacked contraction of every slot's rows; each value is added to the
+    coefficient of its total t-degree, signed and placed by its total power
+    of i.  Exact rational input gives `ExactComplex` coefficients, divided by
+    the common denominator once at the end; anything else gives `complex`.
+    """
+    values, den = R._contract([[row for row, _, _ in terms] for terms in slots])
+    coeffs = [[0, 0] for _ in range(1 + sum(max(d for _, d, _ in terms) for terms in slots))]
+    for picks, value in zip(product(*slots), values.flat):
+        power = sum(p for _, _, p in picks) % 4
+        acc = coeffs[sum(d for _, d, _ in picks)]
+        acc[power % 2] += value if power < 2 else -value
+    if den is None:
+        return [complex(float(re), float(im)) for re, im in coeffs]
+    return [ExactComplex(Fraction(re, den), Fraction(im, den)) for re, im in coeffs]
 
 
 @dataclass(frozen=True)
@@ -317,6 +330,8 @@ def sectional_c(R: CurvatureTensor, u, v):
     num = R.eval_c(u, v, v, u)
     if is_zero(den, FLOAT_DEGENERATE_TOL, num):
         raise DegeneratePlaneError("complexified plane is degenerate", 1)
+    if not is_exact(num):       # a float tensor on exact vectors
+        den = complex(den)
     return num / den
 
 

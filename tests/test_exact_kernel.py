@@ -2,8 +2,9 @@
 
 Exact tensors contract on Python-int numerators over one common
 denominator; these tests check every path of `CurvatureTensor.eval` and
-`eval_c` against plain `Fraction` arithmetic written out index by index, and
-`failing_symmetries` against invariants broken by hand.
+`eval_c` against plain `Fraction` arithmetic written out index by index,
+the stacked `contract` and `expand` against single evaluations,
+and `failing_symmetries` against invariants broken by hand.
 """
 
 import math
@@ -14,9 +15,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from curvlab.harness import random_tensor
+from curvlab.polarization import VectorFamily, expand
 from curvlab.scalars import ExactComplex
 from curvlab.spaces import ComplexVector, make_space
-from curvlab.tensors import failing_symmetries, from_components
+from curvlab.tensors import failing_symmetries, from_components, from_dense
 
 SPACES = [make_space(1, 0), make_space(2, 1), make_space(3, 1)]
 BIG = 2 ** 40
@@ -161,3 +163,121 @@ def test_eval_c_on_int64_vectors_is_exact(rows):
     got = R.eval_c(*ints)
     assert isinstance(got, ExactComplex)
     assert got == R.eval_c(*objs) == ExactComplex(R.eval(*ints), Fraction(0))
+
+
+@PROPERTY
+@given(st.data())
+def test_contract_stacks_every_single_eval(data):
+    R = data.draw(exact_tensors())
+    n = R.space.n
+    stacks = [data.draw(st.lists(vectors(n), min_size=1, max_size=3)) for _ in range(4)]
+    got = R.contract(*stacks)
+    assert got.shape == tuple(len(S) for S in stacks)
+    for idx in np.ndindex(got.shape):
+        assert got[idx] == R.eval(*(S[i] for S, i in zip(stacks, idx)))
+
+
+def fraction_vectors(n):
+    return st.lists(fractions, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=object))
+
+
+@st.composite
+def families(draw, n):
+    """A constant, affine or imaginary family on real or complex exact vectors."""
+    def vector():
+        if draw(st.booleans()):
+            return draw(fraction_vectors(n))
+        return ComplexVector(draw(fraction_vectors(n)), draw(fraction_vectors(n)))
+    kind = draw(st.sampled_from(("constant", "affine", "imaginary")))
+    if kind == "constant":
+        return VectorFamily.constant(vector())
+    return getattr(VectorFamily, kind)(vector(), vector())
+
+
+def family_at(f, t, n):
+    """f(t) as a real vector when f is real, else as a ComplexVector."""
+    if f.direction is None:
+        return f.base
+    if not (isinstance(f.base, ComplexVector) or isinstance(f.direction, ComplexVector)
+            or f.imaginary_direction):
+        return f.base + t * f.direction
+    zero = np.array([Fraction(0)] * n, dtype=object)
+    b, d = (v if isinstance(v, ComplexVector) else ComplexVector(v, zero)
+            for v in (f.base, f.direction))
+    if f.imaginary_direction:
+        d = ComplexVector(-d.im, d.re)
+    return ComplexVector(b.re + t * d.re, b.im + t * d.im)
+
+
+@PROPERTY
+@given(st.data())
+def test_expand_interpolates_pointwise_evaluations(data):
+    R = data.draw(exact_tensors())
+    fams = [data.draw(families(R.space.n)) for _ in range(4)]
+    p = expand(R, *fams)
+    assert p.degree <= 4
+    ts = data.draw(st.lists(st.fractions(-5, 5, max_denominator=7),
+                            min_size=5, max_size=5, unique=True))
+    for t in ts:
+        vs = [family_at(f, t, R.space.n) for f in fams]
+        if any(isinstance(v, ComplexVector) for v in vs):
+            assert p(t) == R.eval_c(*vs)
+        else:
+            assert p(t) == R.eval(*vs)
+
+
+def tensordot_eval(C, X, Y, Z, U):
+    """The single-vector contraction loop: U first, on the last axis."""
+    out = C
+    for v in (U, Z, Y, X):
+        out = np.tensordot(out, np.asarray(v, dtype=out.dtype), axes=([out.ndim - 1], [0]))
+    return out.item()
+
+
+@PROPERTY
+@given(m=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from((1e-3, 1.0, 1e6)))
+def test_float_eval_is_bit_identical_to_the_vector_loop(m, seed, scale):
+    space = make_space(m, 0)
+    rng = np.random.default_rng(seed)
+    n = space.n
+    R = from_dense(space, scale * rng.standard_normal((n, n, n, n)), symmetrize=True)
+    vs = [rng.standard_normal(n) for _ in range(4)]
+    assert R.eval(*vs).hex() == tensordot_eval(R.components, *vs).hex()
+    # exact vectors on a float tensor are converted to float64 first
+    exact = [np.array([Fraction(x).limit_denominator(1000) for x in v], dtype=object) for v in vs]
+    assert R.eval(*exact).hex() == tensordot_eval(R.components, *exact).hex()
+
+
+def pinched(R, make, x, y):
+    """expand(R, f, f', f', f) for f = x + t*y (or x + i*t*y) and f' its J-image,
+    the shape of the holomorphic and complexified family expansions."""
+    J = R.space.apply_J
+    f, fJ = make(x, y), make(J(x), J(y))
+    p = expand(R, f, fJ, fJ, f)
+    assert p.degree == 4
+    return p.coeffs
+
+
+def test_result_types():
+    space = SPACES[1]
+    R = random_tensor(space, 5)
+    rng = np.random.default_rng(0)
+    floats = [rng.standard_normal(space.n) for _ in range(2)]
+    exact = [np.array([Fraction(1, 3), Fraction(-2), 1, Fraction(1, 7)], dtype=object),
+             np.array([0, 1, Fraction(5, 2), -1], dtype=object)]
+    real, imag = VectorFamily.affine, VectorFamily.imaginary
+    # an exact tensor on float vectors computes in floats
+    assert type(R.eval(floats[0], floats[1], floats[1], floats[0])) is float
+    assert type(R.eval_c(floats[0], ComplexVector(*floats), floats[1], floats[0])) is complex
+    assert all(type(c) is float for c in pinched(R, real, *floats))
+    assert all(type(c) is complex for c in pinched(R, imag, *floats))
+    # exact input: real families give Fractions, complex ones ExactComplex
+    assert all(type(c) is Fraction for c in pinched(R, real, *exact))
+    assert all(type(c) is ExactComplex for c in pinched(R, imag, *exact))
+    # a float tensor gives floats and complex numbers on any input
+    F = R.to_float()
+    assert type(F.eval(*exact, *exact)) is float
+    assert type(F.eval_c(*exact, *exact)) is complex
+    assert all(type(c) is float for c in pinched(F, real, *exact))
+    assert all(type(c) is complex for c in pinched(F, imag, *exact))

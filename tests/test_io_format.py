@@ -66,6 +66,14 @@ class TestParse:
             parse_document(f"{HEADER}\n{line}\n")
         assert (exc.value.line, exc.value.col) == (2, col)
 
+    @pytest.mark.parametrize("row,col", [
+        ("J[1] = 0 -1/0", 10), ("J[1] = 1/0 -1", 8), ("J[1] =  0   1  x", 16),
+    ])
+    def test_bad_J_token_reports_its_own_column(self, row, col):
+        with pytest.raises(ParseError) as exc:
+            parse_document(f"{HEADER}\nm = 1\ns = 0\nJ = custom\n{row}\nJ[2] = 1 0\n")
+        assert (exc.value.line, exc.value.col) == (5, col)
+
     def test_unknown_key(self):
         with pytest.raises(ParseError) as exc:
             parse_document(f"{HEADER}\nm = 2\ns = 1\nbogus = 1\n")

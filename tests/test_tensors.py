@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curvlab.scalars import ExactComplex
+from curvlab.scalars import FLOAT_VERDICT_TOL, ExactComplex
 from curvlab.spaces import ComplexVector, DegeneratePlaneError, GeometryError
 from curvlab.tensors import (bianchi_cyclic_sum, biholomorphic,
                              curvature_of_plane, failing_symmetries,
@@ -188,6 +188,26 @@ class TestSectional:
                 continue
             assert value == ExactComplex.of(3)
             found += 1
+
+    def test_float_tensor_on_exact_vectors(self, sp21):
+        # eval_c of a float tensor is a complex; pi1_c of exact vectors an ExactComplex
+        R = random_tensor(sp21, 3)
+        rng = random.Random(20)
+        e2, e0 = sp21.basis_vector(2), sp21.basis_vector(0)
+        planes = [(e2, e0), (ComplexVector(e2, 0 * e2), e0)]
+        while len(planes) < 5:
+            u = ComplexVector(rand_vector(sp21, rng), rand_vector(sp21, rng))
+            v = ComplexVector(rand_vector(sp21, rng), rand_vector(sp21, rng))
+            if pi1_c(sp21, u, v, v, u):
+                planes.append((u, v))
+        for u, v in planes:
+            exact = complex(sectional_c(R, u, v))
+            values = [sectional_c(R.to_float(), u, v)]
+            if isinstance(u, ComplexVector):
+                values.append(curvature_of_plane(R.to_float(), u, v).value)
+            for value in values:
+                assert isinstance(value, complex)
+                assert abs(value - exact) <= FLOAT_VERDICT_TOL * max(1, abs(exact))
 
 
 class TestHolomorphicSectional:

@@ -24,6 +24,8 @@ TENSORS = {
                           "--s", "1", "--seed", "7"],
     "random_3_1.tensor": ["generate", "--model", "random", "--m", "3",
                           "--s", "1", "--seed", "11"],
+    "random_3_0.tensor": ["generate", "--model", "random", "--m", "3",
+                          "--s", "0", "--seed", "13"],
 }
 
 REPORTS = {
@@ -40,6 +42,10 @@ REPORTS = {
                                         "--family", "holomorphic", "--seed", "5"],
     "expand_spaceform_complexified.out": ["expand", "-i", "golden/spaceform_3_0.tensor",
                                           "--family", "complexified", "--seed", "5"],
+    "expand_random_3_0_complexified.out": ["expand", "-i", "golden/random_3_0.tensor",
+                                           "--family", "complexified", "--seed", "5"],
+    "expand_random_3_1_holomorphic.out": ["expand", "-i", "golden/random_3_1.tensor",
+                                          "--family", "holomorphic", "--seed", "5"],
     "probe_constant.out": ["probe", "-i", "golden/constant_2_1.tensor"],
     "probe_random.out": ["probe", "-i", "golden/random_2_1.tensor"],
     "verify_lemma1.out": ["verify", "--theorem", "lemma1", "--m", "2", "--s", "1",
