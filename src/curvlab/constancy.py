@@ -26,7 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .scalars import FLOAT_DEGENERATE_TOL, FLOAT_VERDICT_TOL, is_zero
-from .spaces import GeometryError, PseudoHermitianSpace, tuple_from_rng
+from .spaces import (GeometryError, PseudoHermitianSpace, realizable,
+                     tuple_from_rng)
 from .tensors import (CurvatureTensor, component_scale, holomorphic_sectional,
                       sectional)
 
@@ -75,10 +76,10 @@ def _comparators(R: CurvatureTensor):
 
 def _sign_patterns(space: PseudoHermitianSpace, k: int):
     """Realizable antiholomorphic sign patterns of length k, most positive first."""
-    plus, minus = space.m - space.s, space.s
     for p in range(k, -1, -1):
-        if p <= plus and k - p <= minus:
-            yield (1,) * p + (-1,) * (k - p)
+        pattern = (1,) * p + (-1,) * (k - p)
+        if realizable(space, pattern):
+            yield pattern
 
 
 # -- holomorphic ------------------------------------------------------------
@@ -308,8 +309,9 @@ def lemma3_check(R: CurvatureTensor, probes: int = 60, seed: int = 0) -> Equival
     same, zero = _comparators(R)
     a_ok, b_ok = True, True
     wit_a = wit_b = None
+    (pattern,) = _sign_patterns(space, 3)     # all positive or all negative
     for _ in range(probes):
-        u, v, w = tuple_from_rng(space, rng, (1, 1, 1), antiholomorphic=True)
+        u, v, w = tuple_from_rng(space, rng, pattern, antiholomorphic=True)
         for (p, q, r) in ((u, v, w), (v, w, u), (w, u, v)):
             aval = R.eval(p, q, r, p)
             if a_ok and not zero(aval):

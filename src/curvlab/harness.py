@@ -10,17 +10,21 @@ tested through their dichotomy: bounds hold on constant models, and
 nonconstant tensors must blow up along pinching families approaching
 isotropic planes.
 
-The catalog is two tables.  `CONDITIONS` describes each hypothesis once: the
-space requirements it needs, its identities as lists of 4-vector slot tuples
-whose R-values must sum to zero, and two configuration samplers.  Constraint
-rows are the identities written as functionals on the pair-symmetric basis
-(products of 2-form components) at parametrized integer configurations;
-`condition_holds` rechecks the same identities with `R.eval` on independent
-isometry-built unit configurations.  `_THEOREMS` maps
-each catalog id to its requirements and a runner: imposed-hypothesis
-classification, the unboundedness dichotomy, or the definite-case bound
-check, each parametrized by a row of data.  Each space requirement is a
-named `_Need` written once and shared by every entry that has it.
+The catalog is three tables.  `CONDITIONS` describes each hypothesis once:
+the space requirements it needs, its identities as lists of 4-vector slot
+tuples whose R-values must sum to zero, and two configuration samplers.
+Constraint rows are the identities written as functionals on the
+pair-symmetric basis (products of 2-form components) at parametrized integer
+configurations; `condition_holds` rechecks the same identities with `R.eval`
+on independent isometry-built unit configurations.  `PROBE_KINDS` describes
+each pinching family once: the sign pattern of its drawn tuple, its
+multiplicity and ladder side, its curvature expression, and its bounded
+values on the two models.  `_THEOREMS` maps each catalog id to its
+requirements and a runner: imposed-hypothesis classification, the
+unboundedness dichotomy, or the definite-case bound check, each parametrized
+by a row of data.  Each space requirement is a named `_Need` written once and
+shared by every entry that has it; which sign patterns exist on a space is
+decided by `spaces.realizable` alone.
 
 Pinching families are evaluated through their exact polynomial coefficients
 rewritten in powers of sigma = 1 - t^2.  Near t = +-1 a direct float
@@ -49,7 +53,7 @@ from .polarization import (TPolynomial, VectorFamily, bound_forced_identities,
 from .scalars import (FLOAT_IDENTITY_TOL, FLOAT_REVERIFY_TOL, format_scalar,
                       integerize, is_zero, rand_rational)
 from .spaces import (GeometryError, PseudoHermitianSpace, light_isometry,
-                     random_isometry, tuple_from_rng)
+                     random_isometry, realizable, tuple_from_rng)
 from .tensors import (CurvatureTensor, from_dense, pi1_components, sectional)
 
 
@@ -164,12 +168,9 @@ class _Need:
 
 
 def _thmA_x_signs(space) -> list[int]:
-    signs = []
-    if space.m - space.s >= 2 and space.s >= 1:
-        signs.append(1)
-    if space.s >= 2 and space.m - space.s >= 1:
-        signs.append(-1)
-    return signs
+    """Signs of X for which (X, xi) spans a weakly isotropic antiholomorphic
+    plane: xi needs a positive and a negative J-block besides X's."""
+    return [x for x in (1, -1) if realizable(space, (x, 1, -1))]
 
 
 _M_ABOVE_1 = _Need("m > 1", lambda sp: sp.m > 1)
@@ -177,11 +178,11 @@ _M_ABOVE_2 = _Need("m > 2", lambda sp: sp.m > 2)
 _INDEFINITE = _Need("an indefinite space", lambda sp: sp.is_indefinite)
 _DEFINITE = _Need("a definite space", lambda sp: sp.s == 0)
 _TWO_POSITIVE_BLOCKS = _Need("at least two positive J-blocks (m - s >= 2)",
-                             lambda sp: sp.m - sp.s >= 2)
+                             lambda sp: realizable(sp, (1, 1)))
 _ISOTROPIC_PLANES = _Need("weakly isotropic antiholomorphic planes",
                           lambda sp: bool(_thmA_x_signs(sp)))
 _MIXED_TRIPLES = _Need("(+,+,-) triples",
-                       lambda sp: _kind_realizable(sp, "biholomorphic"))
+                       lambda sp: realizable(sp, (1, 1, -1)))
 
 
 def _require(name: str, needs: tuple, space: PseudoHermitianSpace) -> None:
@@ -496,75 +497,53 @@ def impose(space: PseudoHermitianSpace, condition_id: str, seed: int = 0) -> Con
 
 # -- pinching families and the unboundedness probe ----------------------------
 
-PROBE_KINDS = ("holomorphic", "antiholomorphic:(+,+)", "antiholomorphic:(+,-)",
-               "antiholomorphic:(-,-)", "biholomorphic")
+@dataclass(frozen=True)
+class _Kind:
+    """One pinching family, approaching isotropic planes of one signature.
+
+    The drawn orthonormal antiholomorphic tuple is (base, direction) or
+    (base, partner, direction); the family's planes are span{u, v} with
+    u = base + t*direction and v = Ju or the partner.  Its numerator is
+    R(u,v,v,u), or R(u,Ju,Jv,v) when biholomorphic, over
+    sigma^multiplicity, sigma = 1 - t^2.
+    """
+
+    pattern: tuple             # signs of the drawn tuple
+    multiplicity: int
+    above_one: bool            # ladder approaches t = 1 from above
+    biholomorphic: bool
+    model_values: tuple        # bounded maxima on the c=3 constant-curvature
+                               # model and the c=2 holomorphic model
+
+
+PROBE_KINDS = {
+    "holomorphic": _Kind((1, -1), 2, False, False, (3.0, 2.0)),
+    "antiholomorphic:(+,+)": _Kind((1, 1, -1), 1, False, False, (3.0, 0.5)),
+    "antiholomorphic:(+,-)": _Kind((1, 1, -1), 1, True, False, (3.0, 0.5)),
+    "antiholomorphic:(-,-)": _Kind((-1, -1, 1), 1, False, False, (3.0, 0.5)),
+    "biholomorphic": _Kind((1, 1, -1), 1, False, True, (0.0, 1.0)),
+}
 
 
 def _kind_realizable(space, kind) -> bool:
-    plus, minus = space.m - space.s, space.s
-    if kind == "holomorphic":
-        return plus >= 1 and minus >= 1
-    if kind in ("antiholomorphic:(+,+)", "antiholomorphic:(+,-)", "biholomorphic"):
-        return plus >= 2 and minus >= 1
-    if kind == "antiholomorphic:(-,-)":
-        return minus >= 2 and plus >= 1
-    raise GeometryError(f"unknown probe kind {kind!r}")
+    if kind not in PROBE_KINDS:
+        raise GeometryError(f"unknown probe kind {kind!r}")
+    return realizable(space, PROBE_KINDS[kind].pattern)
 
 
-@dataclass(frozen=True)
-class _Family:
-    """One pinching family: numerator polynomial over sigma^multiplicity."""
+def _family_for(R, row: _Kind, tup) -> TPolynomial:
+    """The numerator of `row`'s family through the drawn tuple."""
+    J = R.space.apply_J
 
-    kind: str
-    poly: TPolynomial
-    multiplicity: int
-    above_one: bool            # ladder approaches t = 1 from above
-    base: np.ndarray
-    direction: np.ndarray
-    partner: Optional[np.ndarray]   # second spanning vector when not J-implied
+    def image(f):
+        """J applied to a family, built only for the kinds that use it."""
+        return VectorFamily(J(f.base), None if f.direction is None else J(f.direction))
 
-    def spanning_pair(self, space, t):
-        u = np.asarray(self.base) + t * np.asarray(self.direction)
-        v = space.apply_J(u) if self.partner is None else self.partner
-        return u, v
-
-
-def _family_for(R, kind, tup) -> _Family:
-    space = R.space
-    J = space.apply_J
-    if kind == "holomorphic":
-        x, a = tup
-        fam = VectorFamily.affine(x, a)
-        famJ = VectorFamily.affine(J(x), J(a))
-        p = expand(R, fam, famJ, famJ, fam)
-        return _Family(kind, p, 2, False, x, a, None)
-    if kind in ("antiholomorphic:(+,+)", "antiholomorphic:(+,-)"):
-        x, y, a = tup
-        fam = VectorFamily.affine(x, a)
-        cy = VectorFamily.constant(y)
-        p = expand(R, fam, cy, cy, fam)
-        return _Family(kind, p, 1, kind.endswith("(+,-)"), x, a, y)
-    if kind == "antiholomorphic:(-,-)":
-        a1, a2, x = tup
-        fam = VectorFamily.affine(a1, x)
-        c2 = VectorFamily.constant(a2)
-        p = expand(R, fam, c2, c2, fam)
-        return _Family(kind, p, 1, False, a1, x, a2)
-    if kind == "biholomorphic":
-        x, y, a = tup
-        fam = VectorFamily.affine(x, a)
-        famJ = VectorFamily.affine(J(x), J(a))
-        p = expand(R, fam, famJ, VectorFamily.constant(J(y)), VectorFamily.constant(y))
-        return _Family(kind, p, 1, False, x, a, y)
-    raise GeometryError(f"unknown probe kind {kind!r}")
-
-
-def _tuple_for_kind(space, rng, kind):
-    if kind == "holomorphic":
-        return tuple_from_rng(space, rng, (1, -1), antiholomorphic=True)
-    if kind == "antiholomorphic:(-,-)":
-        return tuple_from_rng(space, rng, (-1, -1, 1), antiholomorphic=True)
-    return tuple_from_rng(space, rng, (1, 1, -1), antiholomorphic=True)
+    base, *partner, direction = tup
+    u = VectorFamily.affine(base, direction)
+    v = VectorFamily.constant(partner[0]) if partner else image(u)
+    slots = (u, image(u), image(v), v) if row.biholomorphic else (u, v, v, u)
+    return expand(R, *slots)
 
 
 def _sigma_coefficients(p: TPolynomial):
@@ -575,7 +554,7 @@ def _sigma_coefficients(p: TPolynomial):
     return E, O
 
 
-def _family_value(fam: _Family, k: int):
+def _family_value(row: _Kind, poly: TPolynomial, k: int):
     """Family value at the k-th ladder rung, evaluated cancellation-free.
 
     Exact Fraction arithmetic end to end: t = 1 -+ 2^-k and sigma = 1 - t^2
@@ -583,14 +562,14 @@ def _family_value(fam: _Family, k: int):
     blow-up detection never rides on float cancellation noise.
     """
     step = Fraction(1, 2 ** k)
-    if fam.above_one:
+    if row.above_one:
         t = 1 + step
         sigma = -step * (2 + step)
     else:
         t = 1 - step
         sigma = step * (2 - step)
-    E, O = _sigma_coefficients(fam.poly)
-    m = fam.multiplicity
+    E, O = _sigma_coefficients(poly)
+    m = row.multiplicity
     value = 0
     for j, e in enumerate(E):
         value = value + e * sigma ** (j - m)
@@ -614,7 +593,7 @@ class BoundWitness:
 
     def reverify(self, R: CurvatureTensor):
         """Recompute the curvature at the stored plane by direct evaluation."""
-        if self.kind == "biholomorphic":
+        if PROBE_KINDS[self.kind].biholomorphic:
             return normalized_biholomorphic(R, self.u, self.v)
         return sectional(R, self.u, self.v)
 
@@ -644,26 +623,36 @@ def probe_unboundedness(R: CurvatureTensor, threshold: float = 1e6,
     if kinds is None:
         kinds = [k for k in PROBE_KINDS if _kind_realizable(space, k)]
     else:
+        kinds = list(kinds)      # an iterator would be spent by this check
         for k in kinds:
             if not _kind_realizable(space, k):
                 raise GeometryError(f"probe kind {k!r} not realizable on this signature")
+    if not kinds:
+        raise GeometryError("unboundedness probing needs at least one probe kind")
     probes, rungs = budget
     if probes < 1 or rungs < 1:
         raise GeometryError("unboundedness probing needs at least one pair and one rung")
+    if not (threshold > 0 and math.isfinite(threshold)):
+        raise GeometryError(f"unboundedness threshold must be finite and positive, "
+                            f"got {threshold!r}")
     max_abs, max_kind = 0.0, None
     evaluations = 0
     for p_idx in range(probes):
         rng = random.Random(seed * 1_000_003 + p_idx)
         for kind in kinds:
-            fam = _family_for(R, kind, _tuple_for_kind(space, rng, kind))
+            row = PROBE_KINDS[kind]
+            tup = tuple_from_rng(space, rng, row.pattern, antiholomorphic=True)
+            poly = _family_for(R, row, tup)
             for k in range(1, rungs + 1):
-                t, value = _family_value(fam, k)
+                t, value = _family_value(row, poly, k)
                 evaluations += 1
                 fval = float(value)
                 if abs(fval) > max_abs:
                     max_abs, max_kind = abs(fval), kind
                 if abs(fval) > threshold:
-                    u, v = fam.spanning_pair(space, t)
+                    base, *partner, direction = tup
+                    u = np.asarray(base) + t * np.asarray(direction)
+                    v = partner[0] if partner else space.apply_J(u)
                     witness = BoundWitness(kind, u, v, t, value, threshold)
                     return ProbeReport(True, witness, max_abs, max_kind,
                                        evaluations, threshold)
@@ -715,14 +704,6 @@ def _hypothesis(cond_id, classifier, label, extra_needs=()) -> _Theorem:
                     partial(_run_hypothesis, cond_id, classifier, label))
 
 
-_MODEL_EXPECTED = {
-    # probe family -> (constant-curvature value c=3, H-model value c=2)
-    "holomorphic": (3.0, 2.0),
-    "antiholomorphic": (3.0, 0.5),
-    "biholomorphic": (0.0, 1.0),
-}
-
-
 def _realizable_kinds(space, family) -> list[str]:
     return [k for k in PROBE_KINDS
             if k.split(":")[0] == family and _kind_realizable(space, k)]
@@ -743,7 +724,7 @@ def _check_dichotomy(kinds, classifier, label, space, trials, seed, threshold, b
         if not ok and payload is None:
             payload = (R, rep)
 
-    c3, c2 = _MODEL_EXPECTED[kinds[0].split(":")[0]]
+    c3, c2 = PROBE_KINDS[kinds[0]].model_values
     bounded_check("constant-curvature c=3", model_constant_sectional(space, 3), c3)
     bounded_check("holomorphic-model c=2", model_complex_space_form(space, 2), c2)
 

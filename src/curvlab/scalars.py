@@ -11,6 +11,7 @@ exact backend and the builtin `complex` in the float backend.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,6 +59,21 @@ def format_scalar(x) -> str:
     return format_rational(x) if isinstance(x, Fraction) else repr(x)
 
 
+def _mixed(op):
+    """An `ExactComplex` binary operation on ExactComplex, int and Fraction
+    operands that also takes float and complex ones: those give a builtin
+    complex, as a Fraction with a float gives a float."""
+
+    def method(self, other):
+        if isinstance(other, (float, complex)):
+            return getattr(complex(self), op.__name__)(other)
+        if isinstance(other, (int, Fraction)):
+            other = ExactComplex(Fraction(other), Fraction(0))
+        return op(self, other) if isinstance(other, ExactComplex) else NotImplemented
+
+    return method
+
+
 @dataclass(frozen=True)
 class ExactComplex:
     """Complex number with exact rational real and imaginary parts."""
@@ -86,69 +102,57 @@ class ExactComplex:
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
-    def _coerce(self, other):
-        if isinstance(other, ExactComplex):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ExactComplex(Fraction(other), Fraction(0))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_mixed
+    def __add__(self, o):
         return ExactComplex(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_mixed
+    def __sub__(self, o):
         return ExactComplex(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_mixed
+    def __rsub__(self, o):
         return ExactComplex(o.re - self.re, o.im - self.im)
 
     def __neg__(self):
         return ExactComplex(-self.re, -self.im)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_mixed
+    def __mul__(self, o):
         return ExactComplex(self.re * o.re - self.im * o.im,
                             self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_mixed
+    def __truediv__(self, o):
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("division by zero ExactComplex")
         return ExactComplex((self.re * o.re + self.im * o.im) / d,
                             (self.im * o.re - self.re * o.im) / d)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+    @_mixed
+    def __rtruediv__(self, o):
+        return o / self
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        # exact values: a Fraction compares exactly with a float
+        if isinstance(other, (ExactComplex, int, Fraction, float, complex)):
+            return self.re == other.real and self.im == other.imag
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # CPython's complex hash, so that equal int, Fraction, float, complex
+        # and ExactComplex values hash alike; no float() conversion, which
+        # overflows on large Fractions
+        width = sys.hash_info.width
+        h = (hash(self.re) + sys.hash_info.imag * hash(self.im)) % (1 << width)
+        if h >= 1 << (width - 1):
+            h -= 1 << width
+        return -2 if h == -1 else h
 
     def __repr__(self):
         return f"({format_rational(self.re)}{'+' if self.im >= 0 else '-'}{format_rational(abs(self.im))}i)"

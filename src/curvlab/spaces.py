@@ -507,18 +507,21 @@ def random_isometry(space: PseudoHermitianSpace, rng: random.Random,
     return light_isometry(space.metric_signs, rng, unitary=unitary)
 
 
-def _normalize_pattern(pattern) -> tuple:
-    out = []
+def realizable(space: PseudoHermitianSpace, pattern, antiholomorphic: bool = True) -> bool:
+    """Whether an orthonormal tuple with the signs of `pattern` exists.
+
+    The +1 and -1 signs must each fit: against the positive and negative
+    J-blocks for antiholomorphic tuples (one vector per block), against the
+    positive and negative coordinates otherwise.  A sign other than +-1
+    raises `UnrealizablePatternError`.
+    """
+    pattern = tuple(pattern)
     for p in pattern:
-        if p in (1, -1):
-            out.append(int(p))
-        elif p in ("+", "+1"):
-            out.append(1)
-        elif p in ("-", "-1"):
-            out.append(-1)
-        else:
+        if p not in (1, -1):
             raise UnrealizablePatternError(f"bad sign {p!r} in pattern")
-    return tuple(out)
+    per_block = 1 if antiholomorphic else 2
+    return (pattern.count(1) <= per_block * (space.m - space.s)
+            and pattern.count(-1) <= per_block * space.s)
 
 
 def tuple_from_rng(space: PseudoHermitianSpace, rng: random.Random, pattern,
@@ -527,18 +530,19 @@ def tuple_from_rng(space: PseudoHermitianSpace, rng: random.Random, pattern,
 
     The tuple is the image of standard basis vectors (one per J-block when
     antiholomorphic) under a random isometry, of which only those columns
-    are computed.
+    are computed.  Raises `UnrealizablePatternError` unless `realizable`.
     """
-    pattern = _normalize_pattern(pattern)
+    pattern = tuple(pattern)
+    fits = realizable(space, pattern, antiholomorphic)
     plus, minus = pattern.count(1), pattern.count(-1)
     if antiholomorphic:
         if not space.has_canonical_J:
             raise GeometryError("antiholomorphic tuples require the canonical J")
-        if plus > space.m - space.s or minus > space.s:
+        if not fits:
             raise UnrealizablePatternError(
                 f"antiholomorphic pattern {pattern} needs {plus} positive and "
                 f"{minus} negative J-blocks; space has {space.m - space.s} and {space.s}")
-    elif plus > 2 * (space.m - space.s) or minus > 2 * space.s:
+    elif not fits:
         raise UnrealizablePatternError(
             f"pattern {pattern} exceeds signature ({2*space.s}, {2*(space.m-space.s)})")
     # negative coordinates come first; one seed per J-block when antiholomorphic

@@ -126,6 +126,17 @@ class TestExitCodes:
         assert code == 2
         assert "exceeded" not in out
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1", "0"])
+    def test_degenerate_probe_threshold_rejected(self, threshold):
+        code, out = run_cli(["probe", "-i", str(GOLDEN / "random_2_1.tensor"),
+                             "--threshold", threshold])
+        assert code == 2
+        assert "exceeded" not in out
+        code, out = run_cli(["verify", "--theorem", "thm1", "--m", "2", "--s", "1",
+                             "--trials", "1", "--threshold", threshold])
+        assert code == 2
+        assert "status" not in out
+
     def test_uncertified_elimination_exits_two(self, monkeypatch, capsys):
         # with tiny primes the echelon basis cannot be lifted and certified;
         # the ArithmeticError becomes an error line, not a traceback

@@ -261,6 +261,16 @@ class TestEquivalenceReport:
         assert (rep.condition_a, rep.condition_b, rep.condition_c) == (True, True, True)
         assert rep.agree
 
+    def test_negative_definite_space(self):
+        # s = m: the triples are (-,-,-), the one realizable pattern of length 3
+        sp33 = make_space(3, 3)
+        for R, want in ((model_complex_space_form(sp33, 4), True),
+                        (model_constant_sectional(sp33, 3), True),
+                        (random_tensor(sp33, 23), False)):
+            rep = lemma3_check(R, probes=10)
+            assert (rep.condition_a, rep.condition_b, rep.condition_c) == (want,) * 3
+            assert rep.agree
+
     def test_requires_definite_and_m3(self, sp31, sp20):
         with pytest.raises(GeometryError):
             lemma3_check(random_tensor(sp31, 1))

@@ -85,9 +85,28 @@ class TestProbeUnboundedness:
         rep = probe_unboundedness(model_complex_space_form(sp21, 2))
         assert not rep.exceeded and rep.max_abs == 2.0
 
-    def test_threshold_zero_crosses_immediately(self, sp21):
-        rep = probe_unboundedness(model_constant_sectional(sp21, 3), threshold=0.0)
+    def test_tiny_threshold_crosses_immediately(self, sp21):
+        rep = probe_unboundedness(model_constant_sectional(sp21, 3), threshold=1e-9)
         assert rep.exceeded and rep.evaluations == 1
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_degenerate_threshold_rejected(self, sp21, threshold):
+        # NaN never compares above, inf is never crossed, and a threshold <= 0
+        # is crossed by every value, so none of them tests a bound
+        with pytest.raises(GeometryError):
+            probe_unboundedness(random_tensor(sp21, 1), threshold=threshold)
+
+    def test_empty_kinds_rejected(self, sp21):
+        # a bounded verdict from zero evaluations would assert nothing
+        with pytest.raises(GeometryError):
+            probe_unboundedness(random_tensor(sp21, 1), kinds=[])
+        rep = probe_unboundedness(model_constant_sectional(sp21, 3), budget=(2, 3),
+                                  kinds=iter(["holomorphic"]))
+        assert rep.evaluations == 2 * 3
+
+    def test_unknown_kind_rejected(self, sp21):
+        with pytest.raises(GeometryError, match="unknown probe kind"):
+            probe_unboundedness(random_tensor(sp21, 1), kinds=["antiholomorphic"])
 
     def test_random_tensor_crosses_with_reverifiable_witness(self, sp21):
         for seed in range(5):

@@ -82,3 +82,54 @@ class TestExactComplexField:
         assert ExactComplex.of(p) * r == ExactComplex.of(p * r)
         assert (a * b).real == p * r - q * s and (a * b).imag == p * s + q * r
         assert hash(ExactComplex.of(p, q)) == hash(a)
+
+
+dyadic = st.integers(-2 ** 40, 2 ** 40).map(lambda k: Fraction(k, 2 ** 20))
+floats = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+class TestExactComplexMixed:
+    @given(fractions, fractions, floats, floats)
+    def test_float_and_complex_operands_give_builtin_complex(self, p, q, x, y):
+        a, c = ExactComplex(p, q), complex(p, q)
+        for other in (x, complex(x, y)):
+            for got, want in ((a + other, c + other), (other + a, other + c),
+                              (a - other, c - other), (other - a, other - c),
+                              (a * other, c * other), (other * a, other * c)):
+                assert type(got) is complex and got == want
+            if other:
+                assert type(a / other) is complex and a / other == c / other
+            if a:
+                assert type(other / a) is complex and other / a == other / c
+
+    @given(dyadic, dyadic)
+    def test_equality_and_hash_agree_with_builtin_numbers(self, p, q):
+        a = ExactComplex(p, q)
+        c = complex(float(p), float(q))       # dyadic values convert exactly
+        assert a == c and c == a and hash(a) == hash(c)
+        if q == 0:
+            assert a == float(p) and hash(a) == hash(float(p)) == hash(p)
+        assert len({a, c}) == 1
+
+    @given(fractions, fractions)
+    def test_equality_with_floats_is_exact(self, p, q):
+        a = ExactComplex(p, q)
+        c = complex(p, q)
+        assert (a == c) == (p == c.real and q == c.imag)
+        assert a != complex(float("nan"), 0)
+
+    def test_hash_of_integers_and_large_fractions(self):
+        assert ExactComplex.of(3) == 3 and len({ExactComplex.of(3), 3}) == 1
+        assert hash(ExactComplex.of(Fraction(1, 3))) == hash(Fraction(1, 3))
+        huge = ExactComplex.of(10 ** 400, Fraction(1, 7))   # too large for a float
+        assert isinstance(hash(huge), int) and huge != complex(1e308, 0)
+
+    @given(st.lists(exact_complex, min_size=1, max_size=5), floats)
+    def test_exact_complex_polynomial_at_a_float(self, coeffs, t):
+        from curvlab.polarization import TPolynomial
+        got = TPolynomial(tuple(coeffs))(t)
+        want = 0
+        for c in reversed(coeffs):
+            want = want * t + complex(c)
+        assert isinstance(got, complex)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from curvlab.spaces import (ComplexVector, DependentVectorsError,
                             InvariantViolation, UnrealizablePatternError,
                             canonical_complex_structure,
                             classify_plane, gram_schmidt_tuple, make_space,
-                            random_isometry)
+                            random_isometry, realizable, tuple_from_rng)
 
 from conftest import rand_vector
 
@@ -245,3 +246,62 @@ class TestGramSchmidtTuple:
             gram_schmidt_tuple(sp20, 1, (1, 1, 1), antiholomorphic=True)
         with pytest.raises(UnrealizablePatternError):
             gram_schmidt_tuple(sp21, 1, (-1, -1, -1))
+
+
+SPACES_UP_TO_4 = [(m, s) for m in range(1, 5) for s in range(m + 1)]
+PATTERNS_UP_TO_4 = [p for k in range(5) for p in product((1, -1), repeat=k)]
+
+
+class TestRealizable:
+    @pytest.mark.parametrize("m,s", SPACES_UP_TO_4)
+    @pytest.mark.parametrize("antiholomorphic", [True, False])
+    def test_tuple_exists_exactly_when_realizable(self, m, s, antiholomorphic):
+        sp = make_space(m, s)
+        rng = random.Random(m * 10 + s)
+        per_block = 1 if antiholomorphic else 2
+        for pattern in PATTERNS_UP_TO_4:
+            fits = (pattern.count(1) <= per_block * (m - s)
+                    and pattern.count(-1) <= per_block * s)
+            assert realizable(sp, pattern, antiholomorphic) == fits
+            if not fits:
+                with pytest.raises(UnrealizablePatternError):
+                    tuple_from_rng(sp, rng, pattern, antiholomorphic)
+                continue
+            tup = tuple_from_rng(sp, rng, pattern, antiholomorphic)
+            assert len(tup) == len(pattern)
+            for i, u in enumerate(tup):
+                for j, v in enumerate(tup):
+                    assert sp.inner(u, v) == (pattern[i] if i == j else 0)
+                    if antiholomorphic:
+                        assert sp.inner(u, sp.apply_J(v)) == 0
+
+    @pytest.mark.parametrize("sign", ["+", "+1", "-", "-1", 0, 2, None])
+    def test_signs_other_than_one_rejected(self, sp31, sign):
+        with pytest.raises(UnrealizablePatternError, match="bad sign"):
+            realizable(sp31, (1, sign))
+        with pytest.raises(UnrealizablePatternError, match="bad sign"):
+            tuple_from_rng(sp31, random.Random(0), (1, sign), antiholomorphic=True)
+
+    @pytest.mark.parametrize("m,s", SPACES_UP_TO_4)
+    def test_callers_keep_their_earlier_formulas(self, m, s):
+        # the per-caller sign counts that `realizable` replaced, written out
+        from curvlab.constancy import _sign_patterns
+        from curvlab.harness import PROBE_KINDS, _kind_realizable, _thmA_x_signs
+        sp = make_space(m, s)
+        plus, minus = m - s, s
+        kinds = {
+            "holomorphic": plus >= 1 and minus >= 1,
+            "antiholomorphic:(+,+)": plus >= 2 and minus >= 1,
+            "antiholomorphic:(+,-)": plus >= 2 and minus >= 1,
+            "antiholomorphic:(-,-)": minus >= 2 and plus >= 1,
+            "biholomorphic": plus >= 2 and minus >= 1,
+        }
+        assert list(PROBE_KINDS) == list(kinds)
+        assert {k: _kind_realizable(sp, k) for k in PROBE_KINDS} == kinds
+        for k in range(5):
+            assert list(_sign_patterns(sp, k)) == [
+                (1,) * p + (-1,) * (k - p) for p in range(k, -1, -1)
+                if p <= plus and k - p <= minus]
+        x_signs = [1] if plus >= 2 and minus >= 1 else []
+        x_signs += [-1] if minus >= 2 and plus >= 1 else []
+        assert _thmA_x_signs(sp) == x_signs

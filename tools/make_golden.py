@@ -54,6 +54,12 @@ REPORTS = {
                         "--trials", "2", "--seed", "3"],
     "verify_thm7.out": ["verify", "--theorem", "thm7", "--m", "3", "--s", "0",
                         "--trials", "1", "--seed", "3"],
+    "verify_remark1_3_1.out": ["verify", "--theorem", "remark1", "--m", "3",
+                               "--s", "1", "--trials", "1", "--seed", "3"],
+    "verify_remark1_3_2.out": ["verify", "--theorem", "remark1", "--m", "3",
+                               "--s", "2", "--trials", "1", "--seed", "3"],
+    "verify_thm4.out": ["verify", "--theorem", "thm4", "--m", "3", "--s", "1",
+                        "--trials", "1", "--seed", "3"],
     "lemma3_spaceform.out": ["lemma3", "-i", "golden/spaceform_3_0.tensor",
                              "--probes", "10"],
     "check_spaceform.out": ["check-symmetries", "-i", "golden/spaceform_3_0.tensor",
