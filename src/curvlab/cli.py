@@ -130,7 +130,10 @@ def _cmd_classify(args) -> int:
              f"space = m={doc.m} s={doc.s}",
              f"backend = {args.backend}"]
     lines += _verdict_lines("holomorphic", constant_holomorphic(R, seed=args.seed))
-    if R.space.m > 2:
+    # antiholomorphic frames are drawn for the canonical block structure only
+    missing = ("m > 2" if R.space.m <= 2 else
+               None if R.space.has_canonical_J else "the canonical J")
+    if missing is None:
         lines += _verdict_lines(
             "antiholomorphic",
             constant_antiholomorphic(R, probes=args.probes, seed=args.seed))
@@ -138,8 +141,8 @@ def _cmd_classify(args) -> int:
             "biholomorphic",
             constant_biholomorphic(R, probes=args.probes, seed=args.seed))
     else:
-        lines.append("antiholomorphic.status = unavailable (needs m > 2)")
-        lines.append("biholomorphic.status = unavailable (needs m > 2)")
+        lines.append(f"antiholomorphic.status = unavailable (needs {missing})")
+        lines.append(f"biholomorphic.status = unavailable (needs {missing})")
     _emit(lines)
     return 0
 

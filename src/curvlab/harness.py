@@ -1,24 +1,24 @@
 """Model tensors, hypothesis constraint systems, and theorem verification.
 
 Quantified curvature hypotheses ("... = 0 for every antiholomorphic pair")
-are linear in the tensor, so they are imposed by instantiating the condition
-on seeded integer points of its configuration variety, drawn from a
-polynomial parametrization of that variety, until the constraint rank is
-stable for ten consecutive draws, then taking the certified exact nullspace
-inside the symmetry-reduced component space.  Boundedness statements are
-tested through their dichotomy: bounds hold on constant models, and
+are linear in the tensor and invariant under the pseudo-unitary group
+U(p, q) of (g, J).  They are imposed exactly, without sampling: the
+constraint rows at one representative configuration per orbit are closed
+under u(p, q), and the solutions are the certified exact nullspace of the
+closure in the symmetry-reduced component space.  Boundedness statements
+are tested through their dichotomy: bounds hold on constant models, and
 nonconstant tensors must blow up along pinching families approaching
 isotropic planes.
 
 The catalog is three tables.  `CONDITIONS` describes each hypothesis once:
 the space requirements it needs, its identities as lists of 4-vector slot
-tuples whose R-values must sum to zero, and two configuration samplers.
-Constraint rows are the identities written as functionals on the
-pair-symmetric basis (products of 2-form components) at parametrized integer
-configurations; `condition_holds` rechecks the same identities with `R.eval`
-on independent isometry-built unit configurations.  `PROBE_KINDS` describes
-each pinching family once: the sign pattern of its drawn tuple, its
-multiplicity and ladder side, its curvature expression, and its bounded
+tuples whose R-values must sum to zero, the equations of its configurations,
+its orbit representatives and a configuration sampler.  Constraint rows are
+the identities written as functionals on the pair-symmetric basis (products
+of 2-form components); `condition_holds` rechecks the same identities with
+`R.eval` on independent isometry-built unit configurations.  `PROBE_KINDS`
+describes each pinching family once: the sign pattern of its drawn tuple,
+its multiplicity and ladder side, its curvature expression, and its bounded
 values on the two models.  `_THEOREMS` maps each catalog id to its
 requirements and a runner: imposed-hypothesis classification, the
 unboundedness dichotomy, or the definite-case bound check, each parametrized
@@ -53,7 +53,8 @@ from .polarization import (TPolynomial, VectorFamily, bound_forced_identities,
 from .scalars import (FLOAT_IDENTITY_TOL, FLOAT_REVERIFY_TOL, format_scalar,
                       integerize, is_zero, rand_rational)
 from .spaces import (GeometryError, PseudoHermitianSpace, light_isometry,
-                     random_isometry, realizable, tuple_from_rng)
+                     random_isometry, realizable, seed_columns, tuple_from_rng,
+                     unitary_generators)
 from .tensors import (CurvatureTensor, from_dense, pi1_components, sectional)
 
 
@@ -194,131 +195,32 @@ def _require(name: str, needs: tuple, space: PseudoHermitianSpace) -> None:
 #
 # Every condition is a polynomial identity in its configuration, linear in R
 # and homogeneous in each quantified vector, so unit-length normalizations
-# are dropped: constraint rows come from integer points of the configuration
-# variety, drawn from a polynomial parametrization evaluated on the box
-# [-3, 3]^n, with no sign tests and no rejection.
-#
-# - Pair variety (eq1, lemma2): P = {(x, a): g(x,a) = g(x,Ja) = 0}.  Over
-#   q(x) != 0 it is a vector bundle of rank n - 2, a smooth manifold of
-#   dimension 2n - 2.  a = g(x,x) t - g(x,t) x - g(Jx,t) Jx is g(x,x) times
-#   the projection of t onto span{x, Jx}^perp, so (x, t) -> (x, a) maps
-#   onto that bundle.  eq1's (+,-) and lemma2's (+,+) pairs are its open
-#   subsets q(x) > 0, q(a) < 0 or > 0.
-# - Isotropic variety (thmA, thm3): I = {(X, xi): q(xi) = 0, g(X,xi) =
-#   g(X,J xi) = 0}.  Over the null cone minus 0 (smooth of dimension n - 1,
-#   and xi, J xi independent there) it is a bundle of rank n - 2.  With a
-#   fixed null e, xi = q(t) e - 2 b(t,e) t projects from e onto the cone
-#   (t = xi' + lambda e gives -2 b(xi',e) xi'), and X, the generalized cross
-#   product of the two forms with free vectors, sweeps out the fibre.  The
-#   planes span{X, xi} the theorems quantify over are the open subsets
-#   q(X) > 0 or q(X) < 0.
-# - Complexified isotropic variety (thm6): the same projection over C^n,
-#   with t = t1 + i t2 and e = e_0 + i e_2, covers the complex null cone
-#   xi = u + i v, and x comes from the real kernel of u, v, Ju, Jv.  Where
-#   those four are independent (an open condition that orthonormal
-#   configurations meet off a null set) the kernel is a bundle of rank n - 4.
-#
-# Each variety is the Zariski closure of the image of an affine space under
-# its parametrization, hence irreducible, and the image contains a nonempty
-# Euclidean-open set of its smooth real points of top dimension.  The
-# sign-restricted configurations of the theorems are another such open set
-# wherever the `_Need`s hold.  A nonempty open set of smooth real points of
-# an irreducible variety is Zariski-dense in it (Bochnak, Coste & Roy, *Real
-# Algebraic Geometry*, ch. 2-3), so an identity vanishes on the
-# sign-restricted set iff it vanishes on the variety iff it vanishes on the
-# parametrized points, and the certified echelon basis of the solutions is
-# the same as with sign-restricted configurations.  Saturation is
-# unchanged: sampling stops after ten consecutive draws with no rank
-# growth.  A Schwartz-Zippel bound on missing a constraint (degree over box
-# size) says nothing useful at box size 7, so no such bound is claimed.
-# The recheck path `condition_holds` uses the independent isometry-based
-# unit configurations of `iso_configs`.
+# are dropped.  Its configurations are invariant under the pseudo-unitary
+# group U(p, q) of (g, J), which by Witt's theorem for Hermitian forms
+# (Scharlau, *Quadratic and Hermitian Forms*, 1985) moves a configuration to
+# any other with the same Hermitian Gram matrix.  Up to scale there are a
+# few orbits: one per sign pattern for the pairs of eq1 and lemma2, one per
+# sign of X for the weakly isotropic planes of thmA and thm3, and for thm6 a
+# family whose identities are quadratic in v = c Ju + s w, spanned by three
+# values of (c, s).  U(p, q) is connected, so the constraint rows span the
+# smallest u(p, q)-invariant space holding the rows at the representatives.
 
-def _small_int_vector(rng, n, bound=3) -> np.ndarray:
-    return np.array([rng.randint(-bound, bound) for _ in range(n)], dtype=object)
+def _block_vectors(space, pattern) -> list:
+    """Standard basis vectors with the signs of `pattern`, in distinct J-blocks."""
+    return [space.basis_vector(c) for c in seed_columns(space, pattern, antiholomorphic=True)]
 
 
-def _unit(n, i) -> np.ndarray:
-    e = np.zeros(n, dtype=object)
-    e[i] = 1
-    return e
+def _isotropic_representatives(space) -> list:
+    """(X, e+ + e-) from three J-blocks, for each realizable sign of X."""
+    return [(X, plus + minus) for X, plus, minus in
+            (_block_vectors(space, (x, 1, -1)) for x in _thmA_x_signs(space))]
 
 
-def _det(rows) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss elimination)."""
-    M = [list(r) for r in rows]
-    n = len(M)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not M[k][k]:
-            swap = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if swap is None:
-                return 0
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[-1][-1]
-
-
-def _kernel_point(rows, frees) -> np.ndarray:
-    """Generalized cross product of the n - 1 vectors `rows` + `frees`.
-
-    Entry i is (-1)^i times the minor with column i deleted, so the result
-    annihilates every row; as the free vectors vary it sweeps out the common
-    kernel of the rows.  Rows may be rational (they are scaled to integers)
-    and the result is divided by its content.
-    """
-    M = [integer_row(r) for r in rows] + [list(f) for f in frees]
-    x = [(-1) ** i * _det([r[:i] + r[i + 1:] for r in M]) for i in range(len(M) + 1)]
-    g = math.gcd(*x)
-    return np.array([v // g for v in x] if g > 1 else x, dtype=object)
-
-
-def _lower(space, v) -> list:
-    """The linear form g(., v) as a coefficient row."""
-    return [sg * a for sg, a in zip(space.metric_signs, v)]
-
-
-def _null_point(space, t, e):
-    """xi = q(t) e - 2 b(t,e) t for complex t = t[0] + i t[1] and e = e[0] + i e[1],
-    with q and b complex-bilinear; xi = xi[0] + i xi[1] is null when e is."""
-    g = space.inner
-    (t0, t1), (e0, e1) = t, e
-    qr, qi = g(t0, t0) - g(t1, t1), 2 * g(t0, t1)
-    br, bi = g(t0, e0) - g(t1, e1), g(t0, e1) + g(t1, e0)
-    return (qr * e0 - qi * e1 - 2 * (br * t0 - bi * t1),
-            qr * e1 + qi * e0 - 2 * (br * t1 + bi * t0))
-
-
-def _int_pair_config(space, rng):
-    """(x, a) with g(x,a) = g(x,Ja) = 0."""
-    g, J = space.inner, space.apply_J
-    x, t = _small_int_vector(rng, space.n), _small_int_vector(rng, space.n)
-    return [(x, g(x, x) * t - g(x, t) * x - g(J(x), t) * J(x))]
-
-
-def _int_isotropic_config(space, rng):
-    """(X, xi) with q(xi) = 0 and g(X,xi) = g(X,J xi) = 0."""
-    n = space.n
-    zero = np.zeros(n, dtype=object)
-    e = _unit(n, 0) + _unit(n, 2 * space.s)     # one negative, one positive coordinate
-    xi, _ = _null_point(space, (_small_int_vector(rng, n), zero), (e, zero))
-    X = _kernel_point([_lower(space, xi), _lower(space, space.apply_J(xi))],
-                      [_small_int_vector(rng, n) for _ in range(n - 3)])
-    return [(X, xi)]
-
-
-def _int_complex_isotropic_config(space, rng):
-    """(x, u, v) with q_C(u + i v) = 0 and u, v, Ju, Jv orthogonal to x."""
-    n = space.n
-    t = (_small_int_vector(rng, n), _small_int_vector(rng, n))
-    u, v = _null_point(space, t, (_unit(n, 0), _unit(n, 2)))   # definite metric
-    x = _kernel_point([_lower(space, w) for w in (u, v, space.apply_J(u), space.apply_J(v))],
-                      [_small_int_vector(rng, n) for _ in range(n - 5)])
-    return [(x, u, v)]
+def _complex_isotropic_representatives(space) -> list:
+    """(x, u, v) with v = c Ju + s w at three points (c, s) of the circle."""
+    x, u, w = _block_vectors(space, (1, 1, 1))
+    return [(x, u, c * space.apply_J(u) + s * w)
+            for c, s in ((1, 0), (0, 1), (Fraction(3, 5), Fraction(4, 5)))]
 
 
 def _off_block_frame(space, rng, b0):
@@ -357,22 +259,27 @@ class _Condition:
 
     `identities(J, *config)` lists the identities, each a list of 4-slot
     vector tuples whose R-values sum to zero; signs ride in the slot vectors.
-    `int_configs` draws integer points of the configuration variety for
-    constraint rows and `iso_configs` the independent isometry-built unit
-    configurations for rechecks.
+    `equations(g, J, *config)` lists values that vanish on configurations,
+    `representatives` gives one per U(p, q) orbit (up to scale) for the
+    constraint rows, and `iso_configs` draws independent unit ones for rechecks.
     """
 
     needs: tuple
     identities: Callable
-    int_configs: Callable[[PseudoHermitianSpace, random.Random], list]
+    equations: Callable
+    representatives: Callable[[PseudoHermitianSpace], list]
     iso_configs: Callable[[PseudoHermitianSpace, random.Random], list]
 
-    def rows(self, space, rng) -> list:
-        """One constraint row per identity and integer configuration."""
-        J = space.apply_J
-        return [sum(_functional(*slots) for slots in identity)
-                for config in self.int_configs(space, rng)
-                for identity in self.identities(J, *config)]
+    def rows(self, space) -> np.ndarray:
+        """Integer constraint rows at the representatives, checked on their equations."""
+        g, J = space.inner, space.apply_J
+        rows = []
+        for config in self.representatives(space):
+            if not all(is_zero(e, FLOAT_IDENTITY_TOL) for e in self.equations(g, J, *config)):
+                raise GeometryError("a representative configuration fails its equations")
+            rows += [integer_row(sum(_functional(*slots) for slots in identity))
+                     for identity in self.identities(J, *config)]
+        return np.array(rows, dtype=object)
 
     def holds(self, R: CurvatureTensor, rng) -> bool:
         J = R.space.apply_J
@@ -386,16 +293,18 @@ def _pair_condition(needs, partner_sign):
     return _Condition(
         needs,
         lambda J, x, a: [[(x, J(x), J(x), a), (x, J(x), J(a), x)]],
-        _int_pair_config,
+        lambda g, J, x, a: [g(x, a), g(x, J(a))],
+        lambda sp: [tuple(_block_vectors(sp, (1, partner_sign)))],
         lambda sp, rng: [tuple_from_rng(sp, rng, (1, partner_sign),
                                         antiholomorphic=True)])
 
 
 def _isotropic_condition(identities):
-    """An identity on weakly isotropic antiholomorphic planes span{X, xi};
-    rechecks draw one configuration per realizable sign of X."""
+    """An identity on weakly isotropic antiholomorphic planes span{X, xi}."""
     return _Condition(
-        (_M_ABOVE_2, _ISOTROPIC_PLANES), identities, _int_isotropic_config,
+        (_M_ABOVE_2, _ISOTROPIC_PLANES), identities,
+        lambda g, J, X, xi: [g(xi, xi), g(X, xi), g(X, J(xi))],
+        _isotropic_representatives,
         lambda sp, rng: [_isotropic_config(sp, rng, x_sign)
                          for x_sign in _thmA_x_signs(sp)])
 
@@ -410,7 +319,10 @@ CONDITIONS = {
         (_DEFINITE, _M_ABOVE_2),
         lambda J, x, u, v: [[(x, u, u, x), (x, v, v, -x)],
                             [(x, u, v, x), (x, v, u, x)]],
-        _int_complex_isotropic_config,
+        # q_C(u + i v) = 0, and u, v, Ju, Jv orthogonal to x
+        lambda g, J, x, u, v: [g(u, u) - g(v, v), g(u, v)]
+        + [g(x, w) for w in (u, v, J(u), J(v))],
+        _complex_isotropic_representatives,
         lambda sp, rng: [_complexified_isotropic_config(sp, rng)]),
 }
 
@@ -421,7 +333,7 @@ class ConstraintSystem:
 
     `coefficients` is the certified nullspace basis as vectors of rational
     coordinates on the pair-symmetric basis (`_pair_orbits`); tensors are
-    built from them only on demand.
+    built from them only on demand.  `probes_used` counts the rows offered.
     """
 
     space: PseudoHermitianSpace
@@ -429,7 +341,6 @@ class ConstraintSystem:
     rank: int
     coefficients: tuple
     probes_used: int
-    seed: int
 
     @property
     def dimension(self) -> int:
@@ -458,41 +369,61 @@ class ConstraintSystem:
         return all(cond.holds(R, rng) for _ in range(count))
 
 
-# Consecutive probe configurations that must add no rank before `impose`
-# stops (the "ten consecutive draws" of the saturation note above).
-SATURATION_RUN = 10
+def _two_form_action(K) -> np.ndarray:
+    """K's derivation on 2-forms, e_i ^ e_j -> Ke_i ^ e_j + e_i ^ Ke_j, as a
+    matrix on the 2-form indices P = (i < j)."""
+    iu, ju = np.triu_indices(len(K), 1)
+    k, l, i, j = iu[:, None], ju[:, None], iu, ju
+    return (K[k, i] * (l == j) - K[k, j] * (l == i)
+            - K[l, i] * (k == j) + K[l, j] * (k == i))
+
+
+def _images(K2, rows) -> np.ndarray:
+    """The nonzero images of integer constraint rows under the generator with
+    2-form action K2, divided by their content.  A row r is the symmetric
+    form S with S_PQ = r_PQ off the diagonal and S_PP = 2 r_PP on 2-forms; it
+    maps to K2 S + S K2^T = T + T^T with T = K2 S, again even on the diagonal.
+    """
+    ia, ib = np.triu_indices(len(K2))
+    fits = 4 * len(K2) * int(np.abs(K2).max()) * int(np.abs(rows).max()) < 2 ** 62
+    dtype = np.int64 if fits else object
+    S = np.zeros((len(rows),) + K2.shape, dtype=dtype)
+    S[:, ia, ib] = rows
+    S += S.transpose(0, 2, 1)
+    T = np.matmul(K2.astype(dtype), S)
+    out = T[:, ia, ib] + np.where(ia == ib, 0, T[:, ib, ia])
+    out = out[out.any(axis=1)]
+    return out // np.gcd.reduce(out, axis=1)[:, None]
 
 
 def impose(space: PseudoHermitianSpace, condition_id: str, seed: int = 0) -> ConstraintSystem:
-    """Impose a quantified curvature condition by rank-saturating probes.
+    """Impose a quantified curvature condition: close its representative rows
+    under u(p, q) and take the certified exact nullspace.
 
-    Fresh probe configurations are instantiated until `SATURATION_RUN`
-    consecutive draws add no rank; the system's coefficient vectors then
-    span the solutions inside the pair-symmetric component space (no
-    Bianchi projection).  `RowReducer.nullspace` certifies them exactly
-    against every row offered, so rank and basis are exact over Q.
+    The rows at the representatives are offered, then each generator's
+    images of the rows absorbed in the previous layer, until a layer absorbs
+    nothing.  The offered rows then span an invariant space that holds the
+    representative rows: the whole constraint space.  The basis spans the
+    solutions in the pair-symmetric component space (no Bianchi projection).
+    Nothing is drawn, so the result does not depend on `seed`.
     """
     if condition_id not in CONDITIONS:
         raise GeometryError(f"unknown condition {condition_id!r}")
     cond = CONDITIONS[condition_id]
     _require(condition_id, cond.needs, space)
-    ncols = len(_pair_orbits(space.n))
-    reducer = RowReducer(ncols)
-    rng = random.Random(seed * 1_000_003 + 17)
-    consecutive = 0
-    used = 0
-    cap = 10 * ncols + 100
-    while consecutive < SATURATION_RUN:
-        grew = False
-        for row in cond.rows(space, rng):
-            if reducer.add_row(row):
-                grew = True
-        used += 1
-        consecutive = 0 if grew else consecutive + 1
-        if used > cap:
-            raise GeometryError(f"rank saturation did not stabilize after {cap} probes")
+    actions = [_two_form_action(K) for K in unitary_generators(space)]
+    reducer = RowReducer(len(_pair_orbits(space.n)))
+    rows = cond.rows(space)
+    layer, offered = rows[reducer.add_rows(rows)], len(rows)
+    while len(layer):
+        absorbed = []
+        for K2 in actions:
+            images = _images(K2, layer)
+            offered += len(images)
+            absorbed.append(images[reducer.add_rows(images)])
+        layer = np.concatenate(absorbed)
     return ConstraintSystem(space, condition_id, reducer.rank,
-                            tuple(reducer.nullspace()), used, seed)
+                            tuple(reducer.nullspace()), offered)
 
 
 # -- pinching families and the unboundedness probe ----------------------------

@@ -545,19 +545,43 @@ def tuple_from_rng(space: PseudoHermitianSpace, rng: random.Random, pattern,
     elif not fits:
         raise UnrealizablePatternError(
             f"pattern {pattern} exceeds signature ({2*space.s}, {2*(space.m-space.s)})")
-    # negative coordinates come first; one seed per J-block when antiholomorphic
-    step = 2 if antiholomorphic else 1
-    next_minus, next_plus = 0, 2 * space.s
-    cols = []
-    for p in pattern:
-        if p == 1:
-            cols.append(next_plus)
-            next_plus += step
-        else:
-            cols.append(next_minus)
-            next_minus += step
+    cols = seed_columns(space, pattern, antiholomorphic)
     T = light_isometry(space.metric_signs, rng, unitary=antiholomorphic, columns=cols)
     return [_freeze(T[:, t].copy()) for t in range(len(cols))]
+
+
+def seed_columns(space: PseudoHermitianSpace, pattern,
+                 antiholomorphic: bool = False) -> list[int]:
+    """Indices of distinct standard basis vectors with the signs of `pattern`,
+    one per J-block when antiholomorphic: the negative coordinates come
+    first, the positive ones after them, each taken in order."""
+    step = 2 if antiholomorphic else 1
+    return [(0 if p == -1 else 2 * space.s) + step * pattern[:i].count(p)
+            for i, p in enumerate(pattern)]
+
+
+def unitary_generators(space: PseudoHermitianSpace) -> tuple:
+    """3m - 2 integer generators K = G B of the Lie algebra u(p, q) of (g, J).
+
+    G = diag(metric signs), and B is the real form on the canonical J-blocks
+    of a block phase i E_bb or, for consecutive blocks, of the plain or the
+    J-twisted rotation E_bc - E_cb or i (E_bc + E_cb): the infinitesimal
+    steps of `light_isometry(unitary=True)`.  GeometryError unless every K
+    commutes with `space.J` and is g-skew, which holds for J = +-canonical J.
+    """
+    G, E = np.diag(np.array(space.metric_signs)), np.eye(space.m, dtype=np.int64)
+    one, i = np.eye(2, dtype=np.int64), np.array([[0, -1], [1, 0]])
+    Bs = [np.kron(np.outer(E[b], E[b]), i) for b in range(space.m)]
+    for b in range(space.m - 1):
+        Ebc = np.outer(E[b], E[b + 1])
+        Bs += [np.kron(Ebc - Ebc.T, one), np.kron(Ebc + Ebc.T, i)]
+    gens = tuple(_freeze(G.dot(B)) for B in Bs)
+    J = space.J
+    if not all(is_zero(x, FLOAT_DEGENERATE_TOL) for K in gens
+               for x in [*(K.dot(J) - J.dot(K)).flat, *(K.T.dot(G) + G.dot(K)).flat]):
+        raise GeometryError("u(p,q) generators need J = +-canonical J: "
+                            "a generator is not g-skew or does not commute with J")
+    return gens
 
 
 def gram_schmidt_tuple(space: PseudoHermitianSpace, seed: int, pattern,

@@ -7,6 +7,9 @@ import pytest
 
 from curvlab import cli, linsolve
 from curvlab.cli import main
+from curvlab.harness import model_constant_sectional
+from curvlab.io_format import document_from_tensor, serialize_document
+from curvlab.spaces import canonical_complex_structure, make_space
 
 from conftest import run_python
 
@@ -193,6 +196,20 @@ class TestCommandBehavior:
         assert code == 0
         assert "exceeded = false" in out
         assert "max-abs = 3.0" in out
+
+    def test_classify_with_custom_J_keeps_the_holomorphic_verdict(self, tmp_path):
+        # antiholomorphic frames need the canonical J; the holomorphic verdict
+        # is still reported, and the other two are marked unavailable
+        space = make_space(3, 0, J=-canonical_complex_structure(3))
+        doc = tmp_path / "flipped.tensor"
+        doc.write_text(serialize_document(document_from_tensor(
+            model_constant_sectional(space, 1), name="flipped")), encoding="ascii")
+        code, out = run_cli(["classify", "-i", str(doc)])
+        assert code == 0
+        assert out.splitlines()[-4:] == [
+            "holomorphic.status = constant", "holomorphic.value = 1",
+            "antiholomorphic.status = unavailable (needs the canonical J)",
+            "biholomorphic.status = unavailable (needs the canonical J)"]
 
     def test_float_backend_classify(self):
         code, out = run_cli(["classify", "-i", str(GOLDEN / "spaceform_3_0.tensor"),

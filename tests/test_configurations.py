@@ -1,20 +1,26 @@
-"""Parametrized probe configurations of `impose` and the bases they give.
+"""Orbit representatives and u(p, q) generators of `impose`, and the bases
+they give.
 
-Each condition draws its constraint configurations from a polynomial
-parametrization of its configuration variety.  The property tests check
-that every draw lies on the variety; the pinned digests check that the
-certified solution bases are byte-identical to those of the rejection
-sampler this parametrization replaced.
+`impose` closes the constraint rows at one representative configuration per
+U(p, q) orbit under the generators of `spaces.unitary_generators`.  The
+tests check both premises exactly: the representatives lie on their
+configuration varieties with the signs the theorems quantify over, and the
+generators span u(p, q).  The pinned digests check that the certified
+solution bases are byte-identical to those of the samplers the closure
+replaced.
 """
 
 import hashlib
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from curvlab.harness import CONDITIONS, impose
-from curvlab.spaces import make_space
+from curvlab import harness
+from curvlab.harness import CONDITIONS, _thmA_x_signs, impose
+from curvlab.linsolve import RowReducer, integer_row
+from curvlab.spaces import (GeometryError, canonical_complex_structure, make_space,
+                            unitary_generators)
 
 
 def realizable(cond_id, max_m=4):
@@ -23,46 +29,125 @@ def realizable(cond_id, max_m=4):
             if all(need.holds(make_space(m, s)) for need in CONDITIONS[cond_id].needs)]
 
 
-def draws(cond_id):
-    return st.tuples(st.sampled_from(realizable(cond_id)), st.integers(0, 2 ** 32))
+SIGNS = {
+    # the squared lengths of the quantified vectors in each representative
+    "eq1": lambda sp: [(1, -1)],
+    "lemma2": lambda sp: [(1, 1)],
+    "thmA": lambda sp: [(x, 0) for x in _thmA_x_signs(sp)],
+    "thm3": lambda sp: [(x, 0) for x in _thmA_x_signs(sp)],
+    "thm6": lambda sp: [(1, 1, 1)] * 3,
+}
 
 
-def configs(cond_id, signature, seed):
-    space = make_space(*signature)
-    return space, CONDITIONS[cond_id].int_configs(space, random.Random(seed))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["eq1", "lemma2"]).flatmap(lambda c: st.tuples(st.just(c), draws(c))))
-def test_pair_configurations_are_antiholomorphic(case):
-    cond_id, (signature, seed) = case
-    space, drawn = configs(cond_id, signature, seed)
+@pytest.mark.parametrize("cond_id,m,s", [(c, m, s) for c in CONDITIONS
+                                         for m, s in realizable(c)])
+def test_representatives_lie_on_their_varieties(cond_id, m, s):
+    space = make_space(m, s)
     g, J = space.inner, space.apply_J
-    for x, a in drawn:
-        assert g(x, a) == 0 and g(x, J(a)) == 0
+    cond = CONDITIONS[cond_id]
+    configs = cond.representatives(space)
+    assert [tuple(g(v, v) for v in config) for config in configs] == SIGNS[cond_id](space)
+    for config in configs:
+        assert all(e == 0 for e in cond.equations(g, J, *config))
+        assert any(v.any() for v in config[1:])      # xi and v are not zero
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["thmA", "thm3"]).flatmap(lambda c: st.tuples(st.just(c), draws(c))))
-def test_isotropic_configurations_are_weakly_isotropic(case):
-    cond_id, (signature, seed) = case
-    space, drawn = configs(cond_id, signature, seed)
-    g, J = space.inner, space.apply_J
-    for X, xi in drawn:
-        assert g(xi, xi) == 0
-        assert g(X, xi) == 0 and g(X, J(xi)) == 0
+def test_thm6_representatives_span_the_family():
+    # v = c Ju + s w with (c, s) on the unit circle; the identities are
+    # quadratic forms in (c, s), spanned by their values at the three points
+    space = make_space(3, 0)
+    (_, u, v0), (_, _, v1), (_, _, v2) = CONDITIONS["thm6"].representatives(space)
+    assert (v0 == space.apply_J(u)).all() and space.inner(v1, u) == 0
+    quads = [[c * c, c * s, s * s] for c, s in ((v[3], v[4]) for v in (v0, v1, v2))]
+    assert np.linalg.matrix_rank(np.array(quads, dtype=float)) == 3
 
 
-@settings(max_examples=40, deadline=None)
-@given(draws("thm6"))
-def test_complexified_configurations_are_isotropic(case):
-    signature, seed = case
-    space, drawn = configs("thm6", signature, seed)
-    g, J = space.inner, space.apply_J
-    for x, u, v in drawn:
-        # q_C(u + i v) = q(u) - q(v) + 2 i g(u, v)
-        assert g(u, u) == g(v, v) and g(u, v) == 0
-        assert all(g(x, w) == 0 for w in (u, v, J(u), J(v)))
+SIGNATURES = [(m, s) for m in range(1, 7) for s in range(m + 1)]
+
+
+@pytest.mark.parametrize("m,s", SIGNATURES)
+def test_generators_are_unitary(m, s):
+    space = make_space(m, s)
+    G = np.diag(space.metric_signs)
+    gens = unitary_generators(space)
+    assert len(gens) == 3 * m - 2
+    for K in gens:
+        assert (K.dot(space.J) == space.J.dot(K)).all()
+        assert (K.T.dot(G) + G.dot(K) == 0).all()
+
+
+@pytest.mark.parametrize("m,s", [(2, 1), (3, 0), (3, 2)])
+def test_row_images_are_derivatives(m, s):
+    # the image of the row of R(a,b,c,d) under K is the row of its
+    # derivative along K, sum_i R(..., K slot_i, ...), up to content
+    space = make_space(m, s)
+    rng = random.Random(m + s)
+    slots = [np.array([rng.randint(-3, 3) for _ in range(space.n)]) for _ in range(4)]
+    row = integer_row(harness._functional(*slots))
+    for K in unitary_generators(space):
+        derivative = sum(harness._functional(*(K.dot(v) if i == j else v
+                                               for j, v in enumerate(slots)))
+                         for i in range(4))
+        image = harness._images(harness._two_form_action(K), np.array([row]))
+        assert image.tolist() == ([integer_row(derivative)] if derivative.any() else [])
+
+
+def lie_closure_dimension(gens) -> int:
+    """Dimension of the Lie algebra the integer matrices `gens` generate.
+
+    Brackets with the generators are offered layer by layer, as `impose`
+    offers row images.  The absorbed matrices are independent modulo a
+    prime, hence over Q, so the result is a lower bound on the exact
+    dimension; it is the exact dimension once it reaches dim u(p, q) = m^2,
+    which holds every bracket of the generators.
+    """
+    n = len(gens[0])
+    reducer = RowReducer(n * n)
+    layer = [K for K in gens if reducer.add_row(K.ravel())]
+    while layer:
+        layer = [Y for X in layer for K in gens for Y in [K.dot(X) - X.dot(K)]
+                 if reducer.add_row(Y.ravel())]
+    return reducer.rank
+
+
+@pytest.mark.parametrize("m,s", SIGNATURES)
+def test_generators_span_u_pq(m, s):
+    assert lie_closure_dimension(unitary_generators(make_space(m, s))) == m * m
+
+
+def test_closure_without_the_block_phases_falls_short(monkeypatch):
+    # Negative control.  Dropping one plain or J-twisted rotation loses
+    # nothing (a bracket of a phase with the other rotation restores it),
+    # but brackets are traceless, so without the phases the generators span
+    # su(p, q) only.  The closure then misses rows, and the row certificate
+    # cannot notice: it only checks the rows that were offered.
+    space = make_space(3, 2)
+    gens = unitary_generators(space)
+    for drop in range(3, len(gens)):
+        assert lie_closure_dimension(gens[:drop] + gens[drop + 1:]) == 9
+    assert lie_closure_dimension(gens[3:]) == 8
+    monkeypatch.setattr(harness, "unitary_generators", lambda sp: unitary_generators(sp)[sp.m:])
+    assert impose(space, "thmA").rank == 77
+    monkeypatch.undo()
+    assert impose(space, "thmA").rank == 89
+
+
+@pytest.mark.parametrize("cond_id,m,s", [("eq1", 3, 1), ("thm3", 3, 1), ("thm6", 3, 0)])
+def test_negated_J_gives_the_canonical_basis(cond_id, m, s):
+    flipped = make_space(m, s, J=-canonical_complex_structure(m))
+    canonical = impose(make_space(m, s), cond_id)
+    system = impose(flipped, cond_id)
+    assert (system.rank, system.coefficients) == (canonical.rank, canonical.coefficients)
+
+
+def test_block_swapping_J_is_refused():
+    # a valid J on (3,1) that pairs the two positive J-blocks' coordinates
+    J = np.zeros((6, 6), dtype=int)
+    J[1, 0], J[0, 1] = 1, -1
+    J[4, 2], J[2, 4], J[5, 3], J[3, 5] = 1, -1, 1, -1
+    space = make_space(3, 1, J=J.tolist())
+    with pytest.raises(GeometryError, match="J"):
+        impose(space, "eq1")
 
 
 def test_realizable_signatures_cover_every_condition():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -98,6 +99,32 @@ def row_systems(draw):
         rows.append([ca * x + cb * y for x, y in zip(a, b)])
     rows += draw(st.lists(st.sampled_from(base), max_size=2))
     return ncols, draw(st.permutations(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_systems())
+def test_block_offer_matches_row_by_row(system):
+    # add_rows screens modulo the first prime and passes survivors to add_row
+    ncols, rows = system
+    one_by_one = RowReducer(ncols)
+    absorbed = [i for i, row in enumerate(rows) if one_by_one.add_row(row)]
+    red = RowReducer(ncols)
+    half = len(rows) // 2
+    got = red.add_rows(np.array(rows[:half], dtype=np.int64).reshape(-1, ncols))
+    got += [half + i for i in red.add_rows(np.array(rows[half:], dtype=np.int64))]
+    assert got == absorbed
+    assert red.nullspace() == one_by_one.nullspace()
+
+
+def test_annihilation_check_is_exact():
+    q = (2 ** 25 - 1) * (2 ** 25 - 3) * (2 ** 25 - 5)     # the first three moduli
+    for rows, cols, zero in [
+            ([[1, 2 ** 80]], [[2 ** 80], [-1]], True),        # needs seven moduli
+            ([[1, 2 ** 80]], [[2 ** 80 + 1], [-1]], False),
+            ([[q]], [[1]], False),                             # zero modulo three of them
+            ([[3, 4], [1, 0]], [[0], [0]], True)]:
+        assert linsolve._annihilates([np.array(rows, dtype=object)],
+                                     np.array(cols, dtype=object)) is zero
 
 
 @settings(max_examples=60, deadline=None)

@@ -60,6 +60,12 @@ REPORTS = {
                                "--s", "2", "--trials", "1", "--seed", "3"],
     "verify_thm4.out": ["verify", "--theorem", "thm4", "--m", "3", "--s", "1",
                         "--trials", "1", "--seed", "3"],
+    "verify_thmA_3_1.out": ["verify", "--theorem", "thmA", "--m", "3", "--s", "1",
+                            "--trials", "2", "--seed", "3"],
+    "verify_thm3_3_1.out": ["verify", "--theorem", "thm3", "--m", "3", "--s", "1",
+                            "--trials", "2", "--seed", "3"],
+    "verify_thm6_3_0.out": ["verify", "--theorem", "thm6", "--m", "3", "--s", "0",
+                            "--trials", "2", "--seed", "3"],
     "lemma3_spaceform.out": ["lemma3", "-i", "golden/spaceform_3_0.tensor",
                              "--probes", "10"],
     "check_spaceform.out": ["check-symmetries", "-i", "golden/spaceform_3_0.tensor",
