@@ -9,6 +9,7 @@ input, or hypothesis-violating parameters.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -27,8 +28,7 @@ from .polarization import (bound_forced_identities,
                            holomorphic_family_expansion)
 from .scalars import format_scalar
 from .spaces import GeometryError, gram_schmidt_tuple, make_space
-from .tensors import (bianchi_project, dense_components, failing_symmetries,
-                      symmetrize_components)
+from .tensors import failing_symmetries
 
 REPORT_HEADER = "curvlab-report/1"
 
@@ -99,14 +99,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_check_symmetries(args) -> int:
     doc = read_document(args.input)
-    space = make_space(doc.m, doc.s, J=doc.J)
-    C = dense_components(space.n, [(i - 1, j - 1, k - 1, l - 1, v)
-                                   for (i, j, k, l, v) in doc.entries])
-    if doc.symmetrize:
-        C = symmetrize_components(C)
-    if doc.bianchi:
-        C = bianchi_project(C)
-    bad = failing_symmetries(C, bianchi=args.bianchi or doc.bianchi)
+    bad = failing_symmetries(build_tensor(doc, validate=False).components,
+                             bianchi=args.bianchi or doc.bianchi)
     names = ["antisym-12", "antisym-34", "pair-exchange"]
     if args.bianchi or doc.bianchi:
         names.append("bianchi")
@@ -239,7 +233,10 @@ def _cmd_lemma3(args) -> int:
     return 0 if rep.agree else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: in-process callers
+    run many commands, and parsing leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="curvlab",
         description="Curvature algebra for almost Hermitian inner-product spaces.")
@@ -301,9 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -31,7 +31,7 @@ from typing import Optional
 
 from .scalars import format_rational
 from .spaces import GeometryError, make_space
-from .tensors import CurvatureTensor, from_components
+from .tensors import CurvatureTensor, dense_components, from_dense
 
 HEADER = "curvlab-tensor/1"
 
@@ -62,18 +62,15 @@ class TensorDocument:
     entries: tuple = ()                # ((i, j, k, l, Fraction), ...) 1-based
 
     def canonical(self) -> "TensorDocument":
-        ents = sorted((e for e in self.entries if e[4] != 0),
-                      key=lambda e: e[:4])
-        merged = []
-        for e in ents:
-            if merged and tuple(merged[-1][:4]) == tuple(e[:4]):
-                merged[-1][4] += e[4]
-            else:
-                merged.append(list(e))
+        """Entries sorted by index, repeated indices summed, zeros dropped."""
+        summed = {}
+        for *key, v in self.entries:
+            key = tuple(key)
+            summed[key] = summed[key] + v if key in summed else v
         return TensorDocument(
             self.m, self.s, self.J, self.name, self.seed,
             self.symmetrize, self.bianchi,
-            tuple((i, j, k, l, v) for i, j, k, l, v in merged if v != 0))
+            tuple((*key, v) for key, v in sorted(summed.items()) if v))
 
 
 def _number(convert, tok: str, lineno: int, col: int):
@@ -87,7 +84,8 @@ def _number(convert, tok: str, lineno: int, col: int):
 def _rational_value(tok: str, lineno: int, col: int) -> Fraction:
     if not _RATIONAL.match(tok):
         raise ParseError(f"expected a rational p or p/q with q > 0, got {tok!r}", lineno, col)
-    return _number(Fraction, tok, lineno, col)
+    # from ints: Fraction(str) would match tok against its own pattern again
+    return _number(lambda t: Fraction(*map(int, t.split("/"))), tok, lineno, col)
 
 
 def _lines(text: str) -> list[str]:
@@ -122,6 +120,7 @@ def parse_document(text: str) -> TensorDocument:
     _check_ascii(text)
     lines = _lines(text)
     fields = {"J_rows": {}, "entries": []}
+    values = {}
     header_seen = False
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -137,7 +136,13 @@ def parse_document(text: str) -> TensorDocument:
         key, _, value = line.partition("=")
         col = len(line) - len(value.lstrip()) + 1       # first column of the value
         key, value = key.strip(), value.strip()
-        if key in ("m", "s", "seed"):
+        if match := _ENTRY_KEY.match(key):     # most lines: tried first
+            i, j, k, l = (_number(int, g, lineno, 1) for g in match.groups())
+            v = values.get(value)
+            if v is None:       # a tensor's symmetries repeat most value texts
+                v = values[value] = _rational_value(value, lineno, col)
+            fields["entries"].append((i, j, k, l, v))
+        elif key in ("m", "s", "seed"):
             if not re.fullmatch(r"-?\d+", value):
                 raise ParseError(f"{key} must be an integer", lineno, col)
             fields[key] = _number(int, value, lineno, col)
@@ -157,9 +162,6 @@ def parse_document(text: str) -> TensorDocument:
             r = _number(int, _JROW_KEY.match(key).group(1), lineno, 1)
             fields["J_rows"][r] = [_rational_value(tok.group(), lineno, col + tok.start())
                                    for tok in re.finditer(r"\S+", value)]
-        elif _ENTRY_KEY.match(key):
-            i, j, k, l = (_number(int, g, lineno, 1) for g in _ENTRY_KEY.match(key).groups())
-            fields["entries"].append((i, j, k, l, _rational_value(value, lineno, col)))
         else:
             raise ParseError(f"unknown key {key!r}", lineno)
     if not header_seen:
@@ -207,12 +209,18 @@ def serialize_document(doc: TensorDocument) -> str:
     return "\n".join(out) + "\n"
 
 
-def build_tensor(doc: TensorDocument) -> CurvatureTensor:
-    """Construct the space and tensor a document describes (exact backend)."""
+def build_tensor(doc: TensorDocument, validate: bool = True) -> CurvatureTensor:
+    """Construct the space and tensor a document describes (exact backend).
+
+    Validation runs on the tensor's integer form, which stays cached for its
+    first contraction.  With `validate` off the components are kept
+    unchecked, for a caller that reports their `failing_symmetries` itself.
+    """
     space = make_space(doc.m, doc.s, J=doc.J)
-    entries = [(i - 1, j - 1, k - 1, l - 1, v) for (i, j, k, l, v) in doc.entries]
-    return from_components(space, entries, symmetrize=doc.symmetrize,
-                           bianchi_projection=doc.bianchi)
+    C = dense_components(space.n, [(i - 1, j - 1, k - 1, l - 1, v)
+                                   for (i, j, k, l, v) in doc.entries])
+    return from_dense(space, C, symmetrize=doc.symmetrize,
+                      bianchi_projection=doc.bianchi, validate=validate)
 
 
 def document_from_tensor(R: CurvatureTensor, name: Optional[str] = None,

@@ -11,6 +11,7 @@ exact backend and the builtin `complex` in the float backend.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,13 +36,14 @@ FLOAT_REVERIFY_TOL = 1e-6
 
 
 def rational(x) -> Fraction:
-    """Coerce ints, numerals like '3' or '-5/7', or Fractions to Fraction."""
+    """Coerce integers (numpy's too), numerals like '3' or '-5/7', or
+    Fractions to Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise TypeError("bool is not a scalar")
-    if isinstance(x, int):
-        return Fraction(x)
+    if isinstance(x, numbers.Integral):        # not numpy.bool_, which is no Integral
+        return Fraction(int(x))
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")

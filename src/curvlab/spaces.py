@@ -373,7 +373,8 @@ def make_space(m: int, s: int, J=None) -> PseudoHermitianSpace:
 
     With J omitted the canonical block structure is used.  A custom J is
     accepted iff it satisfies J^2 = -id and g(JX,JY) = g(X,Y); entries may
-    be ints, Fractions or 'p/q' strings.
+    be ints (numpy's too), Fractions, 'p/q' strings or floats (checked to
+    tolerance).
     """
     if not isinstance(m, int) or not isinstance(s, int):
         raise GeometryError("m and s must be integers")
@@ -566,8 +567,9 @@ def unitary_generators(space: PseudoHermitianSpace) -> tuple:
     G = diag(metric signs), and B is the real form on the canonical J-blocks
     of a block phase i E_bb or, for consecutive blocks, of the plain or the
     J-twisted rotation E_bc - E_cb or i (E_bc + E_cb): the infinitesimal
-    steps of `light_isometry(unitary=True)`.  GeometryError unless every K
-    commutes with `space.J` and is g-skew, which holds for J = +-canonical J.
+    steps of `light_isometry(unitary=True)`.  GeometryError unless J is
+    exact and every K commutes with it and is g-skew, which holds for
+    J = +-canonical J.
     """
     G, E = np.diag(np.array(space.metric_signs)), np.eye(space.m, dtype=np.int64)
     one, i = np.eye(2, dtype=np.int64), np.array([[0, -1], [1, 0]])
@@ -577,8 +579,10 @@ def unitary_generators(space: PseudoHermitianSpace) -> tuple:
         Bs += [np.kron(Ebc - Ebc.T, one), np.kron(Ebc + Ebc.T, i)]
     gens = tuple(_freeze(G.dot(B)) for B in Bs)
     J = space.J
-    if not all(is_zero(x, FLOAT_DEGENERATE_TOL) for K in gens
-               for x in [*(K.dot(J) - J.dot(K)).flat, *(K.T.dot(G) + G.dot(K)).flat]):
+    if any(isinstance(x, float) for x in J.flat):
+        # the closure offers exact rows built from J
+        raise GeometryError("u(p,q) generators need an exact J; this J has float entries")
+    if any((K.dot(J) - J.dot(K)).any() or (K.T.dot(G) + G.dot(K)).any() for K in gens):
         raise GeometryError("u(p,q) generators need J = +-canonical J: "
                             "a generator is not g-skew or does not commute with J")
     return gens

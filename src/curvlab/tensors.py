@@ -22,11 +22,12 @@ family, and both sum the values by their powers of t and i
 (`polarized_coefficients`).  Exact tensors keep their components as a
 `Fraction` array, but contract on an integer form: Python-int numerators N
 over one common denominator D (the lcm of the component denominators),
-computed on the first exact contraction and cached on the immutable tensor.
-Rational vectors are integerized the same way (`scalars.integerize`), so a
-contraction is plain integer multiply-add and one reduced `Fraction` per
-value at the end instead of a gcd per term.  The exact symmetry checks run
-on the numerators too: scaling by D preserves which sums vanish.
+computed at most once and cached on the immutable tensor.  Rational vectors
+are integerized the same way (`scalars.integerize`), so a contraction is
+plain integer multiply-add and one reduced `Fraction` per value at the end
+instead of a gcd per term.  The exact symmetry checks run on the numerators
+too, since scaling by D preserves which sums vanish: validating a tensor
+computes the integer form its first contraction then uses.
 """
 
 from __future__ import annotations
@@ -106,7 +107,11 @@ class CurvatureTensor:
             raise DimensionMismatch(f"components must be {(n, n, n, n)}")
         self.components.setflags(write=False)
         if self.validate:
-            bad = failing_symmetries(self.components, bianchi=self.bianchi)
+            # on the numerators of the integer form, which stays cached for
+            # the first contraction (ints integerize to themselves)
+            form = self.integer_form
+            bad = failing_symmetries(self.components if form is None else form[0],
+                                     bianchi=self.bianchi)
             if bad:
                 raise InvariantViolation(bad[0], "curvature symmetry violated")
 
@@ -232,7 +237,11 @@ def curvature_of_plane(R: "CurvatureTensor", u, v) -> CurvatureValue:
 
 
 def from_dense(space: PseudoHermitianSpace, components: np.ndarray,
-               symmetrize: bool = False, bianchi_projection: bool = False) -> CurvatureTensor:
+               symmetrize: bool = False, bianchi_projection: bool = False,
+               validate: bool = True) -> CurvatureTensor:
+    """A tensor on the (optionally projected) components.  With `validate`
+    off the raw components are kept unchecked, for a caller that reports
+    their `failing_symmetries` itself."""
     C = components
     if symmetrize:
         C = symmetrize_components(C)
@@ -240,32 +249,42 @@ def from_dense(space: PseudoHermitianSpace, components: np.ndarray,
         C = bianchi_project(C)
     # a projection guarantees its own invariants; validate only raw input
     return CurvatureTensor(space, C, bianchi=bianchi_projection,
-                           validate=not symmetrize)
+                           validate=validate and not symmetrize)
 
 
 def dense_components(n: int, entries) -> np.ndarray:
     """Dense n^4 component array summing sparse (i, j, k, l, value), 0-based.
 
     Exact unless some value is a float.  Out-of-range indices and non-finite
-    values raise instead of wrapping or propagating.
+    values raise instead of wrapping or propagating.  An exact value goes
+    into its slot as is, and only an index seen before adds, so unique
+    entries (a document's) cost no arithmetic.
     """
     entries = list(entries)
     floaty = any(isinstance(e[4], float) for e in entries)
     if floaty:
         C = np.zeros((n, n, n, n))
     else:
-        C = np.empty((n, n, n, n), dtype=object)
-        C[...] = Fraction(0)
+        zero = Fraction(0)
+        flat = [zero] * n ** 4
     for (i, j, k, l, value) in entries:
-        for idx in (i, j, k, l):
-            if not 0 <= idx < n:
-                raise DimensionMismatch(f"index {idx} out of range 0..{n - 1}")
+        if not (0 <= i < n and 0 <= j < n and 0 <= k < n and 0 <= l < n):
+            bad = next(idx for idx in (i, j, k, l) if not 0 <= idx < n)
+            raise DimensionMismatch(f"index {bad} out of range 0..{n - 1}")
         if isinstance(value, float):
             if not math.isfinite(value):
                 raise GeometryError(f"non-finite component value {value!r}")
+        elif type(value) is not Fraction:
+            value = Fraction(value)
+        if floaty:
             C[i, j, k, l] = C[i, j, k, l] + value
         else:
-            C[i, j, k, l] = C[i, j, k, l] + Fraction(value)
+            at = ((i * n + j) * n + k) * n + l
+            flat[at] = value if flat[at] is zero else flat[at] + value
+    if not floaty:
+        C = np.empty(n ** 4, dtype=object)
+        C[:] = flat
+        C = C.reshape(n, n, n, n)
     return C
 
 

@@ -168,6 +168,16 @@ class TestExitCodes:
 
 
 class TestCommandBehavior:
+    def test_parser_is_built_once_and_reused(self):
+        assert cli.build_parser() is cli.build_parser()
+        # a rejected command and a command's options leave the shared parser as it was
+        assert run_cli(["probe", "--bogus"])[0] == 2
+        assert run_cli(["probe", "-i", str(GOLDEN / "random_2_1.tensor"), "--pairs", "1",
+                        "--seed", "9"])[0] == 0
+        for name in ("probe_constant.out", "probe_random.out"):
+            code, out = run_cli(GOLDEN_COMMANDS[name])
+            assert code == 0 and out.encode("ascii") == (GOLDEN / name).read_bytes()
+
     def test_generate_to_file_and_classify(self, tmp_path):
         out_file = tmp_path / "t.tensor"
         code, _ = run_cli(["generate", "--model", "space-form", "--c", "4",

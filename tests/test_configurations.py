@@ -150,6 +150,14 @@ def test_block_swapping_J_is_refused():
         impose(space, "eq1")
 
 
+def test_float_J_is_refused():
+    # -J_canonical in floats: valid to tolerance, but the closure needs exact rows
+    J = [[float(x) for x in row] for row in -canonical_complex_structure(3)]
+    space = make_space(3, 1, J=J)
+    with pytest.raises(GeometryError, match="exact J"):
+        impose(space, "eq1")
+
+
 def test_realizable_signatures_cover_every_condition():
     assert realizable("eq1") == [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
     assert realizable("lemma2") == [(2, 0), (3, 0), (3, 1), (4, 0), (4, 1), (4, 2)]

@@ -4,7 +4,8 @@ Exact tensors contract on Python-int numerators over one common
 denominator; these tests check every path of `CurvatureTensor.eval` and
 `eval_c` against plain `Fraction` arithmetic written out index by index,
 the stacked `contract` and `expand` against single evaluations,
-and `failing_symmetries` against invariants broken by hand.
+and `failing_symmetries` against invariants broken by hand.  Validation
+shares the integer form with the first contraction.
 """
 
 import math
@@ -14,11 +15,13 @@ from itertools import product
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from curvlab import tensors
 from curvlab.harness import random_tensor
 from curvlab.polarization import VectorFamily, expand
 from curvlab.scalars import ExactComplex
 from curvlab.spaces import ComplexVector, make_space
-from curvlab.tensors import failing_symmetries, from_components, from_dense
+from curvlab.tensors import (CurvatureTensor, failing_symmetries, from_components,
+                             from_dense)
 
 SPACES = [make_space(1, 0), make_space(2, 1), make_space(3, 1)]
 BIG = 2 ** 40
@@ -151,6 +154,28 @@ def test_integer_form_is_cached_and_exact():
     assert (N == R.components * D).all()
     assert D == math.lcm(*(x.denominator for x in R.components.flat))
     assert R.to_float().integer_form is None
+
+
+def test_validation_integerizes_once_for_the_first_contraction(monkeypatch):
+    space = SPACES[2]
+    C = random_tensor(space, 7).components
+    sizes = []
+
+    def counting(values):
+        values = list(values)
+        if any(type(x) is not int for x in values):     # not ints, already integral
+            sizes.append(len(values))
+        return integerize(values)
+
+    integerize = tensors.integerize
+    monkeypatch.setattr(tensors, "integerize", counting)
+    R = CurvatureTensor(space, C.copy())
+    N, D = R.integer_form
+    e = np.eye(space.n, dtype=object)
+    value = R.eval(e[0], e[1], e[1], e[0])
+    assert sizes == [space.n ** 4]
+    assert value == C[0, 1, 1, 0]
+    assert (N == C * D).all()
 
 
 @PROPERTY

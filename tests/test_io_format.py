@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +9,10 @@ from curvlab.io_format import (HEADER, ParseError, TensorDocument,
                                parse_document, read_document,
                                serialize_document)
 from curvlab.harness import model_constant_sectional, random_tensor
+from curvlab.scalars import integerize
 from curvlab.spaces import (GeometryError, InvariantViolation,
                             canonical_complex_structure, make_space)
+from curvlab.tensors import failing_symmetries
 
 
 GOOD = """\
@@ -111,6 +114,53 @@ class TestParse:
         assert doc.entries == ()
 
 
+# Malformed component lines and the exact error each gives on line 4 of a
+# document: (line, column, message), as given when values were parsed by
+# Fraction(str) rather than built from ints.
+MALFORMED_ENTRIES = [
+    ("R[1,2,2,1] = 1/0", 14, "expected a rational p or p/q with q > 0, got '1/0'"),
+    ("R[1,2,2,1] = -7/00", 14, "expected a rational p or p/q with q > 0, got '-7/00'"),
+    ("R[1,2,2,1] = 0/0", 14, "expected a rational p or p/q with q > 0, got '0/0'"),
+    ("R[1,2,2,1] = 1/-2", 14, "expected a rational p or p/q with q > 0, got '1/-2'"),
+    ("R[1,2,2,1] = --1", 14, "expected a rational p or p/q with q > 0, got '--1'"),
+    ("R[1,2,2,1] = +1", 14, "expected a rational p or p/q with q > 0, got '+1'"),
+    ("R[1,2,2,1] = 1.5", 14, "expected a rational p or p/q with q > 0, got '1.5'"),
+    ("R[1,2,2,1] = 1/2/3", 14, "expected a rational p or p/q with q > 0, got '1/2/3'"),
+    ("R[1,2,2,1] =", 13, "expected a rational p or p/q with q > 0, got ''"),
+    ("R[1,2,2,1] = " + "9" * 4400, 14, "number 99999999999999999999... has too many digits"),
+    ("R[1,2,2,1] = -" + "9" * 4400 + "/7", 14,
+     "number -9999999999999999999... has too many digits"),
+    ("R[1,2,2,1] = 1/" + "9" * 4400, 14, "number 1/999999999999999999... has too many digits"),
+    ("R[" + "9" * 4400 + ",1,1,1] = 1", 1, "number 99999999999999999999... has too many digits"),
+    ("R[1,2,2] = 1", 1, "unknown key 'R[1,2,2]'"),
+    ("R[1,2,2,1,1] = 1", 1, "unknown key 'R[1,2,2,1,1]'"),
+    ("R[a,2,2,1] = 1", 1, "unknown key 'R[a,2,2,1]'"),
+    ("R[1, 2,2,1] = 1", 1, "unknown key 'R[1, 2,2,1]'"),
+    ("R[-1,2,2,1] = 1", 1, "unknown key 'R[-1,2,2,1]'"),
+    ("r[1,2,2,1] = 1", 1, "unknown key 'r[1,2,2,1]'"),
+    ("R[1,2,2,1] = = 1", 14, "expected a rational p or p/q with q > 0, got '= 1'"),
+    ("R[1,2,2,1] = 1 = 2", 14, "expected a rational p or p/q with q > 0, got '1 = 2'"),
+    ("R[1,2,2,1] 1", 12, "expected 'key = value'"),
+    ("R[1,2,2,1] = x   # trailing comment", 14,
+     "expected a rational p or p/q with q > 0, got 'x'"),
+    ("R[1,2,2,1] = 1 2  # two values", 14, "expected a rational p or p/q with q > 0, got '1 2'"),
+    ("  R[1,2,2,1]    =    1/0    ", 22, "expected a rational p or p/q with q > 0, got '1/0'"),
+    ("R[1,2,2,1]\t=\t1/0", 14, "expected a rational p or p/q with q > 0, got '1/0'"),
+    ("R[1,2,2,1]=0x10", 12, "expected a rational p or p/q with q > 0, got '0x10'"),
+    ("R[1,2,2,1] = 1\x0c2", 14, "expected a rational p or p/q with q > 0, got '1\\x0c2'"),
+]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("line,col,message", MALFORMED_ENTRIES)
+def test_malformed_entry_errors_are_pinned(line, col, message, newline):
+    text = newline.join([HEADER, "m = 2", "s = 1", line, ""])
+    with pytest.raises(ParseError) as exc:
+        parse_document(text)
+    assert str(exc.value) == f"line 4, col {col}: {message}"
+    assert (exc.value.line, exc.value.col) == (4, col)
+
+
 class TestBuild:
     def test_sparse_constant_model_matches_generator(self, sp21):
         R = model_constant_sectional(sp21, Fraction(5, 2))
@@ -137,6 +187,30 @@ class TestBuild:
         text = serialize_document(doc)
         R2 = build_tensor(parse_document(text))
         assert (R.components == R2.components).all()
+
+    @pytest.mark.parametrize("q", [1, 5])
+    def test_numerators_past_int64_are_checked_exactly(self, q):
+        # scaled by D = 3q the numerators pass 2^62 (q = 1) and 2^63 (q = 5)
+        a, b = Fraction(2 ** 62 + 1, 3), Fraction(1, q)
+
+        def text(nudge):
+            lines = [HEADER, "m = 2", "s = 1"]
+            for (i, j), v in (((1, 2), a), ((3, 4), b)):
+                lines += [f"R[{i},{j},{j},{i}] = {v}", f"R[{j},{i},{i},{j}] = {v}",
+                          f"R[{i},{j},{i},{j}] = {-v}", f"R[{j},{i},{j},{i}] = {-v + nudge}"]
+            return "\n".join(lines) + "\n"
+
+        with pytest.raises(InvariantViolation) as exc:
+            build_tensor(parse_document(text(Fraction(1, 3))))
+        assert exc.value.invariant == "antisym-12"
+        R = build_tensor(parse_document(text(0)))
+        N, D = R.integer_form
+        assert D == 3 * q
+        assert max(abs(x) for x in N.flat) > 2 ** (62 if q == 1 else 63)
+        assert all(Fraction(x, D) == c for x, c in zip(N.flat, R.components.flat))
+        bad = build_tensor(parse_document(text(Fraction(1, 3))), validate=False)
+        assert (failing_symmetries(bad.integer_form[0]) == failing_symmetries(bad.components)
+                == ["antisym-12", "antisym-34"])
 
     def test_custom_J_space_round_trip(self):
         J = [[0, 1], [-1, 0]]
@@ -173,6 +247,73 @@ def documents(draw):
         symmetrize=draw(st.booleans()), bianchi=draw(st.booleans()),
         entries=tuple(draw(st.lists(st.tuples(index, index, index, index, RATIONALS),
                                     min_size=1, max_size=6))))
+
+
+def orbit(i, j, k, l, v) -> list:
+    """The entries one value fixes under both antisymmetries and pair exchange."""
+    return [(i, j, k, l, v), (j, i, k, l, -v), (i, j, l, k, -v), (j, i, l, k, v),
+            (k, l, i, j, v), (l, k, i, j, -v), (k, l, j, i, -v), (l, k, j, i, v)]
+
+
+def plain_failures(C, bianchi: bool) -> list:
+    """The violated invariants, by Fraction sums written out index by index."""
+    n = len(C)
+    R = C.tolist()
+    sums = {
+        "antisym-12": lambda i, j, k, l: R[i][j][k][l] + R[j][i][k][l],
+        "antisym-34": lambda i, j, k, l: R[i][j][k][l] + R[i][j][l][k],
+        "pair-exchange": lambda i, j, k, l: R[i][j][k][l] - R[k][l][i][j],
+        "bianchi": lambda i, j, k, l: R[i][j][k][l] + R[j][k][i][l] + R[k][i][j][l],
+    }
+    names = list(sums)[:4 if bianchi else 3]
+    return [name for name in names
+            if any(sums[name](*idx) for idx in product(range(n), repeat=4))]
+
+
+@st.composite
+def laid_out_documents(draw):
+    """(text, m, entries): the stated entries, written with comments, blank
+    lines, CRLF or CR, extra blanks, unreduced values and duplicate lines."""
+    m = draw(st.integers(1, 3))
+    index = st.integers(1, 2 * m)
+    entries = draw(st.lists(st.tuples(index, index, index, index, RATIONALS), max_size=6))
+    if draw(st.booleans()):
+        entries = [e for entry in entries for e in orbit(*entry)]
+    if entries:
+        entries += draw(st.lists(st.sampled_from(entries), max_size=4))
+    blank = st.sampled_from(["", " ", "  ", "\t", " \t "])
+    lines = [HEADER, f"m = {m}", "s = 0"]
+    for i, j, k, l, v in entries:
+        scale = draw(st.integers(1, 3))
+        p, q = v.numerator * scale, v.denominator * scale
+        value = draw(st.sampled_from([f"{p}/{q}", f"{'-' if p < 0 else ''}00{abs(p)}/0{q}"]
+                                     + ([str(v.numerator)] if v.denominator == 1 else [])
+                                     + (["-0"] if p == 0 else [])))
+        comment = draw(st.sampled_from(["", "# note", " #", "#R[1,1,1,1] = x"]))
+        lines.append(f"{draw(blank)}R[{i},{j},{k},{l}]{draw(blank)}={draw(blank)}{value}"
+                     f"{draw(blank)}{comment}")
+        lines += draw(st.sampled_from([[], [""], ["# a comment line"], ["   "]]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + newline, m, tuple(entries)
+
+
+class TestIngestion:
+    @settings(max_examples=60, deadline=None)
+    @given(laid_out_documents(), st.booleans())
+    def test_one_pass_ingestion_matches_the_oracles(self, case, bianchi):
+        text, m, entries = case
+        doc = parse_document(text)
+        assert doc == TensorDocument(m=m, s=0, entries=entries).canonical()
+        R = build_tensor(doc, validate=False)
+        N, D = R.integer_form
+        assert (list(N.flat), D) == integerize(R.components.flat)
+        expected = plain_failures(R.components, bianchi)
+        assert failing_symmetries(N, bianchi) == expected
+        assert failing_symmetries(R.components, bianchi) == expected
+        if expected and not bianchi:
+            with pytest.raises(InvariantViolation) as exc:
+                build_tensor(doc)
+            assert exc.value.invariant == expected[0]
 
 
 # replacement values that probe the grammar's edges

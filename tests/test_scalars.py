@@ -1,11 +1,28 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from curvlab.scalars import (FLOAT_DEGENERATE_TOL, FLOAT_IDENTITY_TOL,
                              FLOAT_REVERIFY_TOL, FLOAT_VERDICT_TOL,
-                             ExactComplex, is_zero)
+                             ExactComplex, is_zero, rational)
+
+
+class TestRational:
+    @pytest.mark.parametrize("x", [7, np.int64(7), np.int32(7), np.uint8(7), "7", "14/2",
+                                   Fraction(7)])
+    def test_integers_of_every_kind(self, x):
+        value = rational(x)
+        assert value == 7 and type(value) is Fraction and type(value.numerator) is int
+
+    def test_large_numpy_integer_keeps_its_value(self):
+        assert rational(np.int64(2 ** 62)) * 4 == 2 ** 64
+
+    @pytest.mark.parametrize("x", [True, np.bool_(True), 1.0, np.float64(1.0), None])
+    def test_bools_and_floats_refused(self, x):
+        with pytest.raises(TypeError):
+            rational(x)
 
 
 class TestIsZero:

@@ -49,6 +49,15 @@ class TestMakeSpace:
         sp = make_space(2, 1, J=J.tolist())
         assert not sp.has_canonical_J
 
+    def test_numpy_integer_J_accepted_like_a_list(self):
+        J = -canonical_complex_structure(2)
+        for dtype in (np.int64, np.int32, np.int8):
+            sp = make_space(2, 1, J=np.array(J.tolist(), dtype=dtype))
+            assert all(type(x) is Fraction and type(x.numerator) is int for x in sp.J.flat)
+            assert (sp.J == make_space(2, 1, J=J.tolist()).J).all()
+        with pytest.raises(TypeError):
+            make_space(1, 0, J=np.array([[False, True], [True, False]]))
+
     def test_float_J_validated_to_tolerance(self):
         eps = 1e-14
         J = [[0.0, -1.0 + eps], [1.0, 0.0]]

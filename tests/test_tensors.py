@@ -7,7 +7,7 @@ import pytest
 from curvlab.scalars import FLOAT_VERDICT_TOL, ExactComplex
 from curvlab.spaces import ComplexVector, DegeneratePlaneError, GeometryError
 from curvlab.tensors import (bianchi_cyclic_sum, biholomorphic,
-                             curvature_of_plane, failing_symmetries,
+                             curvature_of_plane, dense_components, failing_symmetries,
                              from_components, from_dense,
                              holomorphic_sectional, pi1, pi1_c,
                              pi1_components, sectional, sectional_c)
@@ -50,6 +50,14 @@ class TestConstruction:
     def test_unsymmetric_input_rejected(self, sp21):
         with pytest.raises(GeometryError):
             from_components(sp21, [(0, 1, 2, 3, Fraction(1))])
+
+    def test_repeated_indices_add(self):
+        C = dense_components(2, [(0, 1, 1, 0, Fraction(1, 2)), (1, 0, 0, 1, 3),
+                                 (0, 1, 1, 0, 1), (0, 1, 1, 0, Fraction(-1, 3))])
+        assert (C[0, 1, 1, 0], C[1, 0, 0, 1]) == (Fraction(7, 6), 3)
+        assert type(C[1, 0, 0, 1]) is Fraction and np.count_nonzero(C) == 2
+        F = dense_components(2, [(0, 1, 1, 0, 0.5), (0, 1, 1, 0, Fraction(1, 4))])
+        assert F.dtype == float and F[0, 1, 1, 0] == 0.75
 
     def test_index_out_of_range(self, sp21):
         with pytest.raises(GeometryError):
