@@ -148,11 +148,10 @@ def _cmd_expand(args) -> int:
     if args.family == "holomorphic":
         x, w = gram_schmidt_tuple(space, args.seed, (1, -1), antiholomorphic=True)
         poly = holomorphic_family_expansion(R, x, w)
-        envelope = 2
     else:
         x, w = gram_schmidt_tuple(space, args.seed, (1, 1), antiholomorphic=True)
         poly = complexified_family_expansion(R, x, w)
-        envelope = 2
+    envelope = 2
     lines = [REPORT_HEADER, "command = expand",
              f"input = {doc.name or '(unnamed)'}",
              f"space = m={doc.m} s={doc.s}",

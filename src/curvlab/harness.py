@@ -26,12 +26,11 @@ by a row of data.  Each space requirement is a named `_Need` written once and
 shared by every entry that has it; which sign patterns exist on a space is
 decided by `spaces.realizable` alone.
 
-Pinching families are evaluated through their exact polynomial coefficients
-rewritten in powers of sigma = 1 - t^2.  Near t = +-1 a direct float
-contraction loses all significant digits to cancellation; the sigma form is
-exact for rational tensors and keeps the ladder cheap.  For float tensors
-the coefficients carry the float noise floor, which bounds how small a
-detected blow-up coefficient can meaningfully be.
+Pinching families are evaluated exactly: the numerator polynomial comes
+from one exact expansion, and each ladder rung t = 1 -+ 2^-k is the Fraction
+p(t) / sigma^multiplicity, sigma = 1 - t^2.  Bounded families report their
+true maximum, and a blow-up is never cancellation noise.  Probing therefore
+takes exact rational tensors only.
 """
 
 from __future__ import annotations
@@ -102,30 +101,22 @@ def random_tensor(space: PseudoHermitianSpace, seed: int,
 # -- the symmetry-reduced component space ------------------------------------
 
 @lru_cache(maxsize=None)
-def _pair_orbits(n: int) -> tuple:
-    """Orbit presentation of the pair-symmetric tensor basis.
-
-    Basis elements are indexed by unordered pairs {P <= Q} of 2-form indices
-    P = (i<j); each element touches at most 8 components with signs +-1.
-    """
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    orbits = []
-    for a, (i, j) in enumerate(pairs):
-        for (k, l) in pairs[a:]:
-            entries = [((i, j, k, l), 1), ((j, i, k, l), -1),
-                       ((i, j, l, k), -1), ((j, i, l, k), 1)]
-            if (i, j) != (k, l):
-                entries += [((k, l, i, j), 1), ((l, k, i, j), -1),
-                            ((k, l, j, i), -1), ((l, k, j, i), 1)]
-            orbits.append(tuple(entries))
-    return tuple(orbits)
+def _orbit_pairs(n: int) -> tuple:
+    """Indices (a, b), a <= b, of the 2-form pairs {P_a, P_b}: one coordinate
+    of the pair-symmetric basis each, in basis order."""
+    return np.triu_indices(n * (n - 1) // 2)
 
 
 @lru_cache(maxsize=None)
-def _orbit_pairs(n: int) -> tuple:
-    """Indices (a, b), a <= b, of the 2-form pairs {P_a, P_b} of each orbit,
-    in `_pair_orbits` order."""
-    return np.triu_indices(n * (n - 1) // 2)
+def _component_lift(n: int) -> tuple:
+    """(P, Q, sign) on the components R_ijkl: the 2-form indices of (i, j) and
+    (k, l), and the sign of e_i^e_j (x) e_k^e_l against e_P (x) e_Q (0 when
+    i = j or k = l), as arrays that broadcast to (n, n, n, n)."""
+    index = np.zeros((n, n), dtype=np.intp)
+    iu, ju = np.triu_indices(n, 1)
+    index[iu, ju] = index[ju, iu] = np.arange(len(iu))
+    sign = np.sign(np.arange(n) - np.arange(n)[:, None])
+    return index[:, :, None, None], index, sign[:, :, None, None] * sign
 
 
 def _wedge(a, b) -> np.ndarray:
@@ -146,15 +137,18 @@ def _functional(a, b, c, d) -> np.ndarray:
 
 
 def tensor_from_coefficients(space: PseudoHermitianSpace, coeffs) -> CurvatureTensor:
+    """The tensor with coordinates `coeffs` on the pair-symmetric basis: the
+    symmetric 2-form matrix S with S_PQ = S_QP = coeffs[{P, Q}], lifted to
+    R_ijkl = sign * S_PQ."""
     n = space.n
-    orbits = _pair_orbits(n)
-    C = np.empty((n, n, n, n), dtype=object)
-    C[...] = Fraction(0)
-    for c, orbit in zip(coeffs, orbits):
-        if c:
-            for idx, sign in orbit:
-                C[idx] = C[idx] + sign * c
-    # orbit sums have the pair symmetries by construction
+    ia, ib = _orbit_pairs(n)
+    S = np.empty((n * (n - 1) // 2,) * 2, dtype=object)
+    S[ia, ib] = S[ib, ia] = coeffs
+    P, Q, sign = _component_lift(n)
+    C = S[P, Q]
+    C[sign < 0] = -C[sign < 0]
+    C[sign == 0] = Fraction(0)
+    # the lift has the pair symmetries by construction
     return CurvatureTensor(space, C, validate=False)
 
 
@@ -332,7 +326,7 @@ class ConstraintSystem:
     """Solution space of a curvature hypothesis imposed as linear constraints.
 
     `coefficients` is the certified nullspace basis as vectors of rational
-    coordinates on the pair-symmetric basis (`_pair_orbits`); tensors are
+    coordinates on the pair-symmetric basis (`_orbit_pairs`); tensors are
     built from them only on demand.  `probes_used` counts the rows offered.
     """
 
@@ -412,7 +406,7 @@ def impose(space: PseudoHermitianSpace, condition_id: str, seed: int = 0) -> Con
     cond = CONDITIONS[condition_id]
     _require(condition_id, cond.needs, space)
     actions = [_two_form_action(K) for K in unitary_generators(space)]
-    reducer = RowReducer(len(_pair_orbits(space.n)))
+    reducer = RowReducer(len(_orbit_pairs(space.n)[0]))
     rows = cond.rows(space)
     layer, offered = rows[reducer.add_rows(rows)], len(rows)
     while len(layer):
@@ -477,40 +471,6 @@ def _family_for(R, row: _Kind, tup) -> TPolynomial:
     return expand(R, *slots)
 
 
-def _sigma_coefficients(p: TPolynomial):
-    """Rewrite p(t) = E(sigma) + t * O(sigma), sigma = 1 - t^2 (degree <= 4)."""
-    a = list(p.coeffs) + [0] * (5 - len(p.coeffs))
-    E = (a[0] + a[2] + a[4], -a[2] - 2 * a[4], a[4])
-    O = (a[1] + a[3], -a[3])
-    return E, O
-
-
-def _family_value(row: _Kind, poly: TPolynomial, k: int):
-    """Family value at the k-th ladder rung, evaluated cancellation-free.
-
-    Exact Fraction arithmetic end to end: t = 1 -+ 2^-k and sigma = 1 - t^2
-    are exact rationals, so bounded families report their true maximum and
-    blow-up detection never rides on float cancellation noise.
-    """
-    step = Fraction(1, 2 ** k)
-    if row.above_one:
-        t = 1 + step
-        sigma = -step * (2 + step)
-    else:
-        t = 1 - step
-        sigma = step * (2 - step)
-    E, O = _sigma_coefficients(poly)
-    m = row.multiplicity
-    value = 0
-    for j, e in enumerate(E):
-        value = value + e * sigma ** (j - m)
-    odd = 0
-    for j, o in enumerate(O):
-        odd = odd + o * sigma ** (j - m)
-    value = value + t * odd
-    return t, value
-
-
 @dataclass(frozen=True)
 class BoundWitness:
     """A plane and parameter where a pinching family exceeded the threshold."""
@@ -546,11 +506,15 @@ def probe_unboundedness(R: CurvatureTensor, threshold: float = 1e6,
 
     Returns the first threshold crossing as a re-verifiable witness, or a
     bounded-so-far report with the maximum found.  Requires an indefinite
-    space: definite metrics admit no isotropic limit directions.
+    space, since definite metrics admit no isotropic limit directions, and
+    an exact rational tensor: every rung is evaluated exactly, and a float
+    tensor's cancellation noise near t = +-1 would read as a blow-up.
     """
     space = R.space
     if space.is_definite:
         raise GeometryError("unboundedness probing needs an indefinite space")
+    if R.integer_form is None:
+        raise GeometryError("unboundedness probing needs an exact rational tensor")
     if kinds is None:
         kinds = [k for k in PROBE_KINDS if _kind_realizable(space, k)]
     else:
@@ -574,8 +538,10 @@ def probe_unboundedness(R: CurvatureTensor, threshold: float = 1e6,
             row = PROBE_KINDS[kind]
             tup = tuple_from_rng(space, rng, row.pattern, antiholomorphic=True)
             poly = _family_for(R, row, tup)
+            step = 1 if row.above_one else -1
             for k in range(1, rungs + 1):
-                t, value = _family_value(row, poly, k)
+                t = 1 + Fraction(step, 2 ** k)
+                value = poly(t) / (1 - t * t) ** row.multiplicity
                 evaluations += 1
                 fval = float(value)
                 if abs(fval) > max_abs:

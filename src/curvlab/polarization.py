@@ -6,16 +6,20 @@ result as a polynomial in t.  Coefficient k collects every way of picking
 the direction vector in exactly k slots, so the expansion is exact in the
 rational backend and needs no symbolic algebra.
 
-Bounded-ratio arguments reduce to divisibility: a degree-4 numerator that
-stays below c*(1-t^2)^2 in absolute value on |t|<1 must vanish at t = +-1,
-and after dividing out (1-t^2) the quotient must vanish there again.  Those
-four scalars are exactly what `bound_forced_identities` returns.
+Bounded-ratio arguments reduce to divisibility by powers of sigma = 1 - t^2:
+a numerator p that stays below c*sigma^m in absolute value on |t| < 1 must
+be divisible by sigma^m.  `TPolynomial.sigma_form` writes p(t) as
+E(sigma) + t*O(sigma); p / sigma^j takes the values E_j +- O_j at t = +-1
+once E and O start at sigma^j.  Those pairs, round by round, are what
+`bound_forced_identities` returns.  The rule is exact on exact coefficients;
+pinching families are only bounded and probed on exact tensors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .scalars import ExactComplex
 from .spaces import GeometryError, require_antiholomorphic_pair
@@ -54,30 +58,21 @@ class TPolynomial:
             out.append(c.real if isinstance(c, (ExactComplex, complex)) else c)
         return TPolynomial.of(out)
 
-    def map(self, f) -> "TPolynomial":
-        return TPolynomial.of([f(c) for c in self.coeffs])
+    def sigma_form(self) -> tuple["TPolynomial", "TPolynomial"]:
+        """(E, O) with p(t) = E(sigma) + t * O(sigma), sigma = 1 - t^2.
 
-    def deflate_even_root_pair(self) -> Optional["TPolynomial"]:
-        """Quotient by (1 - t^2) when t = +-1 are both roots, else None.
-
-        The zero polynomial deflates to itself.
+        a_k t^k is a_k (1 - sigma)^(k // 2), times t when k is odd.  At
+        t = +-1 sigma vanishes, so p(+-1) = E(0) +- O(0), and p divides by
+        sigma^j exactly when E and O both start at sigma^j.
         """
-        if self(1) != 0 or self(-1) != 0:
-            return None
-        if self.is_zero():
-            return self
-        # divide by (t - 1), then (t + 1); flip sign since (1-t^2) = -(t-1)(t+1)
-        cs = list(self.coeffs)
-        for root in (1, -1):
-            out = []
-            acc = 0
-            for c in reversed(cs):
-                acc = acc * root + c
-                out.append(acc)
-            out.pop()               # remainder, zero by the root check
-            out.reverse()
-            cs = out
-        return TPolynomial.of([-c for c in cs])
+        parts = []
+        for half in (self.coeffs[0::2], self.coeffs[1::2]):
+            out = [0] * len(half)
+            for k, a in enumerate(half):
+                for j in range(k + 1):
+                    out[j] += (-1) ** j * math.comb(k, j) * a
+            parts.append(TPolynomial.of(out))
+        return tuple(parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,22 +157,18 @@ def complexified_family_expansion(R: CurvatureTensor, x, y) -> TPolynomial:
 def bound_forced_identities(p: TPolynomial, multiplicity: int = 2) -> list:
     """Constraint scalars forced by |p(t)| <= c*(1-t^2)^multiplicity.
 
-    Round one returns [p(1), p(-1)]; while both vanish and rounds remain,
-    the quotient by (1-t^2) is checked the same way.  The bound is
-    compatible with p exactly when every returned scalar is zero.
+    Round j = 0, 1, ... returns the values at t = +1 and t = -1 of
+    p / sigma^j, which are E_j + O_j and E_j - O_j in `sigma_form`; rounds
+    stop after the first nonzero pair.  The bound is compatible with p
+    exactly when every returned scalar is zero.
     """
     if p.degree > 2 * multiplicity:
         raise GeometryError(
             f"degree {p.degree} exceeds the bound envelope (1-t^2)^{multiplicity}")
+    E, O = (list(q.coeffs) + [0] * multiplicity for q in p.sigma_form())
     out = []
-    current = p
-    for _ in range(multiplicity):
-        at1, at_1 = current(1), current(-1)
-        out.extend([at1, at_1])
-        if at1 != 0 or at_1 != 0:
+    for e, o in zip(E[:multiplicity], O):
+        out += [e + o, e - o]
+        if out[-2] != 0 or out[-1] != 0:
             break
-        nxt = current.deflate_even_root_pair()
-        if nxt is None:
-            break
-        current = nxt
     return out

@@ -331,12 +331,12 @@ def sectional(R: CurvatureTensor, u, v):
     Depends only on the span.  Raises DegeneratePlaneError (carrying the
     Gram rank) on weakly or totally isotropic planes.
     """
-    space = R.space
-    den = pi1(space, u, v, v, u)
+    g = R.space.inner
+    uu, uv, vv = g(u, u), g(u, v), g(v, v)
+    den = uu * vv - uv * uv            # pi1(u, v, v, u)
     num = R.eval(u, v, v, u)
     if is_zero(den, FLOAT_DEGENERATE_TOL, num):
-        g = space.inner
-        rank = gram_rank(g(u, u), g(u, v), g(v, v), is_exact(den))
+        rank = gram_rank(uu, uv, vv, is_exact(den))
         raise DegeneratePlaneError(
             f"plane is degenerate (gram rank {rank}); sectional curvature undefined", rank)
     return num / den

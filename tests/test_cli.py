@@ -45,6 +45,10 @@ class TestGoldenCorpus:
         assert code == 0
         assert out.encode("ascii") == (GOLDEN / name).read_bytes()
 
+    def test_every_golden_file_has_a_command(self):
+        # a golden file without a command would never be checked or regenerated
+        assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(GOLDEN_COMMANDS)
+
     def test_repeat_run_is_byte_identical(self):
         argv = GOLDEN_COMMANDS["classify_spaceform.out"]
         assert run_cli(argv) == run_cli(argv)

@@ -12,6 +12,7 @@ replaced.
 
 import hashlib
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from curvlab.harness import CONDITIONS, _thmA_x_signs, impose
 from curvlab.linsolve import RowReducer, integer_row
 from curvlab.spaces import (GeometryError, canonical_complex_structure, make_space,
                             unitary_generators)
+from curvlab.tensors import failing_symmetries
 
 
 def realizable(cond_id, max_m=4):
@@ -90,6 +92,21 @@ def test_row_images_are_derivatives(m, s):
                          for i in range(4))
         image = harness._images(harness._two_form_action(K), np.array([row]))
         assert image.tolist() == ([integer_row(derivative)] if derivative.any() else [])
+
+
+@pytest.mark.parametrize("m,s", [(2, 1), (3, 0), (3, 2)])
+def test_coefficient_lift_is_dual_to_functional(m, s):
+    # the tensor built from coordinates on the pair-symmetric basis has
+    # R(a,b,c,d) = the functional of (a,b,c,d) applied to those coordinates
+    space = make_space(m, s)
+    rng = random.Random(10 * m + s)
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+              for _ in harness._orbit_pairs(space.n)[0]]
+    R = harness.tensor_from_coefficients(space, coeffs)
+    assert not failing_symmetries(R.components)
+    for _ in range(5):
+        slots = [np.array([rng.randint(-3, 3) for _ in range(space.n)]) for _ in range(4)]
+        assert R.eval(*slots) == harness._functional(*slots).dot(coeffs)
 
 
 def lie_closure_dimension(gens) -> int:

@@ -125,6 +125,12 @@ class TestProbeUnboundedness:
         rep = probe_unboundedness(R, seed=1)
         assert rep.exceeded and abs(float(rep.witness.t) - 1) < 0.25
 
+    def test_float_tensor_refused(self, sp21):
+        # rungs are exact; float cancellation near t = 1 would read as a blow-up
+        for model in (model_constant_sectional(sp21, 3), model_complex_space_form(sp21, 2)):
+            with pytest.raises(GeometryError, match="exact"):
+                probe_unboundedness(model.to_float())
+
     def test_definite_space_rejected(self, sp30):
         with pytest.raises(GeometryError):
             probe_unboundedness(model_constant_sectional(sp30, 1))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from curvlab.polarization import (TPolynomial, VectorFamily,
                                   bound_forced_identities,
@@ -26,20 +27,19 @@ class TestTPolynomial:
         for t in (Fraction(0), Fraction(1, 2), Fraction(-3), Fraction(7, 5)):
             assert p(t) == 1 - 2 * t + 4 * t ** 3
 
-    def test_deflation_by_even_roots(self):
-        # c*(1-t^2)^2 deflates to c*(1-t^2)
+    def test_sigma_form_rewrites_the_polynomial(self):
+        rng = random.Random(4)
+        for degree in range(-1, 9):
+            p = TPolynomial.of([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                for _ in range(degree + 1)])
+            E, O = p.sigma_form()
+            for t in (Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 7), Fraction(-5, 2)):
+                assert p(t) == E(1 - t * t) + t * O(1 - t * t)
+
+    def test_sigma_form_of_the_envelope(self):
         c = Fraction(5)
-        p = TPolynomial.of([c, 0, -2 * c, 0, c])
-        q = p.deflate_even_root_pair()
-        assert q.coeffs == (c, Fraction(0), -c)
-        assert p.deflate_even_root_pair().deflate_even_root_pair().coeffs == (c,)
-
-    def test_deflation_requires_roots(self):
-        assert TPolynomial.of([1, 1]).deflate_even_root_pair() is None
-
-    def test_zero_polynomial_deflates_to_zero(self):
-        zero = TPolynomial.of([Fraction(0)] * 5)
-        assert zero.is_zero() and zero.deflate_even_root_pair().is_zero()
+        E, O = TPolynomial.of([c, 0, -2 * c, 0, c]).sigma_form()
+        assert E.coeffs == (0, 0, c) and O.is_zero()
 
 
 class TestExpand:
@@ -168,7 +168,62 @@ class TestComplexifiedFamilyExpansion:
             complexified_family_expansion(R, x, a)
 
 
+def _synthetic_division_rounds(p: TPolynomial, multiplicity: int) -> list:
+    """Reference for `bound_forced_identities`: the values at t = +-1, then
+    division by (t - 1) and (t + 1) by synthetic division, round by round."""
+    out = []
+    cs = list(p.coeffs)
+    for _ in range(multiplicity):
+        at1, at_1 = TPolynomial.of(cs)(1), TPolynomial.of(cs)(-1)
+        out += [at1, at_1]
+        if at1 != 0 or at_1 != 0:
+            break
+        for root in (1, -1):
+            acc, quotient = 0, []
+            for c in reversed(cs):
+                acc = acc * root + c
+                quotient.append(acc)
+            cs = quotient[-2::-1]      # the remainder is zero by the root check
+        cs = [-c for c in cs]          # 1 - t^2 = -(t - 1)(t + 1)
+    return out
+
+
+def _times_sigma(cs: list) -> list:
+    """Coefficients of (1 - t^2) * p."""
+    cs = list(cs) + [0, 0]
+    return [c - (cs[k - 2] if k >= 2 else 0) for k, c in enumerate(cs)]
+
+
+@st.composite
+def envelope_polynomials(draw):
+    """(p, multiplicity) with p = sigma^j * q: divisible by sigma^j, and at
+    most one degree over the envelope (1-t^2)^multiplicity."""
+    multiplicity = draw(st.integers(1, 3))
+    j = draw(st.integers(0, multiplicity))
+    coeffs = draw(st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+                           max_size=2 * (multiplicity - j) + 2))
+    for _ in range(j):
+        coeffs = _times_sigma(coeffs)
+    return TPolynomial.of(coeffs), multiplicity
+
+
 class TestBoundForcedIdentities:
+    @settings(max_examples=300, deadline=None)
+    @given(envelope_polynomials())
+    # the cases the deflation tests pinned: the envelope itself, a
+    # polynomial without the roots, and the zero polynomial
+    @example((TPolynomial.of([Fraction(5), 0, Fraction(-10), 0, Fraction(5)]), 2))
+    @example((TPolynomial.of([1, 1]), 1))
+    @example((TPolynomial.of([Fraction(0)] * 5), 3))
+    def test_matches_synthetic_division(self, case):
+        p, multiplicity = case
+        if p.degree > 2 * multiplicity:
+            with pytest.raises(GeometryError):
+                bound_forced_identities(p, multiplicity=multiplicity)
+            return
+        expected = _synthetic_division_rounds(p, multiplicity)
+        assert bound_forced_identities(p, multiplicity=multiplicity) == expected
+
     def test_envelope_compatible_polynomial(self):
         c = Fraction(7)
         p = TPolynomial.of([c, 0, -2 * c, 0, c])

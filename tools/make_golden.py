@@ -60,6 +60,10 @@ REPORTS = {
                                "--s", "2", "--trials", "1", "--seed", "3"],
     "verify_thm4.out": ["verify", "--theorem", "thm4", "--m", "3", "--s", "1",
                         "--trials", "1", "--seed", "3"],
+    "verify_thm1_2_1.out": ["verify", "--theorem", "thm1", "--m", "2", "--s", "1",
+                            "--trials", "2", "--seed", "3"],
+    "verify_thm2_3_1.out": ["verify", "--theorem", "thm2", "--m", "3", "--s", "1",
+                            "--trials", "1", "--seed", "3"],
     "verify_thmA_3_1.out": ["verify", "--theorem", "thmA", "--m", "3", "--s", "1",
                             "--trials", "2", "--seed", "3"],
     "verify_thm3_3_1.out": ["verify", "--theorem", "thm3", "--m", "3", "--s", "1",
