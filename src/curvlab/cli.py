@@ -22,7 +22,7 @@ from .harness import (HypothesisError, THEOREM_IDS, model_complex_space_form,
                       model_constant_sectional, probe_unboundedness,
                       random_tensor, verify)
 from .io_format import (ParseError, build_tensor, document_from_tensor,
-                        read_document, serialize_document)
+                        parse_rational, read_document, serialize_document)
 from .polarization import (bound_forced_identities,
                            complexified_family_expansion,
                            holomorphic_family_expansion)
@@ -77,12 +77,15 @@ def _verdict_lines(prefix: str, verdict: ConstancyVerdict) -> list[str]:
 
 def _cmd_generate(args) -> int:
     space = make_space(args.m, args.s)
-    if args.model == "constant":
-        R = model_constant_sectional(space, Fraction(args.c))
-        name = args.name or f"constant-{args.c.replace('/', 'over')}"
-    elif args.model == "space-form":
-        R = model_complex_space_form(space, Fraction(args.c))
-        name = args.name or f"space-form-{args.c.replace('/', 'over')}"
+    if args.model in ("constant", "space-form"):
+        try:
+            # the document rule, so that the models' components can be written
+            c = parse_rational(args.c)
+        except ValueError as exc:
+            raise GeometryError(f"--c: {exc}") from None
+        model = model_constant_sectional if args.model == "constant" else model_complex_space_form
+        R = model(space, c)
+        name = args.name or f"{args.model}-{args.c.replace('/', 'over')}"
     else:
         R = random_tensor(space, args.seed, bianchi=not args.no_bianchi)
         name = args.name or f"random-{args.seed}"

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice, permutations
 from typing import Optional
 
@@ -28,8 +29,8 @@ import numpy as np
 from .scalars import FLOAT_DEGENERATE_TOL, FLOAT_VERDICT_TOL, is_zero
 from .spaces import (GeometryError, PseudoHermitianSpace, realizable,
                      tuple_from_rng)
-from .tensors import (CurvatureTensor, component_scale, holomorphic_sectional,
-                      sectional)
+from .tensors import (CurvatureTensor, _pair_signs, _wedge, component_scale,
+                      holomorphic_sectional, sectional)
 
 # Candidate vectors the exact holomorphic branch tries for a witness.  When
 # the quartic comparison says nonconstant, a random candidate from [-3, 3]^n
@@ -91,22 +92,26 @@ def _holomorphic_quartic(C: np.ndarray, J: np.ndarray) -> np.ndarray:
     return T.transpose(0, 2, 3, 1)
 
 
-def _norm_square_quartic(space: PseudoHermitianSpace) -> np.ndarray:
-    """Integer coefficient tensor of the quartic X -> g(X, X)^2."""
-    n = space.n
-    G4 = np.zeros((n, n, n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            G4[i, i, j, j] = space.metric_signs[i] * space.metric_signs[j]
-    return G4
-
-
 def _symmetrize_quartic(A: np.ndarray) -> np.ndarray:
     acc = None
     for perm in permutations(range(4)):
         term = A.transpose(perm)
         acc = term.copy() if acc is None else acc + term
     return acc
+
+
+@lru_cache(maxsize=None)
+def _norm_square_quartic(signs: tuple) -> np.ndarray:
+    """Symmetrized integer coefficient tensor of the quartic X -> g(X, X)^2,
+    built once per metric signature."""
+    n = len(signs)
+    G4 = np.zeros((n, n, n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            G4[i, i, j, j] = signs[i] * signs[j]
+    SG = _symmetrize_quartic(G4)
+    SG.setflags(write=False)
+    return SG
 
 
 def _candidate_coords(n: int, rng: random.Random):
@@ -130,6 +135,15 @@ def _norm(space: PseudoHermitianSpace, coords) -> int:
     return sum(sg * x * x for sg, x in zip(space.metric_signs, coords))
 
 
+def _holomorphic_screen(R: CurvatureTensor, V: np.ndarray) -> np.ndarray:
+    """H of a float tensor at every row of V: -w S w^T / sum_P s_P w_P^2 on
+    the float bivector form S, for the wedges w = v ^ Jv."""
+    space = R.space
+    W = _wedge(V, V @ space.J_float.T)
+    pair_signs = _pair_signs(space.metric_signs).astype(float)
+    return -((W @ R.bivector_form) * W).sum(axis=1) / ((W * W) @ pair_signs)
+
+
 def constant_holomorphic(R: CurvatureTensor, samples: int = 200, seed: int = 0) -> ConstancyVerdict:
     """Decide pointwise constancy of H.
 
@@ -137,10 +151,10 @@ def constant_holomorphic(R: CurvatureTensor, samples: int = 200, seed: int = 0) 
     coefficient arrays (no sampling).  Float backend: H is constant when it
     agrees, within `FLOAT_VERDICT_TOL` times the tensor scale (largest
     component, at least 1), on `samples` deterministic nonisotropic probe
-    vectors.  H of all of them is computed in one float64 contraction;
-    those more than half the tolerance away from the first are re-evaluated
-    in order with `holomorphic_sectional`, which decides the verdict and
-    gives every reported value.
+    vectors.  H of all of them is screened at once on the float bivector
+    form; those more than half the tolerance away from the first are
+    re-evaluated in order with `holomorphic_sectional`, which decides the
+    verdict and gives every reported value.
     """
     space = R.space
     rng = random.Random(seed)
@@ -151,7 +165,7 @@ def constant_holomorphic(R: CurvatureTensor, samples: int = 200, seed: int = 0) 
         N, D = R.integer_form or (R.components, 1)
         p, q = c.as_integer_ratio()
         SA = _symmetrize_quartic(_holomorphic_quartic(N, space.J))
-        SG = _symmetrize_quartic(_norm_square_quartic(space))
+        SG = _norm_square_quartic(space.metric_signs)
         if (SA * q == SG * (p * D)).all():
             return ConstancyVerdict("constant", value=c)
         # genuinely nonconstant: hunt a differing pair of holomorphic planes
@@ -165,21 +179,17 @@ def constant_holomorphic(R: CurvatureTensor, samples: int = 200, seed: int = 0) 
                     values=(c, h)))
         raise GeometryError(f"H is not constant, but no holomorphic plane among "
                             f"{_WITNESS_CANDIDATES} candidates has a value other than {c}")
-    # float backend.  The batched and the scalar value of one candidate are
-    # the same sum of n^4 float64 terms in another order, so they differ by
-    # rounding only: at most 6e-14 of the tensor scale on models and random
-    # tensors up to m = 6, where the screen needs less than tol/4 = 2.5e-9.
-    # Then every candidate the scalar comparison rejects is flagged, and the
+    # float backend.  The screen and the scalar path (n^4 dense float64
+    # terms) compute the same H in another order, so they differ by rounding
+    # only: at most 7e-13 of the tensor scale on models and random tensors
+    # up to m = 6, where the screen needs less than tol/4 = 2.5e-9.  Then
+    # every candidate the scalar comparison rejects is flagged, and the
     # first confirmed flag is the candidate the scalar loop stopped at.
     same, _ = _comparators(R)
     tol = FLOAT_VERDICT_TOL * component_scale(R.components)
     nonisotropic = (v for v in _candidate_coords(space.n, rng) if _norm(space, v) != 0)
     coords = list(islice(nonisotropic, max(samples, 1)))
-    V = np.array(coords, dtype=float)
-    JV = V @ space.J_float.T
-    signs = np.array(space.metric_signs, dtype=float)
-    den = ((V * V) @ signs) ** 2 - ((V * JV) @ signs) ** 2
-    H = np.einsum("ijkl,ai,aj,ak,al->a", R.components, V, JV, JV, V, optimize=True) / den
+    H = _holomorphic_screen(R, np.array(coords, dtype=float))
     ref_vec = space.vector(coords[0])
     ref_val = holomorphic_sectional(R, ref_vec)
     for k in np.flatnonzero(np.abs(H - H[0]) > tol / 2):

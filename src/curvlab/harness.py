@@ -39,7 +39,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,7 +54,8 @@ from .scalars import (FLOAT_IDENTITY_TOL, FLOAT_REVERIFY_TOL, format_scalar,
 from .spaces import (GeometryError, PseudoHermitianSpace, light_isometry,
                      random_isometry, realizable, seed_columns, tuple_from_rng,
                      unitary_generators)
-from .tensors import (CurvatureTensor, from_dense, pi1_components, sectional)
+from .tensors import (CurvatureTensor, _component_lift, _orbit_pairs, _wedge,
+                      from_dense, pi1_components, sectional)
 
 
 class HypothesisError(GeometryError):
@@ -99,31 +100,6 @@ def random_tensor(space: PseudoHermitianSpace, seed: int,
 
 
 # -- the symmetry-reduced component space ------------------------------------
-
-@lru_cache(maxsize=None)
-def _orbit_pairs(n: int) -> tuple:
-    """Indices (a, b), a <= b, of the 2-form pairs {P_a, P_b}: one coordinate
-    of the pair-symmetric basis each, in basis order."""
-    return np.triu_indices(n * (n - 1) // 2)
-
-
-@lru_cache(maxsize=None)
-def _component_lift(n: int) -> tuple:
-    """(P, Q, sign) on the components R_ijkl: the 2-form indices of (i, j) and
-    (k, l), and the sign of e_i^e_j (x) e_k^e_l against e_P (x) e_Q (0 when
-    i = j or k = l), as arrays that broadcast to (n, n, n, n)."""
-    index = np.zeros((n, n), dtype=np.intp)
-    iu, ju = np.triu_indices(n, 1)
-    index[iu, ju] = index[ju, iu] = np.arange(len(iu))
-    sign = np.sign(np.arange(n) - np.arange(n)[:, None])
-    return index[:, :, None, None], index, sign[:, :, None, None] * sign
-
-
-def _wedge(a, b) -> np.ndarray:
-    """(a ^ b)_P = a_i b_j - a_j b_i for the 2-form indices P = (i < j)."""
-    W = np.multiply.outer(np.asarray(a), np.asarray(b))
-    return (W - W.T)[np.triu_indices(len(a), 1)]
-
 
 def _functional(a, b, c, d) -> np.ndarray:
     """The functional R -> R(a, b, c, d) on the pair-symmetric basis.

@@ -35,7 +35,7 @@ from .tensors import CurvatureTensor, dense_components, from_dense
 
 HEADER = "curvlab-tensor/1"
 
-_RATIONAL = re.compile(r"-?\d+(/\d*[1-9]\d*)?$")       # no zero denominator
+_RATIONAL = re.compile(r"-?\d+(/\d*[1-9]\d*)?", re.ASCII)     # no zero denominator
 _NAME = re.compile(r"[A-Za-z0-9_.+-]+$")
 _ENTRY_KEY = re.compile(r"R\[(\d+),(\d+),(\d+),(\d+)\]$")
 _JROW_KEY = re.compile(r"J\[(\d+)\]$")
@@ -81,11 +81,26 @@ def _number(convert, tok: str, lineno: int, col: int):
         raise ParseError(f"number {tok[:20]}... has too many digits", lineno, col) from None
 
 
+def parse_rational(tok: str) -> Fraction:
+    """The value of a document rational ``p`` or ``p/q`` with q > 0.
+
+    ValueError for any other text, and for a number with more digits than
+    the interpreter converts (which it could not write back either).
+    """
+    if not _RATIONAL.fullmatch(tok):
+        raise ValueError(f"expected a rational p or p/q with q > 0, got {tok!r}")
+    try:
+        # from ints: Fraction(str) would match tok against its own pattern again
+        return Fraction(*map(int, tok.split("/")))
+    except ValueError:      # more digits than the interpreter converts
+        raise ValueError(f"number {tok[:20]}... has too many digits") from None
+
+
 def _rational_value(tok: str, lineno: int, col: int) -> Fraction:
-    if not _RATIONAL.match(tok):
-        raise ParseError(f"expected a rational p or p/q with q > 0, got {tok!r}", lineno, col)
-    # from ints: Fraction(str) would match tok against its own pattern again
-    return _number(lambda t: Fraction(*map(int, t.split("/"))), tok, lineno, col)
+    try:
+        return parse_rational(tok)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno, col) from None
 
 
 def _lines(text: str) -> list[str]:
@@ -204,8 +219,11 @@ def serialize_document(doc: TensorDocument) -> str:
         out.append(f"seed = {doc.seed}")
     out.append(f"symmetrize = {'true' if doc.symmetrize else 'false'}")
     out.append(f"bianchi = {'true' if doc.bianchi else 'false'}")
-    for (i, j, k, l, v) in doc.entries:
-        out.append(f"R[{i},{j},{k},{l}] = {format_rational(v)}")
+    try:
+        for (i, j, k, l, v) in doc.entries:
+            out.append(f"R[{i},{j},{k},{l}] = {format_rational(v)}")
+    except ValueError:      # more digits than the interpreter converts
+        raise GeometryError("a component has too many digits to write") from None
     return "\n".join(out) + "\n"
 
 

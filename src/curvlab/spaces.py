@@ -10,10 +10,11 @@ the complex extension of g is complex-bilinear, never sesquilinear.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,6 +68,13 @@ def canonical_complex_structure(m: int) -> np.ndarray:
         J[2 * b + 1, 2 * b] = 1
         J[2 * b, 2 * b + 1] = -1
     return _freeze(J)
+
+
+def _times(x, a):
+    """x * a, with an int entry +-1 of J as a copy or a negation."""
+    if type(x) is int and (x == 1 or x == -1):
+        return a if x == 1 else -a
+    return x * a
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,13 +182,24 @@ class PseudoHermitianSpace:
             return ExactComplex(Fraction(re), Fraction(im))
         return complex(float(re), float(im))
 
+    @cached_property
+    def _J_rows(self) -> tuple:
+        """J's nonzero entries, row by row, as (column, entry) pairs."""
+        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.J)
+
     def apply_J(self, u):
-        """Matrix action of J; extends entrywise to ComplexVector."""
+        """Matrix action of J; extends entrywise to ComplexVector.  Float
+        vectors multiply by `J_float`, exact ones by J's sparse rows."""
         if isinstance(u, ComplexVector):
             return ComplexVector(self.apply_J(u.re), self.apply_J(u.im))
         self._check_vec(u)
-        J = self.J_float if is_float_vector(u) else self.J
-        return J.dot(np.asarray(u))
+        if is_float_vector(u):
+            return self.J_float.dot(u)
+        u = np.asarray(u, dtype=object)
+        out = np.empty(self.n, dtype=object)
+        out[:] = [reduce(operator.add, [_times(x, u[j]) for j, x in row])
+                  for row in self._J_rows]
+        return out
 
     # -- planes -----------------------------------------------------------
 

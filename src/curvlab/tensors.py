@@ -22,12 +22,21 @@ family, and both sum the values by their powers of t and i
 (`polarized_coefficients`).  Exact tensors keep their components as a
 `Fraction` array, but contract on an integer form: Python-int numerators N
 over one common denominator D (the lcm of the component denominators),
-computed at most once and cached on the immutable tensor.  Rational vectors
-are integerized the same way (`scalars.integerize`), so a contraction is
-plain integer multiply-add and one reduced `Fraction` per value at the end
-instead of a gcd per term.  The exact symmetry checks run on the numerators
-too, since scaling by D preserves which sums vanish: validating a tensor
-computes the integer form its first contraction then uses.
+computed at most once and cached on the immutable tensor.  The symmetry
+checks run on the numerators too, since scaling by D preserves which sums
+vanish: validating a tensor computes the integer form its first contraction
+then uses.
+
+The contraction itself runs on the bivector form: R is antisymmetric in each
+slot pair, so R(X, Y, Z, U) = (X^Y) S (Z^U)^T with the 2-forms written on
+the P = n(n-1)/2 indices (i < j) and S[(i<j), (k<l)] = N_ijkl, the P x P
+matrix of numerators, cached beside the integer form.  Rational vectors are
+integerized the same way (`scalars.integerize`), their wedges are integer
+rows, and a value is P^2 integer multiply-adds instead of n^4 (225 against
+1296 at m = 3), reduced to one `Fraction` at the end.  `sectional` reads its
+denominator off the same wedge: pi1(u, v, v, u) = sum_P s_i s_j (u^v)_P^2.
+Float tensors, and exact tensors on float vectors, keep the four-step dense
+contraction (U, Z, Y, X), so float values are unchanged bit for bit.
 """
 
 from __future__ import annotations
@@ -35,8 +44,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import product
+from functools import cached_property, lru_cache
+from itertools import chain, product
 
 import numpy as np
 
@@ -92,6 +101,51 @@ def failing_symmetries(C: np.ndarray, bianchi: bool = False) -> list[str]:
             if not is_zero(np.abs(diff).max(), FLOAT_IDENTITY_TOL, scale)]
 
 
+# -- the 2-form basis ---------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _two_forms(n: int) -> tuple:
+    """(i, j), i < j, of the 2-form indices P = 0 .. n(n-1)/2 - 1, in order."""
+    return np.triu_indices(n, 1)
+
+
+@lru_cache(maxsize=None)
+def _orbit_pairs(n: int) -> tuple:
+    """Indices (a, b), a <= b, of the 2-form pairs {P_a, P_b}: one coordinate
+    of the pair-symmetric basis each, in basis order."""
+    return np.triu_indices(n * (n - 1) // 2)
+
+
+@lru_cache(maxsize=None)
+def _component_lift(n: int) -> tuple:
+    """(P, Q, sign) on the components R_ijkl: the 2-form indices of (i, j) and
+    (k, l), and the sign of e_i^e_j (x) e_k^e_l against e_P (x) e_Q (0 when
+    i = j or k = l), as arrays that broadcast to (n, n, n, n)."""
+    index = np.zeros((n, n), dtype=np.intp)
+    iu, ju = _two_forms(n)
+    index[iu, ju] = index[ju, iu] = np.arange(len(iu))
+    sign = np.sign(np.arange(n) - np.arange(n)[:, None])
+    return index[:, :, None, None], index, sign[:, :, None, None] * sign
+
+
+@lru_cache(maxsize=None)
+def _pair_signs(signs: tuple) -> np.ndarray:
+    """s_i s_j on the 2-form indices: pi1(u, v, v, u) = sum_P s_P (u^v)_P^2.
+    Python ints, so exact wedges of any size multiply without overflow."""
+    iu, ju = _two_forms(len(signs))
+    out = np.array([signs[i] * signs[j] for i, j in zip(iu, ju)], dtype=object)
+    out.setflags(write=False)
+    return out
+
+
+def _wedge(a, b) -> np.ndarray:
+    """(a ^ b)_P = a_i b_j - a_j b_i for the 2-form indices P = (i < j) of the
+    last axis; leading axes broadcast, so stacks of rows give stacks of 2-forms."""
+    a, b = np.asarray(a), np.asarray(b)
+    i, j = _two_forms(a.shape[-1])
+    return a[..., i] * b[..., j] - a[..., j] * b[..., i]
+
+
 @dataclass(frozen=True, eq=False)
 class CurvatureTensor:
     """Immutable curvature tensor over a fixed space."""
@@ -127,43 +181,70 @@ class CurvatureTensor:
             return None
         return np.array(form[0], dtype=object).reshape(self.components.shape), form[1]
 
+    @cached_property
+    def bivector_form(self) -> np.ndarray:
+        """The P x P matrix S[P, Q] = R_ijkl on the 2-form indices P = (i < j)
+        and Q = (k < l), computed once: the integer form's numerators (over
+        its D) when the tensor is exact and rational, else the components.
+
+        R(X, Y, Z, U) = (X^Y) S (Z^U)^T needs both antisymmetries, since S
+        reads only i < j and k < l.  Validation has checked them; an
+        unvalidated tensor is checked here and raises InvariantViolation
+        rather than contract as its antisymmetric part.
+        """
+        form = self.integer_form
+        C = self.components if form is None else form[0]
+        if not self.validate:
+            bad = [name for name in failing_symmetries(C) if name.startswith("antisym")]
+            if bad:
+                raise InvariantViolation(bad[0], "the bivector form needs both antisymmetries")
+        i, j = _two_forms(self.space.n)
+        S = C[i[:, None], j[:, None], i, j]
+        S.setflags(write=False)
+        return S
+
     # -- evaluation --------------------------------------------------------
 
     def _contract(self, stacks) -> tuple[np.ndarray, int | None]:
         """(values, D): R on every choice of one row from each of the four
         stacks, as a (k1, k2, k3, k4) array.
 
-        On the integer form when the tensor and every row are rational: the
-        values are integer numerators over D.  Otherwise they are the
-        contraction in the tensor's own dtype (float64 stays float64) and D
-        is None.  U contracts first, on the last axis, then Z, Y and X, so
-        one-row stacks repeat the single-vector contraction bit for bit.
+        On the bivector form when the tensor and every row are rational: the
+        values are the integer numerators (X^Y) S (Z^U)^T over D, one matrix
+        product on the stacked wedges of each slot pair.  Otherwise they are
+        the dense contraction in the tensor's own dtype (float64 stays
+        float64) and D is None: U contracts first, on the last axis, then Z,
+        Y and X, so one-row stacks repeat the single-vector contraction bit
+        for bit.
         """
         n = self.space.n
         if any(len(v) != n for S in stacks for v in S):
             raise DimensionMismatch("vector length does not match tensor space")
         forms = ([integerize(x for v in S for x in v) for S in stacks]
                  if self.integer_form else [None])
-        if None in forms:
-            out, den = self.components, None
-            rows = [np.asarray(S, dtype=out.dtype) for S in stacks]
-        else:
-            out, den = self.integer_form
-            rows = [np.array(N, dtype=object).reshape(len(S), n)
-                    for (N, _), S in zip(forms, stacks)]
-            den *= math.prod(d for _, d in forms)
+        if None not in forms:
+            X, Y, Z, U = (np.array(N, dtype=object).reshape(len(S), n)
+                          for (N, _), S in zip(forms, stacks))
+            P = len(self.bivector_form)
+            left = _wedge(X[:, None], Y[None]).reshape(-1, P)
+            right = _wedge(Z[:, None], U[None]).reshape(-1, P)
+            values = left.dot(self.bivector_form).dot(right.T)
+            den = self.integer_form[1] * math.prod(d for _, d in forms)
+            return values.reshape([len(S) for S in stacks]), den
+        out = self.components
+        rows = [np.asarray(S, dtype=out.dtype) for S in stacks]
         k = 1
         for S in reversed(rows):
             # the axis to contract is last, the stacks so far lead
             out = np.dot(out.reshape(-1, n, k).transpose(2, 0, 1).reshape(-1, n), S.T)
             k = len(S)
         k1, k2, k3, k4 = map(len, rows)
-        return out.reshape(k2, k3, k4, k1).transpose(3, 0, 1, 2), den
+        return out.reshape(k2, k3, k4, k1).transpose(3, 0, 1, 2), None
 
     def contract(self, S1, S2, S3, S4) -> np.ndarray:
         """The (k1, k2, k3, k4) array of R(S1[a], S2[b], S3[c], S4[d]) for
-        stacks of real vectors: Fractions on exact rational input, else in
-        the tensor's dtype."""
+        stacks of real vectors: Fractions on exact rational input, from the
+        bivector form, else the dense contraction in the tensor's dtype."""
         values, den = self._contract((S1, S2, S3, S4))
         if den is None:
             return values
@@ -326,20 +407,37 @@ def pi1_components(space: PseudoHermitianSpace) -> np.ndarray:
 
 
 def sectional(R: CurvatureTensor, u, v):
-    """Sectional curvature of span{u,v}: eval(u,v,v,u) / pi1(u,v,v,u).
+    """Sectional curvature of span{u,v}: R(u,v,v,u) / pi1(u,v,v,u).
 
-    Depends only on the span.  Raises DegeneratePlaneError (carrying the
-    Gram rank) on weakly or totally isotropic planes.
+    Depends only on the span.  On rational vectors the denominator comes
+    from the wedge w = u^v, pi1(u,v,v,u) = sum_P s_i s_j w_P^2, and so does
+    the numerator of an exact tensor, -w S w^T on its bivector form S.
+    Raises DegeneratePlaneError (carrying the Gram rank) on weakly or
+    totally isotropic planes.
     """
-    g = R.space.inner
-    uu, uv, vv = g(u, u), g(u, v), g(v, v)
-    den = uu * vv - uv * uv            # pi1(u, v, v, u)
-    num = R.eval(u, v, v, u)
-    if is_zero(den, FLOAT_DEGENERATE_TOL, num):
+    space = R.space
+    g = space.inner
+    # vectors of the wrong length take the general path, whose g reports them
+    form = len(u) == len(v) == space.n and integerize(chain(u, v))
+    if form:
+        w = _wedge(*np.array(form[0], dtype=object).reshape(2, space.n))
+        # pi1(u, v, v, u) d^4 for the vectors' common denominator d, which
+        # cancels against the numerator's
+        den = w.dot(w * _pair_signs(space.metric_signs))
+        if den and R.integer_form:
+            return Fraction(-w.dot(R.bivector_form).dot(w), den * R.integer_form[1])
+        if den:         # the float contraction over the same exact rational
+            return R.eval(u, v, v, u) / Fraction(den, form[1] ** 4)
+        rank = gram_rank(g(u, u), g(u, v), g(v, v), True)
+    else:
+        uu, uv, vv = g(u, u), g(u, v), g(v, v)
+        den = uu * vv - uv * uv            # pi1(u, v, v, u)
+        num = R.eval(u, v, v, u)
+        if not is_zero(den, FLOAT_DEGENERATE_TOL, num):
+            return num / den
         rank = gram_rank(uu, uv, vv, is_exact(den))
-        raise DegeneratePlaneError(
-            f"plane is degenerate (gram rank {rank}); sectional curvature undefined", rank)
-    return num / den
+    raise DegeneratePlaneError(
+        f"plane is degenerate (gram rank {rank}); sectional curvature undefined", rank)
 
 
 def sectional_c(R: CurvatureTensor, u, v):

@@ -2,13 +2,15 @@ import importlib.util
 import io
 import pathlib
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import pytest
 
 from curvlab import cli, linsolve
 from curvlab.cli import main
 from curvlab.harness import model_constant_sectional
-from curvlab.io_format import document_from_tensor, serialize_document
+from curvlab.io_format import (build_tensor, document_from_tensor, read_document,
+                               serialize_document)
 from curvlab.spaces import canonical_complex_structure, make_space
 
 from conftest import run_python
@@ -80,6 +82,29 @@ class TestExitCodes:
         code, out = run_cli(["classify", "-i", str(doc)])
         assert (code, out) == (2, "")
         assert capsys.readouterr().err.startswith(f"error: {where}")
+
+    @pytest.mark.parametrize("model", ["constant", "space-form"])
+    @pytest.mark.parametrize("c", ["abc", "nan", "1/3e", "1e5000", "1/0", "3.5", "1/-2",
+                                   "3\n", "\u0663", "1" * 4301])
+    def test_generate_refuses_a_constant_outside_the_document_grammar(self, capsys, model, c):
+        code, out = run_cli(["generate", "--model", model, "--m", "1", "--s", "0", "--c", c])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("error: --c: ")
+
+    def test_generate_writes_the_largest_accepted_constant(self, tmp_path):
+        c = "9" * 4300 + "/7"
+        doc = tmp_path / "big.tensor"
+        assert run_cli(["generate", "--model", "constant", "--m", "1", "--s", "0",
+                        "--c", c, "-o", str(doc)])[0] == 0
+        R = build_tensor(read_document(doc))
+        assert R.components[0, 1, 1, 0] == Fraction(int("9" * 4300), 7)
+
+    def test_generate_reports_a_component_too_long_to_write(self, capsys):
+        # the space form holds c/4, whose denominator here has 4301 digits
+        code, out = run_cli(["generate", "--model", "space-form", "--m", "2", "--s", "0",
+                             "--c", "1/" + "9" * 4300])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: a component has too many digits to write\n"
 
     def test_oversized_dimension_exits_quickly(self, tmp_path):
         text = (GOLDEN / "constant_2_1.tensor").read_text()

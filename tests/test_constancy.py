@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from curvlab.constancy import (constant_antiholomorphic,
 from curvlab.harness import (impose, model_complex_space_form,
                              model_constant_sectional, random_tensor)
 from curvlab.spaces import GeometryError, gram_schmidt_tuple, make_space
-from curvlab.tensors import (CurvatureTensor, from_components,
-                             holomorphic_sectional, pi1_components, sectional)
+from curvlab.tensors import (CurvatureTensor, component_scale, from_components,
+                             from_dense, holomorphic_sectional, pi1_components,
+                             sectional)
 
 
 def perturbed_pi1(space, seed=0):
@@ -180,6 +182,29 @@ class TestFloatHolomorphicScreen:
         assert flags_ok(len(calls) - 1)     # the first call is the reference value
         if not constant:
             assert (verdict.witness.planes[1][0] == sp30.basis_vector(4)).all()
+
+
+    @pytest.mark.parametrize("m,s", [(1, 0), (2, 1), (3, 1), (4, 2), (5, 3), (6, 3), (6, 6)])
+    def test_screen_rounding_stays_below_a_quarter_of_the_tolerance(self, m, s):
+        # the screen sums H in another order than the scalar path; the flags
+        # catch every rejection only while the two differ by less than tol/4
+        space = make_space(m, s)
+        n = space.n
+        rng = np.random.default_rng(10 * m + s)
+        models = [model_constant_sectional(space, Fraction(-7, 3)).to_float()]
+        if m < 6:       # the exact m = 6 space form takes half a second to build
+            models.append(model_complex_space_form(space, Fraction(5, 2)).to_float())
+        randoms = [from_dense(space, scale * rng.standard_normal((n,) * 4),
+                              symmetrize=True, bianchi_projection=True)
+                   for scale in (1e-3, 1.0, 1e6)]
+        nonisotropic = (v for v in constancy._candidate_coords(n, random.Random(m))
+                        if constancy._norm(space, v))
+        coords = list(islice(nonisotropic, 200))
+        for R in models + randoms:
+            tol = constancy.FLOAT_VERDICT_TOL * component_scale(R.components)
+            screen = constancy._holomorphic_screen(R, np.array(coords, dtype=float))
+            scalar = [holomorphic_sectional(R, space.vector(c)) for c in coords]
+            assert np.abs(screen - scalar).max() < tol / 4
 
 
 class TestConstantAntiholomorphic:

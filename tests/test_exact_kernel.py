@@ -1,29 +1,38 @@
 """Property tests of the exact contraction kernel against nested-loop oracles.
 
-Exact tensors contract on Python-int numerators over one common
-denominator; these tests check every path of `CurvatureTensor.eval` and
-`eval_c` against plain `Fraction` arithmetic written out index by index,
-the stacked `contract` and `expand` against single evaluations,
-and `failing_symmetries` against invariants broken by hand.  Validation
-shares the integer form with the first contraction.
+Exact tensors contract on their bivector form, the 2-form matrix of
+Python-int numerators over one common denominator; these tests check every
+path of `CurvatureTensor.eval` and `eval_c` against plain `Fraction`
+arithmetic written out index by index, up to m = 4, the stacked `contract`
+and `expand` against single evaluations, `sectional` against the oracle
+ratio and its degenerate planes by Gram rank, and `failing_symmetries`
+against invariants broken by hand.  Validation shares the integer form with
+the first contraction, and an unvalidated tensor without both
+antisymmetries refuses to build its bivector form.
 """
 
+import functools
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvlab import tensors
-from curvlab.harness import random_tensor
+from curvlab.constancy import constant_holomorphic
+from curvlab.harness import random_tensor, tensor_from_coefficients
 from curvlab.polarization import VectorFamily, expand
 from curvlab.scalars import ExactComplex
-from curvlab.spaces import ComplexVector, make_space
+from curvlab.spaces import (ComplexVector, DegeneratePlaneError, InvariantViolation,
+                            make_space, random_isometry)
 from curvlab.tensors import (CurvatureTensor, failing_symmetries, from_components,
-                             from_dense)
+                             from_dense, sectional)
 
-SPACES = [make_space(1, 0), make_space(2, 1), make_space(3, 1)]
+SPACES = [make_space(1, 0), make_space(2, 1), make_space(3, 1),
+          make_space(4, 0), make_space(4, 2)]
 BIG = 2 ** 40
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -69,10 +78,21 @@ fractions = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), denominators)
 entries = st.one_of(st.integers(-50, 50), st.integers(-50, 50).map(np.int64), fractions)
 
 
+def sparse_coefficients(n):
+    """A few nonzero coordinates on the pair-symmetric basis, the rest zero."""
+    size = len(tensors._orbit_pairs(n)[0])
+    return st.dictionaries(st.integers(0, size - 1), fractions, min_size=1, max_size=6).map(
+        lambda d: [d.get(i, Fraction(0)) for i in range(size)])
+
+
 @st.composite
 def exact_tensors(draw):
-    """A symmetrized (maybe Bianchi-projected) tensor with mixed denominators."""
+    """A tensor with mixed denominators: symmetrized (maybe Bianchi-projected)
+    entries at m <= 3; at m = 4, where projecting n^4 Fractions takes about
+    0.07 s, the lift of a few pair-symmetric coordinates."""
     space = draw(st.sampled_from(SPACES))
+    if space.m == 4:
+        return tensor_from_coefficients(space, draw(sparse_coefficients(space.n)))
     idx = st.integers(0, space.n - 1)
     values = draw(st.lists(st.tuples(idx, idx, idx, idx, fractions), min_size=1, max_size=6))
     return from_components(space, values, symmetrize=True,
@@ -121,14 +141,18 @@ def test_exact_eval_c_matches_complex_oracle(data):
     R = data.draw(exact_tensors())
     n = R.space.n
     part = st.lists(entries, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=object))
-    vs = [ComplexVector(data.draw(part), data.draw(part)) for _ in range(4)]
+    # one row per real slot, two per complex one
+    vs = [ComplexVector(data.draw(part), data.draw(part)) if data.draw(st.booleans())
+          else data.draw(part) for _ in range(4)]
     got = R.eval_c(*vs)
     assert isinstance(got, ExactComplex)
-    assert (got.re, got.im) == oracle_c(R.components, *vs)
+    zero = np.zeros(n, dtype=object)
+    as_c = [v if isinstance(v, ComplexVector) else ComplexVector(v, zero) for v in vs]
+    assert (got.re, got.im) == oracle_c(R.components, *as_c)
 
 
 @PROPERTY
-@given(seed=st.integers(0, 10 ** 6), space=st.sampled_from(SPACES[1:]),
+@given(seed=st.integers(0, 10 ** 6), space=st.sampled_from(SPACES[1:3]),
        q=denominators, sign=st.sampled_from((1, -1)), data=st.data())
 def test_nudged_entry_names_broken_invariants(seed, space, q, sign, data):
     R = random_tensor(space, seed, bianchi=True)
@@ -306,3 +330,125 @@ def test_result_types():
     assert type(F.eval_c(*exact, *exact)) is complex
     assert all(type(c) is float for c in pinched(F, real, *exact))
     assert all(type(c) is complex for c in pinched(F, imag, *exact))
+
+
+def pi1_oracle(signs, u, v) -> Fraction:
+    """pi1(u, v, v, u) = g(u,u) g(v,v) - g(u,v)^2, in Fractions."""
+    def g(a, b):
+        return sum((s * as_fraction(x) * as_fraction(y) for s, x, y in zip(signs, a, b)),
+                   Fraction(0))
+    return g(u, u) * g(v, v) - g(u, v) ** 2
+
+
+@PROPERTY
+@given(st.data())
+def test_sectional_matches_the_oracle_ratio(data):
+    R = data.draw(exact_tensors())
+    u, v = (data.draw(vectors(R.space.n)) for _ in range(2))
+    den = pi1_oracle(R.space.metric_signs, u, v)
+    if den == 0:
+        with pytest.raises(DegeneratePlaneError):
+            sectional(R, u, v)
+        return
+    got = sectional(R, u, v)
+    assert type(got) is Fraction
+    assert got == oracle(R.components, u, v, v, u) / den
+    # a float tensor divides its dense contraction by the same exact
+    # rational, however that is summed: the float bits are the parent's
+    F = R.to_float()
+    assert sectional(F, u, v).hex() == (F.eval(u, v, v, u) / den).hex()
+
+
+@functools.lru_cache(maxsize=None)
+def plane_test_tensor(space):
+    """A lifted tensor with every pair-symmetric coordinate nonzero, one per space."""
+    return tensor_from_coefficients(space, [Fraction(k % 7 - 3, k % 5 + 1) for k in
+                                            range(len(tensors._orbit_pairs(space.n)[0]))])
+
+
+def isotropic_pair(space, totally: bool):
+    """e_0 + e_2s, null, with e_1 + e_2s+1 (null, orthogonal) or with e_1."""
+    e = [space.basis_vector(i) for i in range(space.n)]
+    t = 2 * space.s
+    return e[0] + e[t], (e[1] + e[t + 1] if totally else e[1])
+
+
+@PROPERTY
+@given(space=st.sampled_from([make_space(2, 1), make_space(3, 1), make_space(4, 2),
+                              make_space(3, 0)]),
+       kind=st.sampled_from(("weak", "total", "dependent")), seed=st.integers(0, 10 ** 6),
+       mix=st.tuples(*[st.integers(-3, 3)] * 4).filter(lambda m: m[0] * m[3] != m[1] * m[2]))
+def test_degenerate_planes_report_their_gram_rank(space, kind, seed, mix):
+    rng = random.Random(seed)
+    R = plane_test_tensor(space)
+    if kind == "dependent":
+        # x and 0 span a line; a basis vector is not null, so the rank is 1
+        x = space.basis_vector(rng.randrange(space.n))
+        u, v, rank = x, 0 * x, 1
+    elif space.s == 0:
+        return          # a definite space has no null vectors
+    else:
+        u, v = isotropic_pair(space, kind == "total")
+        rank = 0 if kind == "total" else 1
+    T = random_isometry(space, rng)
+    u, v = T.dot(u), T.dot(v)
+    a, b, c, d = mix
+    u, v = a * u + b * v, c * u + d * v
+    for tensor in (R, R.to_float()):
+        with pytest.raises(DegeneratePlaneError) as exc:
+            sectional(tensor, u, v)
+        assert exc.value.gram_rank == rank
+
+
+@pytest.mark.parametrize("broken", ["antisym-12", "antisym-34"])
+@pytest.mark.parametrize("exact", [True, False])
+def test_unvalidated_tensor_without_an_antisymmetry_has_no_bivector_form(broken, exact):
+    # the bivector form reads only i < j and k < l: a tensor without both
+    # antisymmetries must not contract as its antisymmetric part
+    space = SPACES[2]
+    C = random_tensor(space, 3).components.copy()
+    i, j, k, l = 0, 1, 2, 3
+    bump = Fraction(1, 7)
+    C[i, j, k, l] += bump
+    if broken == "antisym-12":
+        C[i, j, l, k] -= bump       # keeps antisym-34
+    else:
+        C[j, i, k, l] -= bump       # keeps antisym-12
+    if not exact:
+        C = C.astype(float)
+    R = CurvatureTensor(space, C, validate=False)
+    with pytest.raises(InvariantViolation) as exc:
+        # the exact contraction, or the float holomorphic screen
+        if exact:
+            R.eval(*np.eye(space.n, dtype=object)[[i, j, k, l]])
+        else:
+            constant_holomorphic(R)
+    assert exc.value.invariant == broken
+
+
+def test_pair_exchange_is_not_needed_by_the_kernel():
+    space = SPACES[2]
+    C = random_tensor(space, 4).components.copy()
+    for (a, b, c, d), sign in (((0, 1, 2, 3), 1), ((1, 0, 2, 3), -1),
+                               ((0, 1, 3, 2), -1), ((1, 0, 3, 2), 1)):
+        C[a, b, c, d] += sign * Fraction(2, 5)
+    assert failing_symmetries(C) == ["pair-exchange"]
+    R = CurvatureTensor(space, C, validate=False)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        vs = [np.array([Fraction(int(x), 3) for x in rng.integers(-9, 9, space.n)],
+                       dtype=object) for _ in range(4)]
+        assert R.eval(*vs) == oracle(C, *vs)
+
+
+@settings(max_examples=15, deadline=None)
+@given(space=st.sampled_from(SPACES[1:]), data=st.data())
+def test_lifted_and_projected_tensors_match_the_loop_oracle(space, data):
+    n = space.n
+    idx = st.integers(0, n - 1)
+    raw = data.draw(st.lists(st.tuples(idx, idx, idx, idx, fractions), min_size=1, max_size=4))
+    C = tensors.dense_components(n, raw)
+    for R in (tensor_from_coefficients(space, data.draw(sparse_coefficients(n))),
+              from_dense(space, C, symmetrize=True)):
+        vs = [data.draw(vectors(n)) for _ in range(4)]
+        assert R.eval(*vs) == oracle(R.components, *vs)
