@@ -40,6 +40,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -241,15 +242,28 @@ class _Condition:
     iso_configs: Callable[[PseudoHermitianSpace, random.Random], list]
 
     def rows(self, space) -> np.ndarray:
-        """Integer constraint rows at the representatives, checked on their equations."""
+        """Integer constraint rows at the representatives, checked on their
+        equations.  Each configuration is scaled once to integer vectors:
+        every identity is homogeneous of degree 4 in it, so the coprime rows
+        are those of the rational configuration.  A functional entry is at
+        most 8 M^4 for entries up to M, so a row of t terms is summed in
+        int64 when 8 t M^4 < 2^62."""
         g, J = space.inner, space.apply_J
-        rows = []
+        rows, dtype = [], np.int64
         for config in self.representatives(space):
+            ints, _ = integerize(chain(*config))
+            config = np.array(ints, dtype=object).reshape(len(config), -1)
+            # the equations are bilinear, so the scaled configuration meets them too
             if not all(is_zero(e, FLOAT_IDENTITY_TOL) for e in self.equations(g, J, *config)):
                 raise GeometryError("a representative configuration fails its equations")
-            rows += [integer_row(sum(_functional(*slots) for slots in identity))
-                     for identity in self.identities(J, *config)]
-        return np.array(rows, dtype=object)
+            identities = self.identities(J, *config)
+            terms = max(map(len, identities))
+            if 8 * terms * max(map(abs, ints)) ** 4 >= 2 ** 62:
+                dtype = object
+            rows += [integer_row(sum(_functional(*(np.array(v, dtype=dtype) for v in slots))
+                                     for slots in identity))
+                     for identity in identities]
+        return np.array(rows, dtype=dtype)
 
     def holds(self, R: CurvatureTensor, rng) -> bool:
         J = R.space.apply_J
@@ -301,20 +315,29 @@ CONDITIONS = {
 class ConstraintSystem:
     """Solution space of a curvature hypothesis imposed as linear constraints.
 
-    `coefficients` is the certified nullspace basis as vectors of rational
-    coordinates on the pair-symmetric basis (`_orbit_pairs`); tensors are
-    built from them only on demand.  `probes_used` counts the rows offered.
+    `basis` is the certified nullspace basis in integer form, one coprime
+    integer row of coordinates on the pair-symmetric basis (`_orbit_pairs`)
+    per vector, and `denominators` holds each row's entry at its free
+    column: vector i is basis[i] / denominators[i].  `coefficients` is that
+    rational view, and tensors are built from it only on demand.
+    `probes_used` counts the rows offered.
     """
 
     space: PseudoHermitianSpace
     condition_id: str
     rank: int
-    coefficients: tuple
+    basis: np.ndarray              # (dimension, N) Python ints
+    denominators: tuple
     probes_used: int
 
     @property
     def dimension(self) -> int:
-        return len(self.coefficients)
+        return len(self.basis)
+
+    @cached_property
+    def coefficients(self) -> tuple:
+        return tuple([Fraction(v, d) for v in row]
+                     for row, d in zip(self.basis.tolist(), self.denominators))
 
     @cached_property
     def solution_basis(self) -> tuple:
@@ -322,14 +345,12 @@ class ConstraintSystem:
 
     def random_element(self, seed: int) -> CurvatureTensor:
         """The basis combined with seeded `rand_rational` weights, one per vector."""
-        if not self.coefficients:
+        if not self.dimension:
             raise GeometryError("constraint system has a trivial solution space")
         rng = random.Random(seed)
         # each vector over its own denominator keeps the numerators small
-        rows = [integerize(vec) for vec in self.coefficients]
-        weights, D = integerize(rand_rational(rng) / d for _, d in rows)
-        combined = np.array(weights, dtype=object).dot(
-            np.array([nums for nums, _ in rows], dtype=object))
+        weights, D = integerize(rand_rational(rng) / d for d in self.denominators)
+        combined = np.array(weights, dtype=object).dot(self.basis)
         return tensor_from_coefficients(self.space, [Fraction(v, D) for v in combined])
 
     def condition_holds(self, R: CurvatureTensor, seed: int, count: int = 30) -> bool:
@@ -354,7 +375,7 @@ def _images(K2, rows) -> np.ndarray:
     form S with S_PQ = r_PQ off the diagonal and S_PP = 2 r_PP on 2-forms; it
     maps to K2 S + S K2^T = T + T^T with T = K2 S, again even on the diagonal.
     """
-    ia, ib = np.triu_indices(len(K2))
+    ia, ib = _orbit_pairs((1 + math.isqrt(1 + 8 * len(K2))) // 2)     # K2 is n(n-1)/2 square
     fits = 4 * len(K2) * int(np.abs(K2).max()) * int(np.abs(rows).max()) < 2 ** 62
     dtype = np.int64 if fits else object
     S = np.zeros((len(rows),) + K2.shape, dtype=dtype)
@@ -370,12 +391,16 @@ def impose(space: PseudoHermitianSpace, condition_id: str, seed: int = 0) -> Con
     """Impose a quantified curvature condition: close its representative rows
     under u(p, q) and take the certified exact nullspace.
 
-    The rows at the representatives are offered, then each generator's
-    images of the rows absorbed in the previous layer, until a layer absorbs
-    nothing.  The offered rows then span an invariant space that holds the
-    representative rows: the whole constraint space.  The basis spans the
-    solutions in the pair-symmetric component space (no Bianchi projection).
-    Nothing is drawn, so the result does not depend on `seed`.
+    The integer rows at the representatives are offered, then, one block
+    per layer, the images under the two generators of u(p, q)
+    (`spaces.unitary_generators`) of the rows absorbed in the previous
+    layer, until a layer absorbs nothing.  A space invariant under both
+    generators is invariant under the Lie algebra they generate, so the
+    offered rows span an invariant space that holds the representative
+    rows: the whole constraint space.  The basis spans the solutions in the
+    pair-symmetric component space (no Bianchi projection) and is kept in
+    the integer form `RowReducer.nullspace` returns.  Nothing is drawn, so
+    the result does not depend on `seed`.
     """
     if condition_id not in CONDITIONS:
         raise GeometryError(f"unknown condition {condition_id!r}")
@@ -386,14 +411,12 @@ def impose(space: PseudoHermitianSpace, condition_id: str, seed: int = 0) -> Con
     rows = cond.rows(space)
     layer, offered = rows[reducer.add_rows(rows)], len(rows)
     while len(layer):
-        absorbed = []
-        for K2 in actions:
-            images = _images(K2, layer)
-            offered += len(images)
-            absorbed.append(images[reducer.add_rows(images)])
-        layer = np.concatenate(absorbed)
-    return ConstraintSystem(space, condition_id, reducer.rank,
-                            tuple(reducer.nullspace()), offered)
+        images = np.concatenate([_images(K2, layer) for K2 in actions])
+        offered += len(images)
+        layer = images[reducer.add_rows(images)]
+    basis = np.array(reducer.nullspace(), dtype=object).reshape(-1, reducer.ncols)
+    denominators = tuple(basis[np.arange(len(basis)), reducer.free_columns].tolist())
+    return ConstraintSystem(space, condition_id, reducer.rank, basis, denominators, offered)
 
 
 # -- pinching families and the unboundedness probe ----------------------------

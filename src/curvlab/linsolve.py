@@ -2,22 +2,31 @@
 
 `RowReducer` keeps one elimination: the offered rows in reduced row echelon
 form modulo three primes below 2^25, held as one int64 array of shape
-(3, rank, ncols).  Reducing an offered row is one batched mat-vec (its
-coefficients are its own entries at the pivot columns), and every product
-sum stays below rank * p^2 < 2^63 for the 2211 columns of complex dimension
-6.  The pivot columns are those of the first prime; the other two primes
-follow them.  A block of rows is screened modulo the first prime in one
-product, and only the rows that survive it are absorbed one by one.
+(3, rank, free) on the free (non-pivot) columns; at the pivot columns the
+form is the identity and is not stored.  The pivot columns are those of the
+first prime; the other two primes follow them.  Rows are offered in blocks.
+A block is reduced against the echelon form modulo the first prime in one
+product (its coefficients are its own entries at the pivot columns), and
+the rows that survive it modulo the other two in a second.  The survivors
+are then eliminated among themselves in offer order, with the pivot rule of
+a row-by-row elimination (the first nonzero column modulo the first prime),
+so a block absorbs the rows that offering them one by one would.  The old
+echelon rows take the new pivots in one product.  Every product runs in
+int64: a sum of k terms below p^2 stays exact while k < 2^63 / p^2 = 8192,
+which holds for the rank up to the 2211 columns of complex dimension 6, and
+blocks of more rows are split.
 
 The nullspace is read off that echelon form (each free column a unit
 vector, each pivot coordinate the negated echelon entry in that column).
 The three residues of every entry are combined by the Chinese remainder
 theorem into one residue modulo M = p0 p1 p2 ~ 2^75, which is lifted to a
 rational with numerator and denominator up to sqrt(M/2) ~ 2^37 by rational
-reconstruction (Wang, Guy & Davenport 1982).
+reconstruction (Wang, Guy & Davenport 1982).  Each basis vector is returned
+as one coprime integer row, its rational entries scaled by the lcm of their
+denominators.
 
 The lift is certified, not trusted.  Every offered row is kept as integers
-and multiplied exactly by the lifted basis (`_annihilates`).  Rank over Q is
+and multiplied exactly by those integer rows (`_annihilates`).  Rank over Q is
 at least rank modulo the first prime, so nullity-many independent vectors
 that annihilate every offered row are a basis of the rational nullspace, and
 the result is exactly the echelon basis over Q.  A row independent over Q
@@ -36,6 +45,8 @@ import numpy as np
 from .scalars import integerize
 
 _PRIMES = (33554393, 33554383, 33554371)    # the three largest primes below 2^25
+_LEAF_ROWS = 16            # rows eliminated one by one inside `_echelon`
+_BLOCK_ROWS = 8192         # products of k rows of residues below p: k p^2 < 2^63
 
 
 def integer_row(row) -> list[int]:
@@ -77,13 +88,20 @@ def _crt_digits(residues: np.ndarray, primes) -> list[np.ndarray]:
 
 
 def _annihilates(blocks: list, cols: np.ndarray) -> bool:
-    """Whether every integer product block . cols is exactly zero: whether it
-    vanishes modulo coprime q < 2^25 whose product exceeds twice the bound
-    ncols * max|row| * max|col| on its entries.  The products run in int64
+    """Whether every integer product block . cols is exactly zero.  Its
+    entries are bounded by B = ncols * max|row| * max|col|.  When 2B < 2^63
+    the int64 product is exact and is read directly; otherwise it must
+    vanish modulo coprime q < 2^25 whose product exceeds 2B, taken in int64
     on balanced residues (|r| <= q/2), whose partial sums stay below
     ncols * q^2 / 4 < 2^61."""
     row_max = max((int(np.abs(b).max(initial=0)) for b in blocks), default=0)
-    bound = 2 * len(cols) * row_max * int(np.abs(cols).max())
+    col_max = int(np.abs(cols).max(initial=0))
+    if not row_max or not col_max:
+        return True
+    bound = 2 * len(cols) * row_max * col_max
+    if bound < 2 ** 63:
+        c = cols.astype(np.int64)
+        return not any(rows.astype(np.int64).dot(c).any() for rows in blocks)
     modulus = 1
     for q in range(2 ** 25 - 1, 1, -2):
         if gcd(q, modulus) == 1:
@@ -102,22 +120,30 @@ class RowReducer:
 
     The risk is an ArithmeticError, never a wrong basis: about 1/p ~ 2^-25
     per offered row (a row dependent modulo the first prime only, or a pivot
-    vanishing modulo another prime).  `impose` offers about 600 rows at
-    m = 3 and 3000 at m = 4, so one of its runs raises with a chance < 10^-4.
+    vanishing modulo another prime).  `impose` offers about 70-184 rows at
+    m = 3 and 199-620 at m = 4, so one of its runs raises with a chance
+    below 10^-4.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self._primes = _PRIMES
-        self._p = np.array(_PRIMES, dtype=np.int64)[:, None]
-        # echelon rows modulo each prime, pivots normalized to 1; capacity doubles
-        self._ech = np.zeros((len(_PRIMES), min(ncols, 16), ncols), dtype=np.int64)
+        self._p = np.array(_PRIMES, dtype=np.int64)[:, None, None]
         self._pivots: list[int] = []
+        self._free = np.arange(ncols)            # the other columns, increasing
+        # the echelon rows modulo each prime on the free columns: at the
+        # pivot columns they are the identity and need not be stored
+        self._ech = np.zeros((len(_PRIMES), 0, ncols), dtype=np.int64)
         self._offered: list[np.ndarray] = []     # every offered block, for the certificate
 
     @property
     def rank(self) -> int:
         return len(self._pivots)
+
+    @property
+    def free_columns(self) -> list[int]:
+        """The non-pivot columns, in increasing order: one per nullspace vector."""
+        return self._free.tolist()
 
     def add_row(self, row) -> bool:
         """Offer one rational row; whether it was absorbed."""
@@ -127,73 +153,123 @@ class RowReducer:
 
     def add_rows(self, block: np.ndarray) -> list[int]:
         """Offer the integer rows of a 2-D array (kept, not copied); the indices
-        of those absorbed.  The block is screened against the echelon form
-        modulo the first prime in one product, and the rows that survive are
-        absorbed one by one."""
+        of those absorbed, which are those `add_row` would absorb one by one.
+
+        Blocks of more than `_BLOCK_ROWS` rows are offered in parts."""
         self._offered.append(block)
-        q = self._primes[0]
-        v = (block % q).astype(np.int64)
+        absorbed = []
+        for start in range(0, len(block), _BLOCK_ROWS):
+            absorbed += [start + i for i in self._absorb(block[start:start + _BLOCK_ROWS])]
+        return absorbed
+
+    def _reduce(self, block: np.ndarray, primes: slice) -> np.ndarray:
+        """The rows' residues modulo the primes in the slice, reduced against
+        the echelon form, on the free columns (they vanish at the pivots)."""
+        p = self._p[primes]
+        v = (block[None] % p).astype(np.int64)
+        w = v[:, :, self._free]
         if self.rank:
-            v = (v - v[:, self._pivots].dot(self._ech[0, :self.rank])) % q
-        return [int(i) for i in np.flatnonzero(v.any(axis=1)) if self._absorb(block[i])]
+            w -= np.matmul(v[:, :, self._pivots], self._ech[primes])
+            w %= p
+        return w
 
-    def _absorb(self, ints) -> bool:
-        """Reduce one integer row modulo the three primes; absorb it if it
-        is independent modulo the first."""
-        p = self._p
-        v = (ints % p).astype(np.int64)
-        k = self.rank
-        ech = self._ech[:, :k]
-        if k:
-            v -= np.matmul(v[:, self._pivots][:, None, :], ech)[:, 0]
-            v %= p
-        nonzero = np.flatnonzero(v[0])
-        if not nonzero.size:
-            return False
-        c = int(nonzero[0])
-        inv = [[pow(int(v[i, c]), q - 2, q)] for i, q in enumerate(self._primes)]
-        v = v * np.array(inv, dtype=np.int64) % p
-        if k:
-            ech -= ech[:, :, c, None] * v[:, None, :]
-            ech %= p[:, :, None]
-        if k == self._ech.shape[1]:
-            grown = np.zeros((len(self._primes), min(2 * k, self.ncols), self.ncols),
-                             dtype=np.int64)
-            grown[:, :k] = ech
-            self._ech = grown
-        self._ech[:, k] = v
-        self._pivots.append(c)
-        return True
+    def _absorb(self, block: np.ndarray) -> list[int]:
+        """Absorb a block of at most `_BLOCK_ROWS` rows: screen it against the
+        echelon form modulo the first prime, reduce the survivors modulo the
+        other two, eliminate them among themselves in offer order, and fold
+        their echelon form into the old rows with one product."""
+        v = self._reduce(block, slice(0, 1))
+        survivors = np.flatnonzero(v[0].any(axis=1))
+        if not survivors.size:
+            return []
+        v = np.concatenate([v[:, survivors], self._reduce(block[survivors], slice(1, None))])
+        kept, pivots, new = _echelon(v, self._p)     # the first survivor is kept
+        ech = self._ech
+        if self.rank:
+            ech = (ech - np.matmul(ech[:, :, pivots], new)) % self._p
+        free = np.ones(len(self._free), dtype=bool)
+        free[pivots] = False
+        self._ech = np.concatenate([ech, new], axis=1)[:, :, free]
+        self._pivots += self._free[pivots].tolist()
+        self._free = self._free[free]
+        return survivors[kept].tolist()
 
-    def nullspace(self) -> list[list[Fraction]]:
-        """Echelon basis of the rational solution space of the offered rows.
+    def nullspace(self) -> list[list[int]]:
+        """Echelon basis of the rational solution space of the offered rows,
+        in integer form: for each free column c (`free_columns`), the
+        coprime integer row d * x of the basis vector x with x_c = 1 and 0
+        at the other free columns; d = row[c] > 0 is the lcm of x's
+        denominators.
 
         Raises ArithmeticError if an entry has no rational lift or the lifted
         basis fails to annihilate some offered row exactly.
         """
-        pivot_set = set(self._pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = [[Fraction(0)] * self.ncols for _ in free]
-        for x, fc in zip(basis, free):
-            x[fc] = Fraction(1)
-        if self.rank and free:
-            primes = self._primes
-            residues = -self._ech[:, :self.rank][:, :, free] % self._p[:, :, None]
-            digits = _crt_digits(residues, primes)
-            rows, cols = np.nonzero(np.any(residues, axis=0))
+        free = self.free_columns
+        basis = np.zeros((len(free), self.ncols), dtype=object)
+        dens = np.ones(len(free), dtype=object)
+        primes = self._primes
+        residues = -self._ech % self._p
+        rows, cols = np.nonzero(residues.any(axis=0))
+        if rows.size:
+            # each distinct residue triple is lifted once
+            digits = np.stack([d[rows, cols] for d in _crt_digits(residues, primes)], axis=1)
+            keys, which = np.unique(digits, axis=0, return_inverse=True)
             weights = [prod(primes[:j]) for j in range(len(primes))]
             modulus = prod(primes)
-            lifts: dict[int, Fraction] = {}
-            values = zip(*(d[rows, cols].tolist() for d in digits))
-            for i, j, ds in zip(rows.tolist(), cols.tolist(), values):
-                u = sum(d * w for d, w in zip(ds, weights))
-                if u not in lifts:
-                    lifts[u] = rational_lift(u, modulus)
-                basis[j][self._pivots[i]] = lifts[u]
-        cols = np.array([integer_row(x) for x in basis], dtype=object).T
-        if basis and not _annihilates(self._offered, cols):
+            lifts = [rational_lift(sum(d * w for d, w in zip(key, weights)), modulus)
+                     for key in keys.tolist()]
+            num = np.array([f.numerator for f in lifts], dtype=object)[which.ravel()]
+            den = np.array([f.denominator for f in lifts], dtype=object)[which.ravel()]
+            order = np.argsort(cols, kind="stable")     # the entries of one vector together
+            rows, cols, num, den = rows[order], cols[order], num[order], den[order]
+            starts = np.flatnonzero(np.r_[True, cols[1:] != cols[:-1]])
+            dens[cols[starts]] = np.lcm.reduceat(den, starts)
+            basis[cols, np.array(self._pivots)[rows]] = num * (dens[cols] // den)
+        basis[np.arange(len(free)), free] = dens
+        if len(free) and not _annihilates(self._offered, basis.T):
             raise ArithmeticError("lifted nullspace fails the exact row certificate")
-        return basis
+        return basis.tolist()
+
+
+def _echelon(v: np.ndarray, p: np.ndarray) -> tuple:
+    """Reduced row echelon form of stacked residue rows v (one stack per
+    prime in p), as `RowReducer.add_row` would build it from them one by one:
+    each row in turn is reduced by the rows kept before it, and is kept with
+    its first nonzero column modulo the first prime as pivot, normalized to
+    1.  Returns (kept row indices, pivots, echelon rows); v is not changed.
+
+    The two halves of a block are reduced recursively, with one product to
+    reduce the second half by the first and one to reduce the first by the
+    second, whose sums of fewer than 8192 terms below p^2 stay in int64.
+    """
+    k = v.shape[1]
+    if k > _LEAF_ROWS:
+        h = k // 2
+        kept, pivots, top = _echelon(v[:, :h], p)
+        low = v[:, h:]
+        if kept:
+            low = (low - np.matmul(low[:, :, pivots], top)) % p
+        kept_low, pivots_low, bottom = _echelon(low, p)
+        if kept_low:
+            top = (top - np.matmul(top[:, :, pivots_low], bottom)) % p
+        return (kept + [h + i for i in kept_low], pivots + pivots_low,
+                np.concatenate([top, bottom], axis=1))
+    v = v.copy()
+    primes = p.ravel().tolist()
+    kept, pivots = [], []
+    for i in range(k):
+        nonzero = v[0, i].nonzero()[0]
+        if not len(nonzero):
+            continue
+        c = int(nonzero[0])
+        inverses = [[pow(x, q - 2, q)] for x, q in zip(v[:, i, c].tolist(), primes)]
+        row = v[:, i] * np.array(inverses) % p[:, 0]
+        v -= v[:, :, c, None] * row[:, None]       # row i is restored below
+        v[:, i] = row
+        v %= p
+        kept.append(i)
+        pivots.append(c)
+    return kept, pivots, v[:, kept]
 
 
 def field_rank(rows, ncols: int) -> int:

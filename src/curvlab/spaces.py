@@ -581,21 +581,25 @@ def seed_columns(space: PseudoHermitianSpace, pattern,
 
 
 def unitary_generators(space: PseudoHermitianSpace) -> tuple:
-    """3m - 2 integer generators K = G B of the Lie algebra u(p, q) of (g, J).
+    """Two integer generators X = G B_X, Y = G B_Y of the Lie algebra u(p, q)
+    of (g, J); X alone when m = 1.
 
-    G = diag(metric signs), and B is the real form on the canonical J-blocks
-    of a block phase i E_bb or, for consecutive blocks, of the plain or the
-    J-twisted rotation E_bc - E_cb or i (E_bc + E_cb): the infinitesimal
-    steps of `light_isometry(unitary=True)`.  GeometryError unless J is
-    exact and every K commutes with it and is g-skew, which holds for
-    J = +-canonical J.
+    G = diag(metric signs), and the B are real forms on the canonical
+    J-blocks: B_X = sum_b 2^b i E_bb weighs the block phases, and B_Y sums
+    the plain and J-twisted rotations E_bc - E_cb and i (E_bc + E_cb) of
+    consecutive blocks, the infinitesimal steps of
+    `light_isometry(unitary=True)`.  su(p, q) is simple, so two elements
+    generate it (Kuranishi, 1951), and these two do for every m <= 6; the
+    signed weights sum_b s_b 2^b never vanish, so X also reaches the centre.
+    GeometryError unless J is exact and every K commutes with it and is
+    g-skew, which holds for J = +-canonical J.
     """
     G, E = np.diag(np.array(space.metric_signs)), np.eye(space.m, dtype=np.int64)
     one, i = np.eye(2, dtype=np.int64), np.array([[0, -1], [1, 0]])
-    Bs = [np.kron(np.outer(E[b], E[b]), i) for b in range(space.m)]
-    for b in range(space.m - 1):
-        Ebc = np.outer(E[b], E[b + 1])
-        Bs += [np.kron(Ebc - Ebc.T, one), np.kron(Ebc + Ebc.T, i)]
+    Bs = [np.kron(np.diag(2 ** np.arange(space.m)), i)]
+    if space.m > 1:
+        shift = np.eye(space.m, k=1, dtype=np.int64)      # sum of E_b,b+1
+        Bs.append(np.kron(shift - shift.T, one) + np.kron(shift + shift.T, i))
     gens = tuple(_freeze(G.dot(B)) for B in Bs)
     J = space.J
     if any(isinstance(x, float) for x in J.flat):

@@ -420,7 +420,8 @@ def sectional(R: CurvatureTensor, u, v):
     # vectors of the wrong length take the general path, whose g reports them
     form = len(u) == len(v) == space.n and integerize(chain(u, v))
     if form:
-        w = _wedge(*np.array(form[0], dtype=object).reshape(2, space.n))
+        a, b = np.array(form[0], dtype=object).reshape(2, space.n)
+        w = _wedge(a, b)
         # pi1(u, v, v, u) d^4 for the vectors' common denominator d, which
         # cancels against the numerator's
         den = w.dot(w * _pair_signs(space.metric_signs))
@@ -428,7 +429,8 @@ def sectional(R: CurvatureTensor, u, v):
             return Fraction(-w.dot(R.bivector_form).dot(w), den * R.integer_form[1])
         if den:         # the float contraction over the same exact rational
             return R.eval(u, v, v, u) / Fraction(den, form[1] ** 4)
-        rank = gram_rank(g(u, u), g(u, v), g(v, v), True)
+        # from the integer vectors, on which g cannot wrap as on int64 ones
+        rank = gram_rank(g(a, a), g(a, b), g(b, b), True)
     else:
         uu, uv, vv = g(u, u), g(u, v), g(v, v)
         den = uu * vv - uv * uv            # pi1(u, v, v, u)

@@ -332,12 +332,18 @@ def test_result_types():
     assert all(type(c) is complex for c in pinched(F, imag, *exact))
 
 
-def pi1_oracle(signs, u, v) -> Fraction:
-    """pi1(u, v, v, u) = g(u,u) g(v,v) - g(u,v)^2, in Fractions."""
+def gram_oracle(signs, u, v) -> tuple:
+    """The Gram entries g(u,u), g(u,v), g(v,v), in Fractions."""
     def g(a, b):
         return sum((s * as_fraction(x) * as_fraction(y) for s, x, y in zip(signs, a, b)),
                    Fraction(0))
-    return g(u, u) * g(v, v) - g(u, v) ** 2
+    return g(u, u), g(u, v), g(v, v)
+
+
+def pi1_oracle(signs, u, v) -> Fraction:
+    """pi1(u, v, v, u) = g(u,u) g(v,v) - g(u,v)^2, in Fractions."""
+    uu, uv, vv = gram_oracle(signs, u, v)
+    return uu * vv - uv ** 2
 
 
 @PROPERTY
@@ -347,8 +353,10 @@ def test_sectional_matches_the_oracle_ratio(data):
     u, v = (data.draw(vectors(R.space.n)) for _ in range(2))
     den = pi1_oracle(R.space.metric_signs, u, v)
     if den == 0:
-        with pytest.raises(DegeneratePlaneError):
+        with pytest.raises(DegeneratePlaneError) as exc:
             sectional(R, u, v)
+        # int64 entries up to 2^31 overflow an int64 Gram entry
+        assert exc.value.gram_rank == (1 if any(gram_oracle(R.space.metric_signs, u, v)) else 0)
         return
     got = sectional(R, u, v)
     assert type(got) is Fraction
@@ -398,6 +406,15 @@ def test_degenerate_planes_report_their_gram_rank(space, kind, seed, mix):
         with pytest.raises(DegeneratePlaneError) as exc:
             sectional(tensor, u, v)
         assert exc.value.gram_rank == rank
+
+
+def test_int64_vectors_report_the_exact_gram_rank():
+    # g(u, u) = 2^64 wraps to 0 in int64; the plane span{u} still has rank 1
+    R = tensor_from_coefficients(make_space(1, 0), [Fraction(1)])
+    for u in (np.array([2 ** 32, 0], dtype=np.int64), [2 ** 32, 0]):
+        with pytest.raises(DegeneratePlaneError) as exc:
+            sectional(R, u, u)
+        assert exc.value.gram_rank == 1
 
 
 @pytest.mark.parametrize("broken", ["antisym-12", "antisym-34"])

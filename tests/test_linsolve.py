@@ -81,7 +81,17 @@ class TestCertificate:
         red = reducer_for([[Fraction(1, 2), Fraction(1, 3), 0],
                            [1, Fraction(2, 3), 0]], 3)
         assert red.rank == 1
-        assert red.nullspace() == [[Fraction(-2, 3), 1, 0], [0, 0, 1]]
+        # integer rows d * x, with d at the vector's free column
+        basis = red.nullspace()
+        assert red.free_columns == [1, 2]
+        assert basis == [[-2, 3, 0], [0, 0, 1]]
+        assert ([[Fraction(v, row[c]) for v in row] for row, c in zip(basis, red.free_columns)]
+                == [[Fraction(-2, 3), 1, 0], [0, 0, 1]])
+
+    def test_integer_row_clears_every_denominator(self):
+        # the basis vector (-1/2, -1/3, 1) comes back as 6 times itself
+        red = reducer_for([[2, 0, 1], [0, 3, 1]], 3)
+        assert red.nullspace() == [[-3, -2, 6]]
 
 
 small_int = st.integers(min_value=-4, max_value=4)
@@ -101,19 +111,60 @@ def row_systems(draw):
     return ncols, draw(st.permutations(rows))
 
 
-@settings(max_examples=60, deadline=None)
-@given(row_systems())
+@st.composite
+def dependent_blocks(draw):
+    """Blocks of integer rows, some of them combinations of rows before them
+    in the same block (or in earlier blocks), on a few columns."""
+    ncols = draw(st.integers(min_value=1, max_value=7))
+    row = st.lists(small_int, min_size=ncols, max_size=ncols)
+    blocks, seen = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        block = draw(st.lists(row, min_size=1, max_size=6))
+        for _ in range(draw(st.integers(min_value=0, max_value=6))):
+            a, b = draw(st.sampled_from(seen + block)), draw(st.sampled_from(seen + block))
+            ca, cb = draw(small_int), draw(small_int)
+            block.insert(draw(st.integers(0, len(block))),
+                         [ca * x + cb * y for x, y in zip(a, b)])
+        blocks.append(block)
+        seen += block
+    return ncols, blocks
+
+
+def assert_same_reducer(red, one_by_one):
+    assert red._pivots == one_by_one._pivots
+    assert red.free_columns == one_by_one.free_columns
+    assert np.array_equal(red._ech, one_by_one._ech)      # all three primes
+    assert red.nullspace() == one_by_one.nullspace()
+
+
+@settings(max_examples=80, deadline=None)
+@given(dependent_blocks())
 def test_block_offer_matches_row_by_row(system):
-    # add_rows screens modulo the first prime and passes survivors to add_row
-    ncols, rows = system
+    # add_rows eliminates a block among itself and updates the echelon form
+    # once; add_row offers blocks of one row
+    ncols, blocks = system
+    rows = [r for block in blocks for r in block]
     one_by_one = RowReducer(ncols)
     absorbed = [i for i, row in enumerate(rows) if one_by_one.add_row(row)]
-    red = RowReducer(ncols)
-    half = len(rows) // 2
-    got = red.add_rows(np.array(rows[:half], dtype=np.int64).reshape(-1, ncols))
-    got += [half + i for i in red.add_rows(np.array(rows[half:], dtype=np.int64))]
+    red, got, start = RowReducer(ncols), [], 0
+    for block in blocks:
+        got += [start + i for i in red.add_rows(np.array(block, dtype=np.int64))]
+        start += len(block)
     assert got == absorbed
-    assert red.nullspace() == one_by_one.nullspace()
+    assert_same_reducer(red, one_by_one)
+
+
+def test_block_past_the_int64_limit_is_split():
+    # 9000 rows on three columns: multiples of (1, 2, 0) but for two rows
+    # after the 8192 that one product may hold
+    rows = np.array([[k % 7 + 1, 2 * (k % 7 + 1), 0] for k in range(9000)], dtype=np.int64)
+    rows[8500], rows[8999] = [0, 1, 5], [3, 6, 1]
+    red = RowReducer(3)
+    assert red.add_rows(rows) == [0, 8500, 8999]
+    one_by_one = RowReducer(3)
+    assert [i for i, row in enumerate(rows) if one_by_one.add_row(row)] == [0, 8500, 8999]
+    assert_same_reducer(red, one_by_one)
+    assert red.nullspace() == []
 
 
 def test_annihilation_check_is_exact():
