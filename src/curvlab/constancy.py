@@ -266,7 +266,8 @@ def constant_biholomorphic(R: CurvatureTensor, probes: int = 60, seed: int = 0) 
     """Decide pointwise constancy of the totally real biholomorphic curvature.
 
     Needs m > 2.  Values are compared after the signature normalization of
-    `normalized_biholomorphic`.
+    `normalized_biholomorphic`.  On a drawn orthonormal pair g(u,u) g(v,v)
+    is the product of the pattern's signs, so the normalization is a sign.
     """
     space = R.space
     if space.m <= 2:
@@ -275,11 +276,13 @@ def constant_biholomorphic(R: CurvatureTensor, probes: int = 60, seed: int = 0) 
         raise GeometryError("biholomorphic constancy needs at least one probe")
     rng = random.Random(seed)
     same, _ = _comparators(R)
+    J = space.apply_J
     plane0 = val0 = None
     for pattern in _sign_patterns(space, 2):
+        norm = pattern[0] * pattern[1]
         for _ in range(probes):
             u, v = tuple_from_rng(space, rng, pattern, antiholomorphic=True)
-            val = normalized_biholomorphic(R, u, v)
+            val = R.eval(u, J(u), J(v), v) * norm
             if plane0 is None:
                 plane0, val0 = (u, v), val
             elif not same(val, val0):

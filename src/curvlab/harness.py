@@ -27,10 +27,11 @@ shared by every entry that has it; which sign patterns exist on a space is
 decided by `spaces.realizable` alone.
 
 Pinching families are evaluated exactly: the numerator polynomial comes
-from one exact expansion, and each ladder rung t = 1 -+ 2^-k is the Fraction
-p(t) / sigma^multiplicity, sigma = 1 - t^2.  Bounded families report their
-true maximum, and a blow-up is never cancellation noise.  Probing therefore
-takes exact rational tensors only.
+from one exact expansion, and each ladder rung t = 1 -+ 2^-k is the exact
+value p(t) / sigma^multiplicity, sigma = 1 - t^2, as a quotient of two
+integers.  Bounded families report their true maximum, and a blow-up is
+never cancellation noise.  Probing therefore takes exact rational tensors
+only.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .spaces import (GeometryError, PseudoHermitianSpace, light_isometry,
                      random_isometry, realizable, seed_columns, tuple_from_rng,
                      unitary_generators)
 from .tensors import (CurvatureTensor, _component_lift, _orbit_pairs, _wedge,
-                      from_dense, pi1_components, sectional)
+                      from_dense, from_integer_form, pi1_components, sectional)
 
 
 class HypothesisError(GeometryError):
@@ -114,19 +115,25 @@ def _functional(a, b, c, d) -> np.ndarray:
 
 
 def tensor_from_coefficients(space: PseudoHermitianSpace, coeffs) -> CurvatureTensor:
-    """The tensor with coordinates `coeffs` on the pair-symmetric basis: the
-    symmetric 2-form matrix S with S_PQ = S_QP = coeffs[{P, Q}], lifted to
-    R_ijkl = sign * S_PQ."""
+    """The tensor with rational coordinates `coeffs` on the pair-symmetric
+    basis (`_lift_coordinates` of their integer form)."""
+    form = integerize(coeffs)
+    if form is None:
+        raise GeometryError("pair-symmetric coordinates must be rational")
+    return _lift_coordinates(space, *form)
+
+
+def _lift_coordinates(space: PseudoHermitianSpace, coords, D: int) -> CurvatureTensor:
+    """The tensor with coordinates coords / D on the pair-symmetric basis, for
+    Python ints `coords`: the symmetric 2-form matrix S with S_PQ = S_QP =
+    coords[{P, Q}], lifted to the numerators N_ijkl = sign * S_PQ over D."""
     n = space.n
     ia, ib = _orbit_pairs(n)
     S = np.empty((n * (n - 1) // 2,) * 2, dtype=object)
-    S[ia, ib] = S[ib, ia] = coeffs
+    S[ia, ib] = S[ib, ia] = coords
     P, Q, sign = _component_lift(n)
-    C = S[P, Q]
-    C[sign < 0] = -C[sign < 0]
-    C[sign == 0] = Fraction(0)
     # the lift has the pair symmetries by construction
-    return CurvatureTensor(space, C, validate=False)
+    return from_integer_form(space, S[P, Q] * sign, D, validate=False)
 
 
 # -- space requirements -------------------------------------------------------
@@ -350,8 +357,7 @@ class ConstraintSystem:
         rng = random.Random(seed)
         # each vector over its own denominator keeps the numerators small
         weights, D = integerize(rand_rational(rng) / d for d in self.denominators)
-        combined = np.array(weights, dtype=object).dot(self.basis)
-        return tensor_from_coefficients(self.space, [Fraction(v, D) for v in combined])
+        return _lift_coordinates(self.space, np.array(weights, dtype=object).dot(self.basis), D)
 
     def condition_holds(self, R: CurvatureTensor, seed: int, count: int = 30) -> bool:
         """Recheck the named condition on fresh probe configurations."""
@@ -498,6 +504,34 @@ class ProbeReport:
     threshold: float
 
 
+def _ladder(poly: TPolynomial, multiplicity: int, step: int, rungs: int):
+    """(a, b, num, den) for the rungs k = 1 .. rungs of a pinching family:
+    t = a / b with b = 2^k and a = b + step, and p(t) / sigma^m = num / den.
+
+    In integers: with the coefficients c_j = n_j / D over one D, and d the
+    degree of p,
+
+        p(t) / sigma^m = (sum_j n_j a^j b^(d-j)) b^(2m) / (D b^d (b^2 - a^2)^m),
+
+    the sum by homogeneous Horner.  den > 0, and num / den is an int true
+    division, which rounds correctly, so its float is float(p(t) / sigma^m)
+    bit for bit (a zero value too is +0.0).
+    """
+    numerators, D = integerize(poly.coeffs)
+    d = max(len(numerators) - 1, 0)
+    for k in range(1, rungs + 1):
+        b = 1 << k
+        a = b + step
+        acc = 0
+        for j, c in enumerate(reversed(numerators)):
+            acc = acc * a + (c << k * j)
+        sigma = b * b - a * a           # b^2 sigma: negative above t = 1
+        num = acc << 2 * multiplicity * k
+        if sigma < 0 and multiplicity % 2:
+            num = -num
+        yield a, b, num, (D << d * k) * abs(sigma) ** multiplicity
+
+
 def probe_unboundedness(R: CurvatureTensor, threshold: float = 1e6,
                         budget: tuple = (64, 40), seed: int = 0,
                         kinds=None) -> ProbeReport:
@@ -507,7 +541,9 @@ def probe_unboundedness(R: CurvatureTensor, threshold: float = 1e6,
     bounded-so-far report with the maximum found.  Requires an indefinite
     space, since definite metrics admit no isotropic limit directions, and
     an exact rational tensor: every rung is evaluated exactly, and a float
-    tensor's cancellation noise near t = +-1 would read as a blow-up.
+    tensor's cancellation noise near t = +-1 would read as a blow-up.  The
+    rungs t = 1 -+ 2^-k are computed in integers (`_ladder`); the `Fraction`
+    t and value are built only for a witness.
     """
     space = R.space
     if space.is_definite:
@@ -538,18 +574,17 @@ def probe_unboundedness(R: CurvatureTensor, threshold: float = 1e6,
             tup = tuple_from_rng(space, rng, row.pattern, antiholomorphic=True)
             poly = _family_for(R, row, tup)
             step = 1 if row.above_one else -1
-            for k in range(1, rungs + 1):
-                t = 1 + Fraction(step, 2 ** k)
-                value = poly(t) / (1 - t * t) ** row.multiplicity
+            for a, b, num, den in _ladder(poly, row.multiplicity, step, rungs):
                 evaluations += 1
-                fval = float(value)
-                if abs(fval) > max_abs:
-                    max_abs, max_kind = abs(fval), kind
-                if abs(fval) > threshold:
+                fval = abs(num / den)
+                if fval > max_abs:
+                    max_abs, max_kind = fval, kind
+                if fval > threshold:
+                    t = Fraction(a, b)
                     base, *partner, direction = tup
                     u = np.asarray(base) + t * np.asarray(direction)
                     v = partner[0] if partner else space.apply_J(u)
-                    witness = BoundWitness(kind, u, v, t, value, threshold)
+                    witness = BoundWitness(kind, u, v, t, Fraction(num, den), threshold)
                     return ProbeReport(True, witness, max_abs, max_kind,
                                        evaluations, threshold)
     return ProbeReport(False, None, max_abs, max_kind, evaluations, threshold)

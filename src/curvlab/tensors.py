@@ -25,7 +25,9 @@ over one common denominator D (the lcm of the component denominators),
 computed at most once and cached on the immutable tensor.  The symmetry
 checks run on the numerators too, since scaling by D preserves which sums
 vanish: validating a tensor computes the integer form its first contraction
-then uses.
+then uses.  A caller that already has the integer form (a parsed document,
+a combination of integer coordinates) passes it in (`from_integer_form`),
+and nothing is integerized.
 
 The contraction itself runs on the bivector form: R is antisymmetric in each
 slot pair, so R(X, Y, Z, U) = (X^Y) S (Z^U)^T with the 2-forms written on
@@ -42,7 +44,7 @@ contraction (U, Z, Y, X), so float values are unchanged bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product
@@ -82,10 +84,15 @@ def bianchi_project(C: np.ndarray) -> np.ndarray:
     return (2 * C - C.transpose(1, 2, 0, 3) - C.transpose(2, 0, 1, 3)) / 3
 
 
-def failing_symmetries(C: np.ndarray, bianchi: bool = False) -> list[str]:
-    """Names of violated tensor invariants, empty when all hold."""
+def failing_symmetries(C: np.ndarray, bianchi: bool = False,
+                       integral: bool = False) -> list[str]:
+    """Names of violated tensor invariants, empty when all hold.
+
+    `integral` says that C already holds Python ints (an integer form's
+    numerators), which are checked as they are.
+    """
     scale = component_scale(C)
-    if C.dtype == object:
+    if C.dtype == object and not integral:
         # scaling by the common denominator preserves which sums vanish
         form = integerize(C.flat)
         if form is not None:
@@ -154,18 +161,23 @@ class CurvatureTensor:
     components: np.ndarray
     bianchi: bool = False      # True when the Bianchi identity was enforced
     validate: bool = True      # False only for freshly projected components
+    # the integer form when the caller has it (`from_integer_form`,
+    # `io_format.build_tensor`): it must equal the one `integer_form` computes
+    form: InitVar[tuple | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, form):
         n = self.space.n
         if self.components.shape != (n, n, n, n):
             raise DimensionMismatch(f"components must be {(n, n, n, n)}")
         self.components.setflags(write=False)
+        if form is not None:
+            self.__dict__["integer_form"] = form
         if self.validate:
             # on the numerators of the integer form, which stays cached for
-            # the first contraction (ints integerize to themselves)
+            # the first contraction
             form = self.integer_form
             bad = failing_symmetries(self.components if form is None else form[0],
-                                     bianchi=self.bianchi)
+                                     bianchi=self.bianchi, integral=form is not None)
             if bad:
                 raise InvariantViolation(bad[0], "curvature symmetry violated")
 
@@ -195,7 +207,8 @@ class CurvatureTensor:
         form = self.integer_form
         C = self.components if form is None else form[0]
         if not self.validate:
-            bad = [name for name in failing_symmetries(C) if name.startswith("antisym")]
+            bad = [name for name in failing_symmetries(C, integral=form is not None)
+                   if name.startswith("antisym")]
             if bad:
                 raise InvariantViolation(bad[0], "the bivector form needs both antisymmetries")
         i, j = _two_forms(self.space.n)
@@ -331,6 +344,26 @@ def from_dense(space: PseudoHermitianSpace, components: np.ndarray,
     # a projection guarantees its own invariants; validate only raw input
     return CurvatureTensor(space, C, bianchi=bianchi_projection,
                            validate=validate and not symmetrize)
+
+
+def from_integer_form(space: PseudoHermitianSpace, N: np.ndarray, D: int,
+                      validate: bool = True) -> CurvatureTensor:
+    """The tensor with components N / D, for an n^4 object array N of Python
+    ints and a positive int D.
+
+    The integer form is reduced to the one `CurvatureTensor.integer_form`
+    computes (D the lcm of the reduced denominators) and cached.  Each
+    distinct numerator becomes one `Fraction`, gathered into place by its
+    code.  With `validate` the symmetries are checked once, on N.
+    """
+    values = set(N.flat)
+    g = math.gcd(D, *values)
+    if g > 1:
+        N, D, values = N // g, D // g, {x // g for x in values}
+    code = {x: c for c, x in enumerate(values)}
+    fractions = np.array([Fraction(x, D) for x in code], dtype=object)
+    C = fractions[np.array(list(map(code.__getitem__, N.flat)), dtype=np.intp)]
+    return CurvatureTensor(space, C.reshape(N.shape), validate=validate, form=(N, D))
 
 
 def dense_components(n: int, entries) -> np.ndarray:

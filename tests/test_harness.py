@@ -1,10 +1,13 @@
 import pathlib
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from curvlab.harness import (HypothesisError, THEOREM_IDS, impose,
+from curvlab.harness import (HypothesisError, THEOREM_IDS, _ladder, impose,
                              model_complex_space_form, model_constant_sectional,
                              probe_unboundedness, random_tensor, verify)
+from curvlab.polarization import TPolynomial
 from curvlab.constancy import constant_holomorphic
 from curvlab.io_format import build_tensor, parse_document
 from curvlab.spaces import GeometryError, gram_schmidt_tuple, make_space
@@ -157,6 +160,22 @@ class TestProbeUnboundedness:
         R = build_tensor(parse_document((GOLDEN / "random_2_1.tensor").read_text()))
         with pytest.raises(GeometryError):
             probe_unboundedness(R, budget=budget)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4)),
+                    max_size=5),
+           st.sampled_from([1, 2]), st.sampled_from([1, -1]), st.integers(1, 60))
+    def test_integer_rungs_are_the_fraction_rungs(self, coeffs, multiplicity, step, rungs):
+        # degree up to 4; the zero polynomial included
+        poly = TPolynomial.of(coeffs)
+        ladder = list(_ladder(poly, multiplicity, step, rungs))
+        assert len(ladder) == rungs
+        for k, (a, b, num, den) in enumerate(ladder, start=1):
+            t = 1 + Fraction(step, 2 ** k)
+            value = poly(t) / (1 - t * t) ** multiplicity
+            assert Fraction(a, b) == t and Fraction(num, den) == value
+            # bit for bit, the sign of a zero included
+            assert (num / den).hex() == float(value).hex()
 
     def test_deterministic_for_seed(self, sp21):
         R = random_tensor(sp21, 35)

@@ -1,3 +1,5 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import product
 
@@ -8,9 +10,10 @@ from curvlab.io_format import (HEADER, ParseError, TensorDocument,
                                build_tensor, document_from_tensor,
                                parse_document, read_document,
                                serialize_document)
+from curvlab.cli import main
 from curvlab.harness import model_constant_sectional, random_tensor
 from curvlab.scalars import integerize
-from curvlab.spaces import (GeometryError, InvariantViolation,
+from curvlab.spaces import (MAX_M, DimensionMismatch, GeometryError, InvariantViolation,
                             canonical_complex_structure, make_space)
 from curvlab.tensors import failing_symmetries
 
@@ -148,6 +151,14 @@ MALFORMED_ENTRIES = [
     ("R[1,2,2,1]\t=\t1/0", 14, "expected a rational p or p/q with q > 0, got '1/0'"),
     ("R[1,2,2,1]=0x10", 12, "expected a rational p or p/q with q > 0, got '0x10'"),
     ("R[1,2,2,1] = 1\x0c2", 14, "expected a rational p or p/q with q > 0, got '1\\x0c2'"),
+    ("R[1,2,2,1] = 1/0000000000000", 14,
+     "expected a rational p or p/q with q > 0, got '1/0000000000000'"),
+    ("R[1,2,2,1] = 1/", 14, "expected a rational p or p/q with q > 0, got '1/'"),
+    ("R[1,2,2,1] = -", 14, "expected a rational p or p/q with q > 0, got '-'"),
+    ("R[01,2,2,1] = 1/0", 15, "expected a rational p or p/q with q > 0, got '1/0'"),
+    ("R[1,2,2,1] = " + "9" * 350 + "/0", 14,
+     "expected a rational p or p/q with q > 0, got '" + "9" * 350 + "/0'"),
+    ("R[1,2,2," + "9" * 4400 + "] = 1", 1, "number 99999999999999999999... has too many digits"),
 ]
 
 
@@ -272,8 +283,10 @@ def plain_failures(C, bianchi: bool) -> list:
 
 @st.composite
 def laid_out_documents(draw):
-    """(text, m, entries): the stated entries, written with comments, blank
-    lines, CRLF or CR, extra blanks, unreduced values and duplicate lines."""
+    """(text, m, entries): the stated entries, written as the serializer
+    writes them or with comments, blank lines, extra blanks and unreduced
+    values, with CRLF or CR, and with duplicate lines of either kind, some of
+    them cancelling to zero."""
     m = draw(st.integers(1, 3))
     index = st.integers(1, 2 * m)
     entries = draw(st.lists(st.tuples(index, index, index, index, RATIONALS), max_size=6))
@@ -281,6 +294,9 @@ def laid_out_documents(draw):
         entries = [e for entry in entries for e in orbit(*entry)]
     if entries:
         entries += draw(st.lists(st.sampled_from(entries), max_size=4))
+        entries += [(i, j, k, l, -v) for i, j, k, l, v in
+                    draw(st.lists(st.sampled_from(entries), max_size=3))]
+        entries = draw(st.permutations(entries))
     blank = st.sampled_from(["", " ", "  ", "\t", " \t "])
     lines = [HEADER, f"m = {m}", "s = 0"]
     for i, j, k, l, v in entries:
@@ -289,9 +305,12 @@ def laid_out_documents(draw):
         value = draw(st.sampled_from([f"{p}/{q}", f"{'-' if p < 0 else ''}00{abs(p)}/0{q}"]
                                      + ([str(v.numerator)] if v.denominator == 1 else [])
                                      + (["-0"] if p == 0 else [])))
-        comment = draw(st.sampled_from(["", "# note", " #", "#R[1,1,1,1] = x"]))
-        lines.append(f"{draw(blank)}R[{i},{j},{k},{l}]{draw(blank)}={draw(blank)}{value}"
-                     f"{draw(blank)}{comment}")
+        if draw(st.booleans()):
+            lines.append(f"R[{i},{j},{k},{l}] = {value}")
+        else:
+            comment = draw(st.sampled_from(["", "# note", " #", "#R[1,1,1,1] = x"]))
+            lines.append(f"{draw(blank)}R[{i},{j},{k},{l}]{draw(blank)}={draw(blank)}{value}"
+                         f"{draw(blank)}{comment}")
         lines += draw(st.sampled_from([[], [""], ["# a comment line"], ["   "]]))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return newline.join(lines) + newline, m, tuple(entries)
@@ -314,6 +333,62 @@ class TestIngestion:
             with pytest.raises(InvariantViolation) as exc:
                 build_tensor(doc)
             assert exc.value.invariant == expected[0]
+
+    @pytest.mark.parametrize("m,lines", [
+        # serialized and other lines for one component, summing to 1/2 and to 0
+        (2, ["R[1,2,2,1] = 1/4", "R[1,2,2,1]  =  1/4", "R[1,2,1,2] = -1/2", "R[1,2,1,2] = 1/2 # x"]),
+        # numbers past the serialized branch's digit caps, and leading zeros
+        (2, ["R[1,2,2,1] = " + "7" * 400, "R[01,2,2,1] = 1", "R[1,2,2,1] = 1/0000000000003"]),
+        # unsorted lines; m = 6, the largest space; m = 7, which no space has
+        (2, ["R[2,1,1,2] = 3", "R[1,2,2,1] = 3"]),
+        (6, ["R[12,11,11,12] = 5/6", "R[1,2,2,1] = -5/6", "R[12,11,11,12] = 1/6"]),
+        (7, ["R[14,13,13,14] = 5/6", "R[1,2,2,1] = -5/6"]),
+    ])
+    def test_mixed_lines_match_the_canonical_entries(self, m, lines):
+        entries = []
+        for line in lines:
+            key, value = line.split("#")[0].split("=")
+            entries.append((*map(int, key.strip()[2:-1].split(",")), Fraction(value.strip())))
+        doc = parse_document("\n".join([HEADER, f"m = {m}", "s = 0", *lines]))
+        assert doc == TensorDocument(m=m, s=0, entries=tuple(entries)).canonical()
+        if m > MAX_M:
+            with pytest.raises(GeometryError, match="exceeds the supported maximum"):
+                build_tensor(doc)
+            return
+        R = build_tensor(doc, validate=False)
+        N, D = R.integer_form
+        assert (list(N.flat), D) == integerize(R.components.flat)
+
+    @pytest.mark.parametrize("line,message", [
+        ("R[0,1,2,1] = 1", "index -1 out of range 0..3"),
+        ("R[5,1,2,1] = 1", "index 4 out of range 0..3"),
+        ("R[1,2345678901,2,1] = 1", "index 2345678900 out of range 0..3"),
+        # four 9-digit indices: flattened, they would pass 2^63
+        ("R[123456789,987654321,123456789,987654321] = 1", "index 123456788 out of range 0..3"),
+        ("R[2,1,1,0] = 1", "index -1 out of range 0..3"),
+    ])
+    def test_indices_out_of_range_fail_on_build(self, tmp_path, line, message):
+        text = f"{HEADER}\nm = 2\ns = 1\nR[1,2,2,1] = 1\n{line}\n"
+        doc = parse_document(text)
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            build_tensor(doc)
+        path = tmp_path / "bad.tensor"
+        path.write_text(text)
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            assert main(["classify", "-i", str(path)]) == 2
+        assert err.getvalue() == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text,line", [
+        ("R[1,2,2,1] = 1\n" + HEADER + "\n", 1),
+        ("\n# c\nR[1,2,2,1] = 1\n", 3),
+        ("\n\nm = 1\nR[1,2,2,1] = 1\n", 3),
+        ("R[1,2,2,1] = 1", 1),
+    ])
+    def test_a_serialized_entry_before_the_header(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_document(text)
+        assert (exc.value.line, str(exc.value)) == (line, f"line {line}, col 1: expected header {HEADER!r}")
 
 
 # replacement values that probe the grammar's edges

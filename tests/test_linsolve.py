@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from curvlab import linsolve
 from curvlab.harness import impose
 from curvlab.linsolve import RowReducer, field_rank, rational_lift
-from curvlab.scalars import rand_rational
+from curvlab.scalars import integerize, rand_rational
 
 
 def reducer_for(rows, ncols):
@@ -197,7 +197,12 @@ def test_random_element_is_the_weighted_basis_sum(cond, space, request):
     system = impose(request.getfixturevalue(space), cond, seed=0)
     rng = random.Random(7)
     expected = sum(B.components * rand_rational(rng) for B in system.solution_basis)
-    got = system.random_element(7).components
+    R = system.random_element(7)
+    got = R.components
     assert got.shape == expected.shape
     assert all(a == b for a, b in zip(got.ravel(), expected.ravel()))
     assert all(isinstance(a, Fraction) for a in got.ravel())
+    # the cached integer form is the one integerizing the components gives
+    N, D = R.integer_form
+    assert (list(N.flat), D) == integerize(got.flat)
+    assert all(type(x) is int for x in N.flat)

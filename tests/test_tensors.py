@@ -4,11 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curvlab.scalars import FLOAT_VERDICT_TOL, ExactComplex
+from curvlab.scalars import FLOAT_VERDICT_TOL, ExactComplex, integerize
 from curvlab.spaces import ComplexVector, DegeneratePlaneError, GeometryError
 from curvlab.tensors import (bianchi_cyclic_sum, biholomorphic,
                              curvature_of_plane, dense_components, failing_symmetries,
-                             from_components, from_dense,
+                             from_components, from_dense, from_integer_form,
                              holomorphic_sectional, pi1, pi1_c,
                              pi1_components, sectional, sectional_c)
 from curvlab.harness import (model_complex_space_form,
@@ -46,6 +46,19 @@ class TestConstruction:
             assert comp[i, j, k, l] == -comp[j, i, k, l] == -comp[i, j, l, k]
             assert comp[i, j, k, l] == comp[k, l, i, j]
             assert comp[i, j, k, l] + comp[j, k, i, l] + comp[k, i, j, l] == 0
+
+    @pytest.mark.parametrize("scale", [1, 6])
+    def test_integer_form_is_reduced_and_cached(self, sp21, scale):
+        R = random_tensor(sp21, 4)
+        N, D = R.integer_form
+        S = from_integer_form(sp21, N * scale, D * scale)
+        assert (S.components == R.components).all()
+        assert all(type(c) is Fraction for c in S.components.flat)
+        # D is the lcm of the reduced denominators, as integerize gives it
+        N2, D2 = S.integer_form
+        assert (list(N2.flat), D2) == integerize(S.components.flat) == (list(N.flat), D)
+        with pytest.raises(GeometryError):
+            from_integer_form(sp21, N * scale + (N != 0), D * scale)
 
     def test_unsymmetric_input_rejected(self, sp21):
         with pytest.raises(GeometryError):
