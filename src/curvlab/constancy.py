@@ -9,6 +9,14 @@ pattern (60 per pattern by default); a generic rational probe set witnesses
 these polynomial conditions, with a measure-zero false-accept risk that the
 seed-independence tests keep honest.
 
+The probing runs on integer frames: each tuple is drawn as Python-int rows
+N over one denominator D (`spaces.integer_frame`).  On an exact tensor a
+value is an int pair, the wedges of the rows contracted on the bivector form
+over its D_R (the frame's D cancels in K), and values are compared by
+cross-multiplying; a float tensor evaluates the rows N / D.  A `Fraction`
+is built only for what a verdict reports: the constant value, and the
+planes and values of a witness.
+
 Biholomorphic values are compared after dividing by g(X,X)*g(Y,Y): the raw
 quantity R(X,JX,JY,Y) flips sign on mixed-signature pairs even for model
 tensors, so only the normalized value can be pointwise constant on an
@@ -27,8 +35,8 @@ from typing import Optional
 import numpy as np
 
 from .scalars import FLOAT_DEGENERATE_TOL, FLOAT_VERDICT_TOL, is_zero
-from .spaces import (GeometryError, PseudoHermitianSpace, realizable,
-                     tuple_from_rng)
+from .spaces import (GeometryError, PseudoHermitianSpace, frame_vectors,
+                     integer_frame, realizable)
 from .tensors import (CurvatureTensor, _pair_signs, _wedge, component_scale,
                       holomorphic_sectional, sectional)
 
@@ -202,6 +210,84 @@ def constant_holomorphic(R: CurvatureTensor, samples: int = 200, seed: int = 0) 
     return ConstancyVerdict("constant", value=ref_val)
 
 
+# -- probing on integer frames --------------------------------------------------
+
+class _FrameProbe:
+    """Curvature values of one tensor on integer frames (N, D).
+
+    Exact tensors give int pairs (numerator, denominator) on the bivector
+    form, compared by cross-multiplying.  Float tensors give the float64 of
+    `eval` on the rows N_i / D, and K divides it by the plane denominator
+    den / D^4; both are int true divisions, correctly rounded like
+    `float(Fraction)`, so the values are those of the `Fraction` frames bit
+    for bit.
+    """
+
+    def __init__(self, R: CurvatureTensor):
+        self.R = R
+        self.exact = R.integer_form is not None
+        self.pair_signs = _pair_signs(R.space.metric_signs)
+        # the comparators of reported values (Fractions or floats)
+        self.same_value, self.zero_value = _comparators(R)
+
+    def same(self, a, b) -> bool:
+        return a[0] * b[1] == b[0] * a[1] if self.exact else self.same_value(a, b)
+
+    def zero(self, a) -> bool:
+        return not a[0] if self.exact else self.zero_value(a)
+
+    def report(self, a):
+        """The value as a verdict reports it: a Fraction, or the float."""
+        return Fraction(*a) if self.exact else a
+
+    def antiholomorphic(self, N, D, reverse: bool = False) -> tuple:
+        """(K, mixed, K_rev) on the cyclic triples (p, q, r) of the frame rows
+        (u, v, w), starting at u, v and w: K(p, q), R(p, q, r, p) and, with
+        `reverse`, K(p, r) (else None)."""
+        R = self.R
+        W = _wedge(N, N[[1, 2, 0]])                 # u^v, v^w, w^u
+        den = (W * W).dot(self.pair_signs)          # pi1(p, q, q, p) D^4
+        if self.exact:
+            # R(p, q, q, p) = -(p^q) S (p^q)^T and R(p, q, r, p) = (p^q) S (r^p)^T
+            M = W.dot(R.bivector_form).dot(W.T)
+            D_R = R.integer_form[1]
+            K = [(-M[k, k], den[k] * D_R) for k in range(3)]
+            mixed_den = D_R * D ** 4
+            mixed = [(M[k, k - 1], mixed_den) for k in range(3)]
+            return K, mixed, K[-1:] + K[:-1] if reverse else None
+        rows = _float_rows(N, D)
+        D4 = D ** 4
+        K, mixed, K_rev = [], [], []
+        for k in range(3):
+            p, q, r = rows[k], rows[k - 2], rows[k - 1]
+            K.append(R.eval(p, q, q, p) / (den[k] / D4))
+            mixed.append(R.eval(p, q, r, p))
+            if reverse:
+                K_rev.append(R.eval(p, r, r, p) / (den[k - 1] / D4))
+        return K, mixed, K_rev if reverse else None
+
+    def biholomorphic(self, N, D, norm: int):
+        """R(u, Ju, Jv, v) times `norm` on the frame rows (u, v)."""
+        R = self.R
+        J = R.space.apply_J
+        u, v = N
+        ju, jv = J(u), J(v)
+        if self.exact:
+            value = _wedge(u, ju).dot(R.bivector_form).dot(_wedge(jv, v))
+            return value * norm, R.integer_form[1] * D ** 4
+        return R.eval(*_float_rows((u, ju, jv, v), D)) * norm
+
+
+def _float_rows(N, D) -> list:
+    """The float64 rows N_i / D, each entry an int true division."""
+    return [np.array([x / D for x in row]) for row in N]
+
+
+def _cyclic(vectors, k: int) -> tuple:
+    """The k-th cyclic triple (p, q, r) of (u, v, w)."""
+    return vectors[k], vectors[k - 2], vectors[k - 1]
+
+
 # -- antiholomorphic --------------------------------------------------------
 
 def _derive_plane_witness(R, same, p, q, r):
@@ -217,40 +303,54 @@ def _derive_plane_witness(R, same, p, q, r):
     return None
 
 
+def _antiholomorphic_probes(R: CurvatureTensor, probes: int, seed: int, reverse: bool = False):
+    """(probe, stream): the stream yields (N, D, K, mixed, K_rev) of
+    `_FrameProbe.antiholomorphic` for `probes` frames per realizable sign
+    pattern, drawn lazily from one generator seeded with `seed`."""
+    space = R.space
+    if space.m <= 2:
+        raise GeometryError("antiholomorphic constancy needs complex dimension m > 2")
+    if probes < 1:
+        raise GeometryError("antiholomorphic constancy needs at least one probe")
+    probe, rng = _FrameProbe(R), random.Random(seed)
+    frames = (integer_frame(space, rng, pattern, antiholomorphic=True)
+              for pattern in _sign_patterns(space, 3) for _ in range(probes))
+    return probe, ((N, D, *probe.antiholomorphic(N, D, reverse)) for N, D in frames)
+
+
+def _antiholomorphic_verdict(probe: _FrameProbe, stream) -> ConstancyVerdict:
+    first = a_violation = None
+    for N, D, K, mixed, _ in stream:
+        for k in range(3):
+            if a_violation is None and not probe.zero(mixed[k]):
+                a_violation = (N, D, k)
+            if first is None:
+                first = (N, D, k, K[k])
+            elif not probe.same(K[k], first[3]):
+                planes = [_cyclic(frame_vectors(N_, D_), k_)[:2]
+                          for N_, D_, k_ in (first[:3], (N, D, k))]
+                return ConstancyVerdict("nonconstant", witness=Witness(
+                    "antiholomorphic", planes=tuple(planes),
+                    values=(probe.report(first[3]), probe.report(K[k]))))
+    if a_violation is not None:
+        N, D, k = a_violation
+        wit = _derive_plane_witness(probe.R, probe.same_value, *_cyclic(frame_vectors(N, D), k))
+        if wit is not None:
+            return ConstancyVerdict("nonconstant", witness=wit)
+    return ConstancyVerdict("constant", value=probe.report(first[3]))
+
+
 def constant_antiholomorphic(R: CurvatureTensor, probes: int = 60, seed: int = 0) -> ConstancyVerdict:
     """Decide pointwise constancy of the antiholomorphic sectional curvature.
 
     Needs m > 2.  Probes `probes` orthonormal antiholomorphic triples per
     realizable signature pattern; constancy requires every probe value of K
     to agree and every mixed evaluation R(u,v,w,u) to vanish (the latter are
-    the curvature values of planes degenerating to weak isotropy).
+    the curvature values of planes degenerating to weak isotropy).  The
+    triples are integer frames, drawn one at a time, so a nonconstant tensor
+    stops at its first mismatch.
     """
-    space = R.space
-    if space.m <= 2:
-        raise GeometryError("antiholomorphic constancy needs complex dimension m > 2")
-    if probes < 1:
-        raise GeometryError("antiholomorphic constancy needs at least one probe")
-    rng = random.Random(seed)
-    same, zero = _comparators(R)
-    plane0 = val0 = None
-    a_violation = None
-    for pattern in _sign_patterns(space, 3):
-        for _ in range(probes):
-            u, v, w = tuple_from_rng(space, rng, pattern, antiholomorphic=True)
-            for (p, q, r) in ((u, v, w), (v, w, u), (w, u, v)):
-                if a_violation is None and not zero(R.eval(p, q, r, p)):
-                    a_violation = (p, q, r)
-                val = sectional(R, p, q)
-                if plane0 is None:
-                    plane0, val0 = (p, q), val
-                elif not same(val, val0):
-                    return ConstancyVerdict("nonconstant", witness=Witness(
-                        "antiholomorphic", planes=(plane0, (p, q)), values=(val0, val)))
-    if a_violation is not None:
-        wit = _derive_plane_witness(R, same, *a_violation)
-        if wit is not None:
-            return ConstancyVerdict("nonconstant", witness=wit)
-    return ConstancyVerdict("constant", value=val0)
+    return _antiholomorphic_verdict(*_antiholomorphic_probes(R, probes, seed))
 
 
 # -- totally real biholomorphic ---------------------------------------------
@@ -268,6 +368,7 @@ def constant_biholomorphic(R: CurvatureTensor, probes: int = 60, seed: int = 0) 
     Needs m > 2.  Values are compared after the signature normalization of
     `normalized_biholomorphic`.  On a drawn orthonormal pair g(u,u) g(v,v)
     is the product of the pattern's signs, so the normalization is a sign.
+    The pairs are integer frames, drawn one at a time.
     """
     space = R.space
     if space.m <= 2:
@@ -275,20 +376,21 @@ def constant_biholomorphic(R: CurvatureTensor, probes: int = 60, seed: int = 0) 
     if probes < 1:
         raise GeometryError("biholomorphic constancy needs at least one probe")
     rng = random.Random(seed)
-    same, _ = _comparators(R)
-    J = space.apply_J
-    plane0 = val0 = None
+    probe = _FrameProbe(R)
+    first = None
     for pattern in _sign_patterns(space, 2):
         norm = pattern[0] * pattern[1]
         for _ in range(probes):
-            u, v = tuple_from_rng(space, rng, pattern, antiholomorphic=True)
-            val = R.eval(u, J(u), J(v), v) * norm
-            if plane0 is None:
-                plane0, val0 = (u, v), val
-            elif not same(val, val0):
+            N, D = integer_frame(space, rng, pattern, antiholomorphic=True)
+            val = probe.biholomorphic(N, D, norm)
+            if first is None:
+                first = (N, D, val)
+            elif not probe.same(val, first[2]):
                 return ConstancyVerdict("nonconstant", witness=Witness(
-                    "biholomorphic", planes=(plane0, (u, v)), values=(val0, val)))
-    return ConstancyVerdict("constant", value=val0)
+                    "biholomorphic",
+                    planes=(tuple(frame_vectors(*first[:2])), tuple(frame_vectors(N, D))),
+                    values=(probe.report(first[2]), probe.report(val))))
+    return ConstancyVerdict("constant", value=probe.report(first[2]))
 
 
 # -- the three-way equivalence on definite spaces ----------------------------
@@ -318,21 +420,19 @@ def lemma3_check(R: CurvatureTensor, probes: int = 60, seed: int = 0) -> Equival
         raise GeometryError("the a/b/c equivalence check is a definite-metric tool")
     if space.m <= 2:
         raise GeometryError("the a/b/c equivalence needs complex dimension m > 2")
-    rng = random.Random(seed)
-    same, zero = _comparators(R)
+    probe, stream = _antiholomorphic_probes(R, probes, seed, reverse=True)
+    # definite: the one realizable pattern, all positive or all negative
+    frames = list(stream)
     a_ok, b_ok = True, True
     wit_a = wit_b = None
-    (pattern,) = _sign_patterns(space, 3)     # all positive or all negative
-    for _ in range(probes):
-        u, v, w = tuple_from_rng(space, rng, pattern, antiholomorphic=True)
-        for (p, q, r) in ((u, v, w), (v, w, u), (w, u, v)):
-            aval = R.eval(p, q, r, p)
-            if a_ok and not zero(aval):
-                a_ok, wit_a = False, ((p, q, r), aval)
-            k1, k2 = sectional(R, p, q), sectional(R, p, r)
-            if b_ok and not same(k1, k2):
-                b_ok, wit_b = False, ((p, q, r), k1, k2)
-    verdict = constant_antiholomorphic(R, probes=probes, seed=seed)
+    for N, D, K, mixed, K_rev in frames:
+        for k in range(3):
+            if a_ok and not probe.zero(mixed[k]):
+                a_ok, wit_a = False, (_cyclic(frame_vectors(N, D), k), probe.report(mixed[k]))
+            if b_ok and not probe.same(K[k], K_rev[k]):
+                b_ok, wit_b = False, (_cyclic(frame_vectors(N, D), k),
+                                      probe.report(K[k]), probe.report(K_rev[k]))
+    verdict = _antiholomorphic_verdict(probe, iter(frames))
     c_ok = verdict.is_constant
     return EquivalenceReport(a_ok, b_ok, c_ok, agree=(a_ok == b_ok == c_ok),
                              witness_a=wit_a, witness_b=wit_b, verdict_c=verdict)

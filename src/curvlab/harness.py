@@ -51,8 +51,9 @@ from .constancy import (constant_antiholomorphic, constant_biholomorphic,
 from .linsolve import RowReducer, integer_row
 from .polarization import (TPolynomial, VectorFamily, bound_forced_identities,
                            complexified_family_expansion, expand)
-from .scalars import (FLOAT_IDENTITY_TOL, FLOAT_REVERIFY_TOL, format_scalar,
-                      integerize, is_zero, rand_rational)
+from .scalars import (FLOAT_IDENTITY_TOL, FLOAT_REVERIFY_TOL, RAND_DENOMINATOR,
+                      format_scalar, integerize, is_zero, rand_numerator,
+                      rand_rational)
 from .spaces import (GeometryError, PseudoHermitianSpace, light_isometry,
                      random_isometry, realizable, seed_columns, tuple_from_rng,
                      unitary_generators)
@@ -355,8 +356,12 @@ class ConstraintSystem:
         if not self.dimension:
             raise GeometryError("constraint system has a trivial solution space")
         rng = random.Random(seed)
-        # each vector over its own denominator keeps the numerators small
-        weights, D = integerize(rand_rational(rng) / d for d in self.denominators)
+        # weight i is k_i / (64 d_i), over D = 64 lcm(d_i) without the
+        # common factor (each vector over its own d_i keeps numerators small)
+        L = math.lcm(*self.denominators)
+        weights = [rand_numerator(rng) * (L // d) for d in self.denominators]
+        g = math.gcd(RAND_DENOMINATOR * L, *weights)
+        weights, D = [k // g for k in weights], RAND_DENOMINATOR * L // g
         return _lift_coordinates(self.space, np.array(weights, dtype=object).dot(self.basis), D)
 
     def condition_holds(self, R: CurvatureTensor, seed: int, count: int = 30) -> bool:

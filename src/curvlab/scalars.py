@@ -191,7 +191,15 @@ def is_zero(x, tol: float, scale=1) -> bool:
     return abs(x) <= tol * max(1, abs(scale))
 
 
-def rand_rational(rng, denominator: int = 64, span: int = 1) -> Fraction:
+RAND_DENOMINATOR = 64
+
+
+def rand_numerator(rng, denominator: int = RAND_DENOMINATOR, span: int = 1) -> int:
+    """The k of `rand_rational`, drawn the same way."""
+    return rng.randint(-span * denominator, span * denominator)
+
+
+def rand_rational(rng, denominator: int = RAND_DENOMINATOR, span: int = 1) -> Fraction:
     """Uniform rational on the grid k/denominator inside [-span, span]."""
-    return Fraction(rng.randint(-span * denominator, span * denominator), denominator)
+    return Fraction(rand_numerator(rng, denominator, span), denominator)
 

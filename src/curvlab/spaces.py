@@ -10,18 +10,20 @@ the complex extension of g is complex-bilinear, never sesquilinear.
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .linsolve import field_rank
 from .scalars import (FLOAT_DEGENERATE_TOL, FLOAT_IDENTITY_TOL, ExactComplex,
-                      is_exact, is_zero, rational)
+                      integerize, is_exact, is_zero, rational)
 
 
 class GeometryError(ValueError):
@@ -362,17 +364,29 @@ def require_antiholomorphic_pair(space: PseudoHermitianSpace, x, w, what: str,
                                  signs: Optional[tuple] = None) -> None:
     """Raise GeometryError unless {x, w} is an orthonormal antiholomorphic pair:
     g(x,w) = g(x,Jw) = 0, and g(x,x), g(w,w) equal to `signs`, or to either
-    of +-1 when `signs` is None."""
-    g = space.inner
+    of +-1 when `signs` is None.
+
+    Rational vectors are checked in Python ints, on their numerators over
+    one common d: g(x, x) = sigma reads sum_i s_i a_i^2 = sigma d^2.
+    """
+    space._check_vec(x)
+    space._check_vec(w)
+    g, scale = space.inner, 1
+    form = integerize(chain(x, w))
+    if form is not None:
+        x, w = np.array(form[0], dtype=object).reshape(2, space.n)
+        scale = form[1] ** 2
     gxx, gww = g(x, x), g(w, w)
     if signs is None:
-        conditions = [("g(x,x)^2=1", gxx * gxx - 1), ("g(w,w)^2=1", gww * gww - 1)]
+        conditions = [("g(x,x)^2=1", gxx * gxx - scale * scale),
+                      ("g(w,w)^2=1", gww * gww - scale * scale)]
     else:
-        conditions = [(f"g(x,x)={signs[0]}", gxx - signs[0]),
-                      (f"g(w,w)={signs[1]}", gww - signs[1])]
+        conditions = [(f"g(x,x)={signs[0]}", gxx - signs[0] * scale),
+                      (f"g(w,w)={signs[1]}", gww - signs[1] * scale)]
     conditions += [("g(x,w)=0", g(x, w)), ("g(x,Jw)=0", g(x, space.apply_J(w)))]
     for name, val in conditions:
-        if not is_zero(val, FLOAT_IDENTITY_TOL):
+        # on the numerators a float J's residue is measured against d^2
+        if not is_zero(val, FLOAT_IDENTITY_TOL, scale):
             raise GeometryError(f"{what} needs an orthonormal antiholomorphic pair: {name} fails")
 
 
@@ -426,12 +440,15 @@ def make_space(m: int, s: int, J=None) -> PseudoHermitianSpace:
 # coefficients come from a fixed small table of integer triples (c, s, d),
 # read as cos = c/d and sin = s/d (cosh and sinh for boosts), so entries stay
 # short rationals and downstream exact elimination is cheap.  A row rotation
-# acts on each column separately, so only the requested columns are rotated:
-# Python-int numerators over one common denominator, which every step
-# multiplies by d, with one reduced Fraction per entry at the end.  For
-# antiholomorphic tuples the rotations act per J-block (complex phases and
-# block mixes), which makes the isometry commute with J and preserves the
-# J-orthogonality of the block-representative seeds.
+# acts on each column separately, so only the requested columns are rotated,
+# and it touches only its two rows.  Each row is Python-int numerators over
+# its own denominator: a step brings its two rows to the lcm of theirs and
+# multiplies that by d, and the rows meet over one lcm D at the end.  That
+# integer form (`isometry_columns`, `integer_frame`) is what the classifiers
+# probe on; `light_isometry` and `tuple_from_rng` build one reduced Fraction
+# per entry from it.  For antiholomorphic tuples the rotations act per
+# J-block (complex phases and block mixes), which makes the isometry commute
+# with J and preserves the J-orthogonality of the block-representative seeds.
 
 _CIRCLE_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29))
 _BOOST_TRIPLES = tuple((c, b, a) for a, b, c in
@@ -456,38 +473,29 @@ def _rotation_coeffs(rng: random.Random, same_sign: bool) -> tuple[int, int, int
 _MAX_BOOSTS = 2
 
 
-def light_isometry(signs: Sequence[int], rng: random.Random,
-                   unitary: bool = False,
-                   columns: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Exact isometry of diag(signs) as a product of up to 2n + 4 table rotations.
-
-    With `unitary` the sign list must consist of equal-sign coordinate pairs
-    (the J-block layout); rotations are then phases inside one block or
-    identical rotations across two blocks, so the result commutes with the
-    canonical J.  Hyperbolic steps across mixed-sign pairs are capped at
-    `_MAX_BOOSTS`.  With `columns` only those columns of the isometry are
-    computed and returned, in the given order; the draws from `rng` are the
-    same either way.
-    """
+def isometry_columns(signs: Sequence[int], rng: random.Random,
+                     unitary: bool = False,
+                     columns: Optional[Sequence[int]] = None) -> tuple[np.ndarray, int]:
+    """The integer form (N, D) of `light_isometry`: column columns[t] of the
+    isometry is N[t] / D, for a (len(columns), n) object array N of Python
+    ints and one positive D.  The draws from `rng` are the same."""
     n = len(signs)
     if columns is None:
         columns = range(n)
-    # N[r][t] / D is entry (r, columns[t])
+    # N[r][t] / den[r] is entry (r, columns[t])
     N = [[int(r == col) for col in columns] for r in range(n)]
-    D = 1
+    den = [1] * n
 
     def rotate(pairs, c, s, d, same_sign):
-        nonlocal D
-        touched = {r for pair in pairs for r in pair}
-        for r in range(n):
-            if r not in touched:
-                N[r] = [d * x for x in N[r]]
-        sign = -1 if same_sign else 1
+        t = -s if same_sign else s
         for i, j in pairs:
-            ri, rj = N[i], N[j]
-            N[i] = [c * a + sign * s * b for a, b in zip(ri, rj)]
+            ri, rj, di, dj = N[i], N[j], den[i], den[j]
+            if di != dj:
+                L = math.lcm(di, dj)
+                ri, rj, di = [x * (L // di) for x in ri], [x * (L // dj) for x in rj], L
+            N[i] = [c * a + t * b for a, b in zip(ri, rj)]
             N[j] = [s * a + c * b for a, b in zip(ri, rj)]
-        D *= d
+            den[i] = den[j] = di * d
 
     boosts = 0
     if unitary:
@@ -516,7 +524,25 @@ def light_isometry(signs: Sequence[int], rng: random.Random,
                     continue
                 boosts += 1
             rotate([(i, j)], *_rotation_coeffs(rng, same), same)
-    return np.array([[Fraction(x, D) for x in row] for row in N], dtype=object)
+    D = math.lcm(*den)
+    return np.array([[x * (D // d) for x in row] for row, d in zip(N, den)], dtype=object).T, D
+
+
+def light_isometry(signs: Sequence[int], rng: random.Random,
+                   unitary: bool = False,
+                   columns: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Exact isometry of diag(signs) as a product of up to 2n + 4 table rotations.
+
+    With `unitary` the sign list must consist of equal-sign coordinate pairs
+    (the J-block layout); rotations are then phases inside one block or
+    identical rotations across two blocks, so the result commutes with the
+    canonical J.  Hyperbolic steps across mixed-sign pairs are capped at
+    `_MAX_BOOSTS`.  With `columns` only those columns of the isometry are
+    computed and returned, in the given order; the draws from `rng` are the
+    same either way.  The entries are reduced Fractions of `isometry_columns`.
+    """
+    N, D = isometry_columns(signs, rng, unitary=unitary, columns=columns)
+    return np.array([[Fraction(x, D) for x in row] for row in N.T], dtype=object)
 
 
 def random_isometry(space: PseudoHermitianSpace, rng: random.Random,
@@ -544,14 +570,10 @@ def realizable(space: PseudoHermitianSpace, pattern, antiholomorphic: bool = Tru
             and pattern.count(-1) <= per_block * space.s)
 
 
-def tuple_from_rng(space: PseudoHermitianSpace, rng: random.Random, pattern,
-                   antiholomorphic: bool = False) -> list[np.ndarray]:
-    """Exact orthonormal tuple with the requested signs, drawn from `rng`.
-
-    The tuple is the image of standard basis vectors (one per J-block when
-    antiholomorphic) under a random isometry, of which only those columns
-    are computed.  Raises `UnrealizablePatternError` unless `realizable`.
-    """
+def integer_frame(space: PseudoHermitianSpace, rng: random.Random, pattern,
+                  antiholomorphic: bool = False) -> tuple[np.ndarray, int]:
+    """The integer form (N, D) of `tuple_from_rng`: vector t of the tuple is
+    N[t] / D, with the same draws and the same errors."""
     pattern = tuple(pattern)
     fits = realizable(space, pattern, antiholomorphic)
     plus, minus = pattern.count(1), pattern.count(-1)
@@ -566,8 +588,24 @@ def tuple_from_rng(space: PseudoHermitianSpace, rng: random.Random, pattern,
         raise UnrealizablePatternError(
             f"pattern {pattern} exceeds signature ({2*space.s}, {2*(space.m-space.s)})")
     cols = seed_columns(space, pattern, antiholomorphic)
-    T = light_isometry(space.metric_signs, rng, unitary=antiholomorphic, columns=cols)
-    return [_freeze(T[:, t].copy()) for t in range(len(cols))]
+    return isometry_columns(space.metric_signs, rng, unitary=antiholomorphic, columns=cols)
+
+
+def frame_vectors(N: np.ndarray, D: int) -> list[np.ndarray]:
+    """The vectors N[t] / D of an integer frame, as frozen arrays of reduced Fractions."""
+    return [_freeze(np.array([Fraction(x, D) for x in row], dtype=object)) for row in N]
+
+
+def tuple_from_rng(space: PseudoHermitianSpace, rng: random.Random, pattern,
+                   antiholomorphic: bool = False) -> list[np.ndarray]:
+    """Exact orthonormal tuple with the requested signs, drawn from `rng`.
+
+    The tuple is the image of standard basis vectors (one per J-block when
+    antiholomorphic) under a random isometry, of which only those columns
+    are computed (`integer_frame`).  Raises `UnrealizablePatternError`
+    unless `realizable`.
+    """
+    return frame_vectors(*integer_frame(space, rng, pattern, antiholomorphic))
 
 
 def seed_columns(space: PseudoHermitianSpace, pattern,

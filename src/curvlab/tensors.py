@@ -145,6 +145,14 @@ def _pair_signs(signs: tuple) -> np.ndarray:
     return out
 
 
+def _bivector_matrix(C: np.ndarray) -> np.ndarray:
+    """The frozen P x P matrix C[i, j, k, l] on the 2-form indices (i < j), (k < l)."""
+    i, j = _two_forms(len(C))
+    S = C[i[:, None], j[:, None], i, j]
+    S.setflags(write=False)
+    return S
+
+
 def _wedge(a, b) -> np.ndarray:
     """(a ^ b)_P = a_i b_j - a_j b_i for the 2-form indices P = (i < j) of the
     last axis; leading axes broadcast, so stacks of rows give stacks of 2-forms."""
@@ -211,10 +219,7 @@ class CurvatureTensor:
                    if name.startswith("antisym")]
             if bad:
                 raise InvariantViolation(bad[0], "the bivector form needs both antisymmetries")
-        i, j = _two_forms(self.space.n)
-        S = C[i[:, None], j[:, None], i, j]
-        S.setflags(write=False)
-        return S
+        return _bivector_matrix(C)
 
     # -- evaluation --------------------------------------------------------
 
@@ -276,11 +281,22 @@ class CurvatureTensor:
         return polarized_coefficients(self, [complex_terms(v) for v in (X, Y, Z, U)])[0]
 
     def to_float(self) -> "CurvatureTensor":
+        """The float64 copy: each component the float of its Fraction, taken
+        as N / D from the integer form when every |N| and D are below 2^53
+        (IEEE division of exact operands rounds once, as `float(Fraction)`
+        does).  A validated tensor's copy keeps the antisymmetries exactly,
+        since rounding is odd, so its bivector form is taken unchecked."""
         if not self.is_exact:
             return self
-        return CurvatureTensor(self.space,
-                               np.asarray(self.components, dtype=float),
-                               bianchi=self.bianchi, validate=False)
+        form = self.integer_form
+        if form is not None and form[1] < 2 ** 53 and max(map(abs, form[0].flat)) < 2 ** 53:
+            C = np.array(form[0], dtype=float) / form[1]
+        else:
+            C = np.asarray(self.components, dtype=float)
+        F = CurvatureTensor(self.space, C, bianchi=self.bianchi, validate=False)
+        if self.validate:
+            F.__dict__["bivector_form"] = _bivector_matrix(C)
+        return F
 
 
 def complex_terms(v, degree: int = 0, power: int = 0) -> list:

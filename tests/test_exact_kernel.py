@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from curvlab import tensors
 from curvlab.constancy import constant_holomorphic
-from curvlab.harness import random_tensor, tensor_from_coefficients
+from curvlab.harness import model_constant_sectional, random_tensor, tensor_from_coefficients
 from curvlab.polarization import VectorFamily, expand
 from curvlab.scalars import ExactComplex
 from curvlab.spaces import (ComplexVector, DegeneratePlaneError, InvariantViolation,
@@ -469,3 +469,40 @@ def test_lifted_and_projected_tensors_match_the_loop_oracle(space, data):
               from_dense(space, C, symmetrize=True)):
         vs = [data.draw(vectors(n)) for _ in range(4)]
         assert R.eval(*vs) == oracle(R.components, *vs)
+
+
+@PROPERTY
+@given(st.data())
+def test_float_copy_has_the_bits_of_every_fraction(data):
+    # from the integer form when it fits in 53 bits, else entry by entry
+    R = data.draw(exact_tensors())
+    assert ([x.hex() for x in R.to_float().components.flat]
+            == [float(x).hex() for x in R.components.flat])
+
+
+@pytest.mark.parametrize("c", [Fraction(3, 7), Fraction(1, 2 ** 60 + 1), Fraction(2 ** 60 + 1, 3),
+                               Fraction(-(2 ** 53) + 1, 2 ** 53 - 1)])
+def test_float_copy_bits_around_the_53_bit_bound(c):
+    R = model_constant_sectional(SPACES[2], c)
+    R = CurvatureTensor(R.space, R.components + random_tensor(R.space, 9).components)
+    F = R.to_float()
+    assert [x.hex() for x in F.components.flat] == [float(x).hex() for x in R.components.flat]
+
+
+def test_float_copy_of_a_validated_tensor_is_not_checked_again(monkeypatch):
+    space = SPACES[2]
+    R = CurvatureTensor(space, random_tensor(space, 5).components)
+    calls = []
+    check = tensors.failing_symmetries
+    monkeypatch.setattr(tensors, "failing_symmetries",
+                        lambda *a, **k: calls.append(a) or check(*a, **k))
+    S = R.to_float().bivector_form
+    assert calls == []
+    i, j = np.triu_indices(space.n, 1)
+    assert S.dtype == float and (S == R.to_float().components[i[:, None], j[:, None], i, j]).all()
+    # the copy of an unvalidated tensor keeps the guard
+    C = R.components.copy()
+    C[0, 1, 2, 3] += 1
+    with pytest.raises(InvariantViolation):
+        CurvatureTensor(space, C, validate=False).to_float().bivector_form
+    assert len(calls) == 1

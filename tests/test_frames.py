@@ -2,9 +2,11 @@
 
 `light_isometry(columns=...)` rotates only the requested columns; it must
 give exactly those columns of the full isometry and leave the generator in
-the same state.  The pinned digests hold `tuple_from_rng` to the draws,
-values and types of the full-matrix `Fraction` implementation it replaced
-(digests taken from that implementation).
+the same state.  Its integer form, `isometry_columns`, must equal a
+reference `Fraction` product of the same draws (`fraction_isometry` below).
+The pinned digests hold `tuple_from_rng` to the draws, values and types of
+the full-matrix `Fraction` implementation it replaced (digests taken from
+that implementation).
 """
 
 import hashlib
@@ -15,7 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvlab.spaces import GeometryError, light_isometry, make_space, tuple_from_rng
+from curvlab import spaces
+from curvlab.spaces import (GeometryError, frame_vectors, integer_frame,
+                            isometry_columns, light_isometry, make_space,
+                            seed_columns, tuple_from_rng)
 
 SIGNATURES = [(m, s) for m in range(1, 7) for s in range(m + 1)]
 
@@ -53,6 +58,79 @@ def test_isometry_columns_are_orthonormal(case):
     sub = light_isometry(space.metric_signs, random.Random(seed), unitary=unitary,
                          columns=columns)
     assert (sub.T.dot(G.dot(sub)) == G[np.ix_(columns, columns)]).all()
+
+
+def fraction_isometry(signs, rng, unitary=False):
+    """The oracle: the product of the drawn rotations as Fraction matrices,
+    each step one full matrix product, with the draws of `light_isometry`."""
+    n = len(signs)
+    T = np.array([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], dtype=object)
+
+    def rotate(pairs, c, s, d, same_sign):
+        nonlocal T
+        G = np.array([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], dtype=object)
+        for i, j in pairs:
+            G[i, i], G[i, j] = Fraction(c, d), Fraction(-s if same_sign else s, d)
+            G[j, i], G[j, j] = Fraction(s, d), Fraction(c, d)
+        T = G.dot(T)
+
+    boosts = 0
+    m = n // 2
+    for _ in range(2 * n + 4):
+        if unitary:
+            if m == 1 or rng.random() < 0.4:
+                b = rng.randrange(m)
+                rotate([(2 * b, 2 * b + 1)], *spaces._rotation_coeffs(rng, True), True)
+                continue
+            b1, b2 = rng.sample(range(m), 2)
+            i, j, pairs = 2 * b1, 2 * b2, [(2 * b1, 2 * b2), (2 * b1 + 1, 2 * b2 + 1)]
+        else:
+            i, j = rng.sample(range(n), 2)
+            pairs = [(i, j)]
+        same = signs[i] == signs[j]
+        if not same:
+            if boosts >= spaces._MAX_BOOSTS:
+                continue
+            boosts += 1
+        rotate(pairs, *spaces._rotation_coeffs(rng, same), same)
+    return T
+
+
+@st.composite
+def small_isometry_draws(draw):
+    m, s = draw(st.sampled_from([(m, s) for m in range(1, 5) for s in range(m + 1)]))
+    n = 2 * m
+    columns = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return make_space(m, s), draw(st.booleans()), columns, draw(st.integers(0, 2 ** 32))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_isometry_draws())
+def test_integer_form_is_the_fraction_product(case):
+    space, unitary, columns, seed = case
+    rng_ref, rng_int = random.Random(seed), random.Random(seed)
+    T = fraction_isometry(space.metric_signs, rng_ref, unitary=unitary)
+    N, D = isometry_columns(space.metric_signs, rng_int, unitary=unitary, columns=columns)
+    assert N.shape == (len(columns), space.n)
+    assert type(D) is int and D > 0
+    assert all(type(x) is int for x in N.flat)
+    assert all((N[t] == T[:, col] * D).all() for t, col in enumerate(columns))
+    assert rng_ref.getstate() == rng_int.getstate()
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_isometry_draws())
+def test_integer_frames_are_the_drawn_tuples(case):
+    space, _, _, seed = case
+    pattern = (1,) * (space.m - space.s) + (-1,) * space.s
+    for antiholomorphic in (True, False):
+        rng_int, rng_vec = random.Random(seed), random.Random(seed)
+        N, D = integer_frame(space, rng_int, pattern, antiholomorphic)
+        vecs = tuple_from_rng(space, rng_vec, pattern, antiholomorphic)
+        assert all((a == b).all() for a, b in zip(frame_vectors(N, D), vecs))
+        assert all(type(x) is Fraction for v in frame_vectors(N, D) for x in v)
+        assert rng_int.getstate() == rng_vec.getstate()
+        assert len(vecs) == len(seed_columns(space, pattern, antiholomorphic))
 
 
 def test_unitary_needs_block_pairs():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -11,7 +12,8 @@ from curvlab.spaces import (ComplexVector, DependentVectorsError,
                             InvariantViolation, UnrealizablePatternError,
                             canonical_complex_structure,
                             classify_plane, gram_schmidt_tuple, make_space,
-                            random_isometry, realizable, tuple_from_rng)
+                            random_isometry, realizable,
+                            require_antiholomorphic_pair, tuple_from_rng)
 
 from conftest import rand_vector
 
@@ -314,3 +316,46 @@ class TestRealizable:
         x_signs = [1] if plus >= 2 and minus >= 1 else []
         x_signs += [-1] if minus >= 2 and plus >= 1 else []
         assert _thmA_x_signs(sp) == x_signs
+
+
+class TestRequireAntiholomorphicPair:
+    # at (2, 1): x = e2 and w = e0 are an orthonormal antiholomorphic (+, -)
+    # pair; each case below breaks exactly the named condition
+    BROKEN = [
+        ((0, 0, 2, 0), (1, 0, 0, 0), (1, -1), "g(x,x)=1"),
+        ((0, 0, 1, 0), (2, 0, 0, 0), (1, -1), "g(w,w)=-1"),
+        ((0, 0, 2, 0), (1, 0, 0, 0), None, "g(x,x)^2=1"),
+        ((0, 0, 1, 0), (2, 0, 0, 0), None, "g(w,w)^2=1"),
+        ((2, 0, 2, 1), (1, 0, 0, 0), (1, -1), "g(x,w)=0"),
+        ((2, 0, 2, 1), (0, 1, 0, 0), (1, -1), "g(x,Jw)=0"),
+    ]
+    KINDS = {"fraction": lambda v: np.array([Fraction(x) for x in v], dtype=object),
+             "int64": lambda v: np.array(v, dtype=np.int64),
+             "float": lambda v: np.array(v, dtype=float)}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("x,w,signs,name", BROKEN)
+    def test_each_broken_condition_raises(self, sp21, kind, x, w, signs, name):
+        make = self.KINDS[kind]
+        with pytest.raises(GeometryError, match=re.escape(
+                f"test needs an orthonormal antiholomorphic pair: {name} fails")):
+            require_antiholomorphic_pair(sp21, make(x), make(w), "test", signs=signs)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_orthonormal_pairs_pass(self, sp21, kind):
+        make = self.KINDS[kind]
+        for signs in ((1, -1), None):
+            require_antiholomorphic_pair(sp21, make((0, 0, 1, 0)), make((1, 0, 0, 0)),
+                                         "test", signs=signs)
+            # a pair off the coordinate axes: g(x,x) = -4 + 4 + 1, g(w,w) = -1 - 4 + 4
+            require_antiholomorphic_pair(sp21, make((2, 0, 2, 1)), make((1, 2, 0, 2)),
+                                         "test", signs=signs)
+
+    def test_drawn_rational_pairs_pass(self):
+        for m, s, signs in ((2, 1, (1, -1)), (3, 0, (1, 1)), (4, 2, (-1, 1))):
+            space = make_space(m, s)
+            for seed in range(5):
+                x, w = tuple_from_rng(space, random.Random(seed), signs, antiholomorphic=True)
+                require_antiholomorphic_pair(space, x, w, "test", signs=signs)
+                with pytest.raises(GeometryError, match=r"g\(x,x\)"):
+                    require_antiholomorphic_pair(space, x * Fraction(1, 2), w, "test")

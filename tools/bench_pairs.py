@@ -135,9 +135,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     specs = []
     for spec in args.specs:
-        workload, seed, pairs = (spec.split(":") + ["0", str(args.pairs)])[:3]
-        specs.append((workload, int(seed), int(pairs)))
-        if int(pairs) < 2:
+        workload, seed, pairs = (spec.split(":") + [None, None])[:3]
+        seed, pairs = int(seed or 0), int(pairs or args.pairs)
+        specs.append((workload, seed, pairs))
+        if pairs < 2:
             parser.error(f"{spec}: quartiles need at least 2 pairs")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
