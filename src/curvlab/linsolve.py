@@ -1,29 +1,33 @@
 """Exact linear algebra over the rationals (and exact complex scalars).
 
 `RowReducer` keeps one elimination: the offered rows in reduced row echelon
-form modulo three primes below 2^25, held as one int64 array of shape
-(3, rank, free) on the free (non-pivot) columns; at the pivot columns the
-form is the identity and is not stored.  The pivot columns are those of the
-first prime; the other two primes follow them.  Rows are offered in blocks.
-A block is reduced against the echelon form modulo the first prime in one
-product (its coefficients are its own entries at the pivot columns), and
-the rows that survive it modulo the other two in a second.  The survivors
-are then eliminated among themselves in offer order, with the pivot rule of
-a row-by-row elimination (the first nonzero column modulo the first prime),
-so a block absorbs the rows that offering them one by one would.  The old
-echelon rows take the new pivots in one product.  Every product runs in
-int64: a sum of k terms below p^2 stays exact while k < 2^63 / p^2 = 8192,
-which holds for the rank up to the 2211 columns of complex dimension 6, and
-blocks of more rows are split.
+form modulo the prime p0 = 33554393 below 2^25, held as one int64 array of
+shape (rank, free) on the free (non-pivot) columns; at the pivot columns
+the form is the identity and is not stored.  Rows are offered in blocks.  A
+block is reduced against the echelon form in one product (its coefficients
+are its own entries at the pivot columns).  The survivors are then
+eliminated among themselves in offer order, with the pivot rule of a
+row-by-row elimination (the first nonzero column), so a block absorbs the
+rows that offering them one by one would.  The old echelon rows take the
+new pivots in one product.  Every product runs in int64: a sum of k terms
+below p0^2 stays exact while k <= 2^63 / p0^2 = 8192.  Its k is a count of
+pivots, at most the rank, so `RowReducer` refuses more than 8192 columns
+(complex dimension 6 has 2211).
 
 The nullspace is read off that echelon form (each free column a unit
 vector, each pivot coordinate the negated echelon entry in that column).
-The three residues of every entry are combined by the Chinese remainder
-theorem into one residue modulo M = p0 p1 p2 ~ 2^75, which is lifted to a
-rational with numerator and denominator up to sqrt(M/2) ~ 2^37 by rational
-reconstruction (Wang, Guy & Davenport 1982).  Each basis vector is returned
-as one coprime integer row, its rational entries scaled by the lcm of their
-denominators.
+Each residue is lifted to a rational with numerator and denominator up to
+sqrt(p0/2) ~ 4095 by rational reconstruction (Wang, Guy & Davenport 1982),
+and the lift is certified.  Only if some entry has no lift, or the
+certificate rejects the lift, are the absorbed rows eliminated again modulo
+two more primes on the same pivot columns; the three residues of every
+entry are combined by the Chinese remainder theorem (Garner's method) into
+one residue modulo M = p0 p1 p2 ~ 2^75, lifted with the bound sqrt(M/2) ~
+2^37 and certified again.  Every basis the catalog imposes has entries a/b
+with |a|, b <= 2, so the first prime suffices there; stopping once an exact
+check passes is early-terminated multimodular solving (Cabay 1971).  Each
+basis vector is returned as one coprime integer row, its rational entries
+scaled by the lcm of their denominators.
 
 The lift is certified, not trusted.  Every offered row is kept as integers
 and multiplied exactly by those integer rows (`_annihilates`).  Rank over Q is
@@ -31,8 +35,9 @@ at least rank modulo the first prime, so nullity-many independent vectors
 that annihilate every offered row are a basis of the rational nullspace, and
 the result is exactly the echelon basis over Q.  A row independent over Q
 but dependent modulo the first prime, a pivot entry that vanishes modulo
-another prime, or an entry too large to reconstruct, makes `nullspace` raise
-ArithmeticError instead of returning a wrong basis.
+another prime when those are needed, or an entry too large to reconstruct
+from three primes, makes `nullspace` raise ArithmeticError instead of
+returning a wrong basis.
 """
 
 from __future__ import annotations
@@ -46,13 +51,16 @@ from .scalars import integerize
 
 _PRIMES = (33554393, 33554383, 33554371)    # the three largest primes below 2^25
 _LEAF_ROWS = 16            # rows eliminated one by one inside `_echelon`
-_BLOCK_ROWS = 8192         # products of k rows of residues below p: k p^2 < 2^63
+_MAX_COLS = 8192           # products of k pivots' residues below p0: k p0^2 < 2^63
 
 
 def integer_row(row) -> list[int]:
     """The rational row (ints, numpy ints, Fractions) scaled to coprime
-    integers (a zero row stays zero)."""
-    ints, _ = integerize(row)
+    integers (a zero row stays zero); TypeError for any other entry."""
+    integer_form = integerize(row)
+    if integer_form is None:
+        raise TypeError("row entries must be ints or Fractions")
+    ints, _ = integer_form
     g = gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
 
@@ -118,23 +126,25 @@ def _annihilates(blocks: list, cols: np.ndarray) -> bool:
 class RowReducer:
     """Incremental rank tracker and certified exact nullspace for rational rows.
 
-    The risk is an ArithmeticError, never a wrong basis: about 1/p ~ 2^-25
-    per offered row (a row dependent modulo the first prime only, or a pivot
-    vanishing modulo another prime).  `impose` offers about 70-184 rows at
-    m = 3 and 199-620 at m = 4, so one of its runs raises with a chance
-    below 10^-4.
+    The risk is an ArithmeticError, never a wrong basis: about 1/p0 ~ 2^-25
+    per offered row (a row dependent modulo the first prime only, or, when
+    the other two primes are needed, a pivot vanishing modulo one of them).
+    `impose` offers about 70-184 rows at m = 3 and 199-620 at m = 4, so one
+    of its runs raises with a chance below 10^-4.
     """
 
     def __init__(self, ncols: int):
+        if ncols > _MAX_COLS:
+            raise ValueError(f"{ncols} columns, at most {_MAX_COLS} are supported")
         self.ncols = ncols
-        self._primes = _PRIMES
-        self._p = np.array(_PRIMES, dtype=np.int64)[:, None, None]
+        self._p = _PRIMES[0]
         self._pivots: list[int] = []
         self._free = np.arange(ncols)            # the other columns, increasing
-        # the echelon rows modulo each prime on the free columns: at the
+        # the echelon rows modulo the first prime on the free columns: at the
         # pivot columns they are the identity and need not be stored
-        self._ech = np.zeros((len(_PRIMES), 0, ncols), dtype=np.int64)
+        self._ech = np.zeros((0, ncols), dtype=np.int64)
         self._offered: list[np.ndarray] = []     # every offered block, for the certificate
+        self._absorbed: list[list[int]] = []     # the indices each block had absorbed
 
     @property
     def rank(self) -> int:
@@ -155,41 +165,44 @@ class RowReducer:
         """Offer the integer rows of a 2-D array (kept, not copied); the indices
         of those absorbed, which are those `add_row` would absorb one by one.
 
-        Blocks of more than `_BLOCK_ROWS` rows are offered in parts."""
+        The array must have `ncols` columns and dtype int64, or object
+        holding Python ints (its entries are not inspected); ValueError or
+        TypeError otherwise."""
+        if not isinstance(block, np.ndarray) or block.dtype not in (np.int64, object):
+            raise TypeError("rows must be an int64 or object array of integers")
+        if block.ndim != 2 or block.shape[1] != self.ncols:
+            raise ValueError(f"rows have shape {block.shape}, expected (k, {self.ncols})")
+        absorbed = self._absorb(block)
         self._offered.append(block)
-        absorbed = []
-        for start in range(0, len(block), _BLOCK_ROWS):
-            absorbed += [start + i for i in self._absorb(block[start:start + _BLOCK_ROWS])]
+        self._absorbed.append(absorbed)
         return absorbed
 
-    def _reduce(self, block: np.ndarray, primes: slice) -> np.ndarray:
-        """The rows' residues modulo the primes in the slice, reduced against
-        the echelon form, on the free columns (they vanish at the pivots)."""
-        p = self._p[primes]
-        v = (block[None] % p).astype(np.int64)
-        w = v[:, :, self._free]
+    def _reduce(self, block: np.ndarray) -> np.ndarray:
+        """The rows' residues modulo the first prime, reduced against the
+        echelon form, on the free columns (they vanish at the pivots)."""
+        p = self._p
+        v = (block % p).astype(np.int64)
+        w = v[:, self._free]
         if self.rank:
-            w -= np.matmul(v[:, :, self._pivots], self._ech[primes])
+            w -= v[:, self._pivots].dot(self._ech)
             w %= p
         return w
 
     def _absorb(self, block: np.ndarray) -> list[int]:
-        """Absorb a block of at most `_BLOCK_ROWS` rows: screen it against the
-        echelon form modulo the first prime, reduce the survivors modulo the
-        other two, eliminate them among themselves in offer order, and fold
+        """Absorb a block of rows: reduce it against the echelon form,
+        eliminate the survivors among themselves in offer order, and fold
         their echelon form into the old rows with one product."""
-        v = self._reduce(block, slice(0, 1))
-        survivors = np.flatnonzero(v[0].any(axis=1))
+        v = self._reduce(block)
+        survivors = np.flatnonzero(v.any(axis=1))
         if not survivors.size:
             return []
-        v = np.concatenate([v[:, survivors], self._reduce(block[survivors], slice(1, None))])
-        kept, pivots, new = _echelon(v, self._p)     # the first survivor is kept
+        kept, pivots, new = _echelon(v[survivors], self._p)     # the first survivor is kept
         ech = self._ech
         if self.rank:
-            ech = (ech - np.matmul(ech[:, :, pivots], new)) % self._p
+            ech = (ech - ech[:, pivots].dot(new)) % self._p
         free = np.ones(len(self._free), dtype=bool)
         free[pivots] = False
-        self._ech = np.concatenate([ech, new], axis=1)[:, :, free]
+        self._ech = np.concatenate([ech, new])[:, free]
         self._pivots += self._free[pivots].tolist()
         self._free = self._free[free]
         return survivors[kept].tolist()
@@ -201,17 +214,50 @@ class RowReducer:
         at the other free columns; d = row[c] > 0 is the lcm of x's
         denominators.
 
-        Raises ArithmeticError if an entry has no rational lift or the lifted
-        basis fails to annihilate some offered row exactly.
+        The entries are lifted from the first prime (numerators and
+        denominators up to sqrt(p0/2) ~ 4095) and certified.  Only if some
+        entry has no lift there, or the certificate rejects the lift, are the
+        absorbed rows eliminated modulo the other two primes (`_extension`)
+        and the three residues combined and lifted again.
+
+        Raises ArithmeticError if, with the three primes, an entry has no
+        rational lift, a prime finds other pivot columns, or the lifted basis
+        fails to annihilate some offered row exactly.
         """
+        try:
+            return self._lifted_basis([self._ech], _PRIMES[:1])
+        except ArithmeticError:
+            return self._lifted_basis([self._ech] + self._extension(), _PRIMES)
+
+    def _extension(self) -> list[np.ndarray]:
+        """The echelon form modulo each of the other two primes on the pivot
+        columns of the first, rows in the order of `_pivots`, on the free
+        columns.  The absorbed integer rows, their pivot columns moved to
+        the front, are eliminated again by `_echelon`; ArithmeticError if
+        a prime finds other pivot columns (a pivot entry vanishing modulo
+        it)."""
+        rows = np.concatenate([block[absorbed] for block, absorbed
+                               in zip(self._offered, self._absorbed)])
+        rows = rows[:, self._pivots + self.free_columns]
+        forms = []
+        for q in _PRIMES[1:]:
+            _, pivots, ech = _echelon((rows % q).astype(np.int64), q)
+            if sorted(pivots) != list(range(self.rank)):
+                raise ArithmeticError(f"the pivot columns modulo {q} differ from those "
+                                      f"modulo {self._p}")
+            forms.append(ech[np.argsort(pivots)][:, self.rank:])
+        return forms
+
+    def _lifted_basis(self, forms: list[np.ndarray], primes) -> list[list[int]]:
+        """The certified basis whose entries are lifted from the echelon forms
+        modulo `primes`, one form per prime, combined by Garner's method."""
         free = self.free_columns
         basis = np.zeros((len(free), self.ncols), dtype=object)
         dens = np.ones(len(free), dtype=object)
-        primes = self._primes
-        residues = -self._ech % self._p
+        residues = -np.stack(forms) % np.array(primes, dtype=np.int64)[:, None, None]
         rows, cols = np.nonzero(residues.any(axis=0))
         if rows.size:
-            # each distinct residue triple is lifted once
+            # each distinct residue tuple is lifted once
             digits = np.stack([d[rows, cols] for d in _crt_digits(residues, primes)], axis=1)
             keys, which = np.unique(digits, axis=0, return_inverse=True)
             weights = [prod(primes[:j]) for j in range(len(primes))]
@@ -231,45 +277,43 @@ class RowReducer:
         return basis.tolist()
 
 
-def _echelon(v: np.ndarray, p: np.ndarray) -> tuple:
-    """Reduced row echelon form of stacked residue rows v (one stack per
-    prime in p), as `RowReducer.add_row` would build it from them one by one:
-    each row in turn is reduced by the rows kept before it, and is kept with
-    its first nonzero column modulo the first prime as pivot, normalized to
-    1.  Returns (kept row indices, pivots, echelon rows); v is not changed.
+def _echelon(v: np.ndarray, p: int) -> tuple:
+    """Reduced row echelon form of residue rows v modulo the prime p, as
+    `RowReducer.add_row` would build it from them one by one: each row in
+    turn is reduced by the rows kept before it, and is kept with its first
+    nonzero column as pivot, normalized to 1.  Returns (kept row indices,
+    pivots, echelon rows); v is not changed.
 
     The two halves of a block are reduced recursively, with one product to
     reduce the second half by the first and one to reduce the first by the
-    second, whose sums of fewer than 8192 terms below p^2 stay in int64.
+    second.
     """
-    k = v.shape[1]
+    k = len(v)
     if k > _LEAF_ROWS:
         h = k // 2
-        kept, pivots, top = _echelon(v[:, :h], p)
-        low = v[:, h:]
+        kept, pivots, top = _echelon(v[:h], p)
+        low = v[h:]
         if kept:
-            low = (low - np.matmul(low[:, :, pivots], top)) % p
+            low = (low - low[:, pivots].dot(top)) % p
         kept_low, pivots_low, bottom = _echelon(low, p)
         if kept_low:
-            top = (top - np.matmul(top[:, :, pivots_low], bottom)) % p
+            top = (top - top[:, pivots_low].dot(bottom)) % p
         return (kept + [h + i for i in kept_low], pivots + pivots_low,
-                np.concatenate([top, bottom], axis=1))
+                np.concatenate([top, bottom]))
     v = v.copy()
-    primes = p.ravel().tolist()
     kept, pivots = [], []
     for i in range(k):
-        nonzero = v[0, i].nonzero()[0]
+        nonzero = v[i].nonzero()[0]
         if not len(nonzero):
             continue
         c = int(nonzero[0])
-        inverses = [[pow(x, q - 2, q)] for x, q in zip(v[:, i, c].tolist(), primes)]
-        row = v[:, i] * np.array(inverses) % p[:, 0]
-        v -= v[:, :, c, None] * row[:, None]       # row i is restored below
-        v[:, i] = row
+        row = v[i] * pow(int(v[i, c]), p - 2, p) % p
+        v -= v[:, c, None] * row                   # row i is restored below
+        v[i] = row
         v %= p
         kept.append(i)
         pivots.append(c)
-    return kept, pivots, v[:, kept]
+    return kept, pivots, v[kept]
 
 
 def field_rank(rows, ncols: int) -> int:

@@ -6,11 +6,11 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from curvlab import linsolve
 from curvlab.harness import impose
-from curvlab.linsolve import RowReducer, field_rank, rational_lift
+from curvlab.linsolve import RowReducer, field_rank, integer_row, rational_lift
 from curvlab.scalars import integerize, rand_rational
 
 
@@ -94,6 +94,187 @@ class TestCertificate:
         assert red.nullspace() == [[-3, -2, 6]]
 
 
+class TestRowChecks:
+    def test_block_with_too_many_columns_is_refused(self):
+        red = RowReducer(3)
+        with pytest.raises(ValueError, match="shape"):
+            red.add_rows(np.array([[0, 0, 0, 1]], dtype=np.int64))
+        with pytest.raises(ValueError, match="shape"):
+            red.add_rows(np.array([[1, 2]], dtype=object))
+        with pytest.raises(ValueError, match="shape"):
+            red.add_rows(np.array([1, 2, 3], dtype=np.int64))
+        assert red.rank == 0 and red.nullspace() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+    def test_block_of_floats_is_refused(self):
+        red = RowReducer(3)
+        for block in (np.array([[0.5, 2, 1]]), np.array([[1, 2, 3]], dtype=np.int32),
+                      [[1, 2, 3]]):
+            with pytest.raises(TypeError):
+                red.add_rows(block)
+        assert red.rank == 0
+
+    def test_float_row_is_refused(self):
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            integer_row([0.5, 2, 1])
+        red = RowReducer(3)
+        with pytest.raises(TypeError, match="ints or Fractions"):
+            red.add_row([1, 2.0, 1])
+        with pytest.raises(ValueError, match="entries"):
+            red.add_row([1, 2])
+        assert red.rank == 0
+
+
+class CountingReducer(RowReducer):
+    """A RowReducer that counts how often `nullspace` needs the other primes."""
+
+    extensions = 0
+
+    def _extension(self):
+        self.extensions += 1
+        return super()._extension()
+
+
+class TestExtension:
+    def test_lifts_from_the_first_prime_alone(self):
+        red = CountingReducer(3)
+        red.add_rows(np.array([[2, -1, 0], [0, 2, -3]], dtype=np.int64))
+        assert red.nullspace() == [[3, 6, 4]]
+        assert red.extensions == 0
+
+    def test_entry_past_the_first_prime_needs_two_primes(self):
+        # 2^20/3 is past sqrt(p0/2) ~ 4095 but within sqrt(p0 p1/2) ~ 2^24.5
+        red = CountingReducer(2)
+        red.add_row([3, -2 ** 20])
+        assert red.nullspace() == [[2 ** 20, 3]]
+        assert red.extensions == 1
+
+    def test_entry_past_two_primes_needs_three(self):
+        # 2^30/3 is past sqrt(p0 p1/2) but within sqrt(p0 p1 p2/2) ~ 2^37
+        red = CountingReducer(2)
+        red.add_row([3, -2 ** 30])
+        assert red.nullspace() == [[2 ** 30, 3]]
+        assert red.extensions == 1
+
+    def test_certificate_rejecting_the_first_lift_takes_the_extension(self):
+        # the entry 3 + 2 p0 reads 3 modulo p0, which lifts to 3 and fails
+        # the certificate; the three primes lift the true value
+        red = CountingReducer(2)
+        red.add_row([1, -(3 + 2 * P0)])
+        assert red.nullspace() == [[3 + 2 * P0, 1]]
+        assert red.extensions == 1
+
+    def test_extension_follows_the_pivots_of_the_first_prime(self):
+        # the pivots modulo p0 are columns 0 and 2, over Q and modulo p1
+        # and p2 they are 0 and 1; the extension eliminates on columns 0
+        # and 2 and reads the p0-multiple entry of column 2
+        red = CountingReducer(3)
+        red.add_rows(np.array([[1, 2, 0], [1, 2 + P0, 1]], dtype=object))
+        assert red._pivots == [0, 2]
+        forms = red._extension()
+        assert [f.tolist() for f in forms] == [[[2], [P0 % P1]], [[2], [P0 % P2]]]
+
+    def test_extension_takes_the_pivots_in_another_order(self):
+        # modulo p1 the first row (p1, 1, 0) has its pivot at column 1 and
+        # the second takes column 0: the same pivot set in another order,
+        # whose rows are put back in the order of the first prime's
+        red = CountingReducer(3)
+        red.add_rows(np.array([[P1, 1, 0], [1, 0, 1]], dtype=np.int64))
+        assert red._pivots == [0, 1]
+        assert red.nullspace() == [[-1, P1, 1]]
+        assert red.extensions == 1
+
+    def test_rank_lower_modulo_another_prime_raises(self):
+        # modulo p1 both rows reduce to (0, 0, -2^20): rank one against p0's
+        # two, and the entries 2^20/p1 need the extension
+        red = CountingReducer(3)
+        red.add_rows(np.array([[P1, 0, -2 ** 20], [0, P1, -2 ** 20]], dtype=np.int64))
+        assert red.rank == 2
+        with pytest.raises(ArithmeticError, match="pivot columns"):
+            red.nullspace()
+        assert red.extensions == 1
+
+    def test_no_rows_absorbed(self):
+        # every row vanishes modulo p0, so the first lift is the identity,
+        # which the certificate rejects, and so it does with three primes
+        red = CountingReducer(2)
+        assert not red.add_rows(np.array([[P0, 2 * P0]], dtype=np.int64))
+        with pytest.raises(ArithmeticError, match="certificate"):
+            red.nullspace()
+        assert red.extensions == 1
+
+
+def test_too_many_columns_are_refused():
+    # a product sums at most rank <= ncols terms below p0^2, exact in int64
+    # for up to 8192 of them
+    RowReducer(8192)
+    with pytest.raises(ValueError, match="columns"):
+        RowReducer(8193)
+
+
+def fraction_nullspace(rows, ncols):
+    """The oracle: the echelon nullspace basis in `RowReducer`'s integer
+    form, by Gauss-Jordan elimination over Fractions."""
+    work, pivots = [[Fraction(v) for v in r] for r in rows], []
+    for col in range(ncols):
+        piv = next((i for i in range(len(pivots), len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        r = len(pivots)
+        work[r], work[piv] = work[piv], work[r]
+        work[r] = [v / work[r][col] for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for c in free:
+        x = [Fraction(0)] * ncols
+        x[c] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            x[pc] = -work[i][c]
+        basis.append(integer_row(x))
+    return free, basis
+
+
+@st.composite
+def wide_systems(draw):
+    """Integer rows with entries up to 2^12, some of them combinations."""
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    top = draw(st.sampled_from([2, 2 ** 6, 2 ** 12]))
+    entry = st.integers(min_value=-top, max_value=top)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=4))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        ca, cb = draw(small_int), draw(small_int)
+        rows.append([ca * x + cb * y for x, y in zip(a, b)])
+    return ncols, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_systems())
+def test_nullspace_against_fraction_elimination(system):
+    # exact when every entry of the oracle's basis lifts from three primes;
+    # otherwise ArithmeticError, never a wrong basis
+    ncols, rows = system
+    red = CountingReducer(ncols)
+    red.add_rows(np.array(rows, dtype=np.int64))
+    free, basis = fraction_nullspace(rows, ncols)
+    liftable = all(abs(Fraction(v, row[c]).numerator) <= BOUND
+                   and Fraction(v, row[c]).denominator <= BOUND
+                   for row, c in zip(basis, free) for v in row)
+    if liftable:
+        assert red.free_columns == free
+        assert red.nullspace() == basis
+    else:
+        with pytest.raises(ArithmeticError):
+            red.nullspace()
+        event("past the lift bound")
+    event("the other two primes" if red.extensions else "the first prime alone")
+
+
 small_int = st.integers(min_value=-4, max_value=4)
 
 
@@ -133,7 +314,11 @@ def dependent_blocks(draw):
 def assert_same_reducer(red, one_by_one):
     assert red._pivots == one_by_one._pivots
     assert red.free_columns == one_by_one.free_columns
-    assert np.array_equal(red._ech, one_by_one._ech)      # all three primes
+    assert np.array_equal(red._ech, one_by_one._ech)      # modulo the first prime
+    # the echelon forms modulo the other two primes, which only the
+    # extension of `nullspace` computes
+    for ours, theirs in zip(red._extension(), one_by_one._extension(), strict=True):
+        assert np.array_equal(ours, theirs)
     assert red.nullspace() == one_by_one.nullspace()
 
 
@@ -154,9 +339,9 @@ def test_block_offer_matches_row_by_row(system):
     assert_same_reducer(red, one_by_one)
 
 
-def test_block_past_the_int64_limit_is_split():
-    # 9000 rows on three columns: multiples of (1, 2, 0) but for two rows
-    # after the 8192 that one product may hold
+def test_block_past_the_int64_limit():
+    # 9000 rows on three columns, more than the 8192 terms one int64
+    # product may sum: multiples of (1, 2, 0) but for two rows after 8192
     rows = np.array([[k % 7 + 1, 2 * (k % 7 + 1), 0] for k in range(9000)], dtype=np.int64)
     rows[8500], rows[8999] = [0, 1, 5], [3, 6, 1]
     red = RowReducer(3)
