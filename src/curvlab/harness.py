@@ -5,7 +5,12 @@ are linear in the tensor and invariant under the pseudo-unitary group
 U(p, q) of (g, J).  They are imposed exactly, without sampling: the
 constraint rows at one representative configuration per orbit are closed
 under u(p, q), and the solutions are the certified exact nullspace of the
-closure in the symmetry-reduced component space.  Boundedness statements
+closure in the symmetry-reduced component space.  The closure
+(`closure.close`) is split by coordinate classes: the flip of the sign of
+one J-block lies in U(p, q) and has every pair-symmetric coordinate as an
+eigenvector, so an invariant row space is the direct sum of its parts on
+the classes of coordinates with equal flip signs, and each class is closed
+and solved on its own, with no change of basis.  Boundedness statements
 are tested through their dichotomy: bounds hold on constant models, and
 nonconstant tensors must blow up along pinching families approaching
 isotropic planes.
@@ -48,7 +53,8 @@ import numpy as np
 
 from .constancy import (constant_antiholomorphic, constant_biholomorphic,
                         constant_holomorphic, normalized_biholomorphic)
-from .linsolve import RowReducer, integer_row
+from .closure import close
+from .linsolve import integer_row
 from .polarization import (TPolynomial, VectorFamily, bound_forced_identities,
                            complexified_family_expansion, expand)
 from .scalars import (FLOAT_IDENTITY_TOL, FLOAT_REVERIFY_TOL, RAND_DENOMINATOR,
@@ -328,7 +334,8 @@ class ConstraintSystem:
     per vector, and `denominators` holds each row's entry at its free
     column: vector i is basis[i] / denominators[i].  `coefficients` is that
     rational view, and tensors are built from it only on demand.
-    `probes_used` counts the rows offered.
+    `probes_used` counts the class parts offered (`closure.close`): a row
+    counts once for each sign-flip class it has nonzero entries in.
     """
 
     space: PseudoHermitianSpace
@@ -344,7 +351,8 @@ class ConstraintSystem:
 
     @cached_property
     def coefficients(self) -> tuple:
-        return tuple([Fraction(v, d) for v in row]
+        zero = Fraction(0)          # most entries; Fractions are immutable, so they share it
+        return tuple([Fraction(v, d) if v else zero for v in row]
                      for row, d in zip(self.basis.tolist(), self.denominators))
 
     @cached_property
@@ -371,63 +379,33 @@ class ConstraintSystem:
         return all(cond.holds(R, rng) for _ in range(count))
 
 
-def _two_form_action(K) -> np.ndarray:
-    """K's derivation on 2-forms, e_i ^ e_j -> Ke_i ^ e_j + e_i ^ Ke_j, as a
-    matrix on the 2-form indices P = (i < j)."""
-    iu, ju = np.triu_indices(len(K), 1)
-    k, l, i, j = iu[:, None], ju[:, None], iu, ju
-    return (K[k, i] * (l == j) - K[k, j] * (l == i)
-            - K[l, i] * (k == j) + K[l, j] * (k == i))
-
-
-def _images(K2, rows) -> np.ndarray:
-    """The nonzero images of integer constraint rows under the generator with
-    2-form action K2, divided by their content.  A row r is the symmetric
-    form S with S_PQ = r_PQ off the diagonal and S_PP = 2 r_PP on 2-forms; it
-    maps to K2 S + S K2^T = T + T^T with T = K2 S, again even on the diagonal.
-    """
-    ia, ib = _orbit_pairs((1 + math.isqrt(1 + 8 * len(K2))) // 2)     # K2 is n(n-1)/2 square
-    fits = 4 * len(K2) * int(np.abs(K2).max()) * int(np.abs(rows).max()) < 2 ** 62
-    dtype = np.int64 if fits else object
-    S = np.zeros((len(rows),) + K2.shape, dtype=dtype)
-    S[:, ia, ib] = rows
-    S += S.transpose(0, 2, 1)
-    T = np.matmul(K2.astype(dtype), S)
-    out = T[:, ia, ib] + np.where(ia == ib, 0, T[:, ib, ia])
-    out = out[out.any(axis=1)]
-    return out // np.gcd.reduce(out, axis=1)[:, None]
-
-
 def impose(space: PseudoHermitianSpace, condition_id: str, seed: int = 0) -> ConstraintSystem:
     """Impose a quantified curvature condition: close its representative rows
     under u(p, q) and take the certified exact nullspace.
 
-    The integer rows at the representatives are offered, then, one block
-    per layer, the images under the two generators of u(p, q)
-    (`spaces.unitary_generators`) of the rows absorbed in the previous
-    layer, until a layer absorbs nothing.  A space invariant under both
-    generators is invariant under the Lie algebra they generate, so the
-    offered rows span an invariant space that holds the representative
-    rows: the whole constraint space.  The basis spans the solutions in the
-    pair-symmetric component space (no Bianchi projection) and is kept in
-    the integer form `RowReducer.nullspace` returns.  Nothing is drawn, so
-    the result does not depend on `seed`.
+    The integer rows at the representatives are closed under the two
+    generators of u(p, q) (`spaces.unitary_generators`) by `closure.close`.
+    A space invariant under both generators is invariant under the Lie
+    algebra they generate, so the closed rows span the whole constraint
+    space.  The closure is spun one sign-flip class at a time, which is
+    exact: the sign flip of one J-block lies in U(p, q), so the constraint
+    space is the direct sum of its parts on the coordinate classes those
+    flips tell apart, and the solution space is the direct sum of the class
+    solution spaces, with the same echelon basis.  The basis spans the
+    solutions in the pair-symmetric component space (no Bianchi projection)
+    and is kept in the integer form `RowReducer.nullspace` returns.  Nothing
+    is drawn, so the result does not depend on `seed`.
     """
     if condition_id not in CONDITIONS:
         raise GeometryError(f"unknown condition {condition_id!r}")
     cond = CONDITIONS[condition_id]
     _require(condition_id, cond.needs, space)
-    actions = [_two_form_action(K) for K in unitary_generators(space)]
-    reducer = RowReducer(len(_orbit_pairs(space.n)[0]))
-    rows = cond.rows(space)
-    layer, offered = rows[reducer.add_rows(rows)], len(rows)
-    while len(layer):
-        images = np.concatenate([_images(K2, layer) for K2 in actions])
-        offered += len(images)
-        layer = images[reducer.add_rows(images)]
-    basis = np.array(reducer.nullspace(), dtype=object).reshape(-1, reducer.ncols)
-    denominators = tuple(basis[np.arange(len(basis)), reducer.free_columns].tolist())
-    return ConstraintSystem(space, condition_id, reducer.rank, basis, denominators, offered)
+    gens = unitary_generators(space)       # first: it refuses a float J by name
+    closed = close(gens, cond.rows(space))
+    basis, free = closed.nullspace()
+    denominators = tuple(basis[np.arange(len(basis)), free].tolist())
+    return ConstraintSystem(space, condition_id, closed.rank, basis, denominators,
+                            closed.offered)
 
 
 # -- pinching families and the unboundedness probe ----------------------------

@@ -262,3 +262,38 @@ class TestCommandBehavior:
                              "--probes", "5"])
         assert code == 0
         assert "agree = true" in out
+
+
+NUMPY_MODULES_SCRIPT = """
+import contextlib, io, sys
+import numpy, curvlab
+
+def numpy_modules():
+    return {name for name in sys.modules if name.split(".")[0] == "numpy"}
+
+before = numpy_modules()
+from curvlab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in sys.argv[1:]:
+        assert main(argv.split()) == 0, argv
+print(" ".join(sorted(numpy_modules() - before)))
+"""
+
+
+def test_commands_load_no_numpy_module_past_the_imports():
+    # Memory guard: a numpy module loaded on first use (numpy.ma, which a
+    # bare 1-D np.unique pulls in, costs about 1.3 MiB of RSS) would raise
+    # every command's peak RSS.  impose (through verify), classify on both
+    # backends, probe and expand run in a fresh process, and load no numpy
+    # module that `import numpy, curvlab` did not.
+    commands = [
+        "verify --theorem thmA --m 3 --s 1 --trials 1",
+        "verify --theorem thm6 --m 4 --s 0 --trials 1",
+        f"classify -i {GOLDEN / 'random_3_1.tensor'} --probes 6",
+        f"classify -i {GOLDEN / 'random_3_1.tensor'} --probes 6 --backend float",
+        f"probe -i {GOLDEN / 'random_2_1.tensor'}",
+        f"expand -i {GOLDEN / 'random_3_1.tensor'} --family holomorphic --seed 5",
+    ]
+    done = run_python(["-c", NUMPY_MODULES_SCRIPT, *commands], timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
