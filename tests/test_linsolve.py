@@ -6,7 +6,7 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from curvlab import linsolve
 from curvlab.harness import impose
@@ -21,9 +21,8 @@ def reducer_for(rows, ncols):
     return red
 
 
-P0, P1, P2 = linsolve._PRIMES
-MODULUS = P0 * P1 * P2
-BOUND = isqrt((MODULUS - 1) // 2)          # the lift bound, about 2^37
+P0 = linsolve._PRIME
+BOUND = isqrt((P0 - 1) // 2)               # the lift bound, 4095
 
 
 class TestCertificate:
@@ -36,46 +35,51 @@ class TestCertificate:
         with pytest.raises(ArithmeticError, match="certificate"):
             red.nullspace()
 
-    @pytest.mark.parametrize("prime", [P1, P2])
-    def test_pivot_vanishing_mod_one_other_prime_raises(self, prime):
-        # the second row reduces to (0, prime, 1): its pivot entry is nonzero
-        # mod p0 but zero mod `prime`, so the primes disagree on the echelon
-        # form and the combined entries cannot pass the exact certificate
+    @pytest.mark.parametrize("entry", [P0 - 10, P0 - 22])
+    def test_pivot_entry_near_the_prime_fails_the_certificate(self, entry):
+        # the second row reduces to (0, entry, 1); the basis vector
+        # (2, -1, entry) / entry has entries +-1/entry and 2/entry, past the
+        # lift bound, but entry reads -10 (-22) mod p0, so they lift to
+        # small wrong fractions, which the certificate rejects
         red = RowReducer(3)
         assert red.add_row([1, 2, 0])
-        assert red.add_row([1, 2 + prime, 1])
-        with pytest.raises(ArithmeticError):
+        assert red.add_row([1, 2 + entry, 1])
+        with pytest.raises(ArithmeticError, match="certificate"):
             red.nullspace()
 
-    def test_true_pivot_shift_is_still_exact(self):
+    def test_true_pivot_shift_fails_the_certificate(self):
         # (1, 2 + p0, 1) reduces to (0, 0, 1) mod p0 but (0, p0, 1) over Q;
-        # the echelon form picks pivot column 2, and the basis it offers is
-        # still the exact nullspace, so the certificate accepts it
+        # the echelon form picks pivot column 2, and the true basis entry
+        # -p0 of the vector (-2, 1, -p0) reads 0 mod p0, so the lift is
+        # (-2, 1, 0), which the exact certificate rejects
         red = reducer_for([[1, 2, 0], [1, 2 + P0, 1]], 3)
-        assert red.nullspace() == [[-2, 1, -P0]]
+        with pytest.raises(ArithmeticError, match="certificate"):
+            red.nullspace()
 
     def test_lift_past_reconstruction_bound_raises(self):
-        # the nullspace of (3, -2^40) is (2^40/3, 1); the numerator is past
-        # the reconstruction bound sqrt(M/2) ~ 2^37
-        red = reducer_for([[3, -2 ** 40]], 2)
+        # the nullspace of (3, -2^12) is (2^12/3, 1); the numerator 4096 is
+        # just past the reconstruction bound isqrt((p0 - 1)/2) = 4095, and
+        # the residue has no other lift within it
+        red = reducer_for([[3, -2 ** 12]], 2)
         with pytest.raises(ArithmeticError, match="no rational lift"):
             red.nullspace()
 
     def test_wrong_lift_inside_the_bound_fails_certificate(self):
-        # (M + 1)/2 = 1/2 mod M, so the true entry (M + 1)/2 ~ 2^74 lifts to
-        # the small fraction 1/2, which the exact row product rejects; the
-        # row entry is far past int64 and is reduced before the cast
-        red = reducer_for([[1, -(MODULUS + 1) // 2]], 2)
+        # (p0^3 + 1)/2 = 1/2 mod p0, so the true entry (p0^3 + 1)/2 ~ 2^74
+        # lifts to the small fraction 1/2, which the exact row product, in
+        # Python ints, rejects; the row entry is far past int64 and is
+        # reduced before the cast
+        red = reducer_for([[1, -(P0 ** 3 + 1) // 2]], 2)
         with pytest.raises(ArithmeticError, match="certificate"):
             red.nullspace()
 
     def test_lift_inside_the_bound(self):
         for value in (Fraction(0), Fraction(-3, 7), Fraction(BOUND, BOUND - 1),
                       Fraction(-BOUND, BOUND - 2)):
-            residue = value.numerator * pow(value.denominator, -1, MODULUS) % MODULUS
-            assert rational_lift(residue, MODULUS) == value
+            residue = value.numerator * pow(value.denominator, -1, P0) % P0
+            assert rational_lift(residue, P0) == value
         with pytest.raises(ArithmeticError):
-            rational_lift(2 ** 40 * pow(3, -1, MODULUS), MODULUS)
+            rational_lift(2 ** 12 * pow(3, -1, P0), P0)
 
     def test_fractional_rows_and_basis(self):
         red = reducer_for([[Fraction(1, 2), Fraction(1, 3), 0],
@@ -124,83 +128,37 @@ class TestRowChecks:
         assert red.rank == 0
 
 
-class CountingReducer(RowReducer):
-    """A RowReducer that counts how often `nullspace` needs the other primes."""
-
-    extensions = 0
-
-    def _extension(self):
-        self.extensions += 1
-        return super()._extension()
-
-
-class TestExtension:
+class TestOnePrime:
     def test_lifts_from_the_first_prime_alone(self):
-        red = CountingReducer(3)
+        red = RowReducer(3)
         red.add_rows(np.array([[2, -1, 0], [0, 2, -3]], dtype=np.int64))
         assert red.nullspace() == [[3, 6, 4]]
-        assert red.extensions == 0
 
-    def test_entry_past_the_first_prime_needs_two_primes(self):
-        # 2^20/3 is past sqrt(p0/2) ~ 4095 but within sqrt(p0 p1/2) ~ 2^24.5
-        red = CountingReducer(2)
-        red.add_row([3, -2 ** 20])
-        assert red.nullspace() == [[2 ** 20, 3]]
-        assert red.extensions == 1
-
-    def test_entry_past_two_primes_needs_three(self):
-        # 2^30/3 is past sqrt(p0 p1/2) but within sqrt(p0 p1 p2/2) ~ 2^37
-        red = CountingReducer(2)
-        red.add_row([3, -2 ** 30])
-        assert red.nullspace() == [[2 ** 30, 3]]
-        assert red.extensions == 1
-
-    def test_certificate_rejecting_the_first_lift_takes_the_extension(self):
-        # the entry 3 + 2 p0 reads 3 modulo p0, which lifts to 3 and fails
-        # the certificate; the three primes lift the true value
-        red = CountingReducer(2)
-        red.add_row([1, -(3 + 2 * P0)])
-        assert red.nullspace() == [[3 + 2 * P0, 1]]
-        assert red.extensions == 1
-
-    def test_extension_follows_the_pivots_of_the_first_prime(self):
-        # the pivots modulo p0 are columns 0 and 2, over Q and modulo p1
-        # and p2 they are 0 and 1; the extension eliminates on columns 0
-        # and 2 and reads the p0-multiple entry of column 2
-        red = CountingReducer(3)
-        red.add_rows(np.array([[1, 2, 0], [1, 2 + P0, 1]], dtype=object))
-        assert red._pivots == [0, 2]
-        forms = red._extension()
-        assert [f.tolist() for f in forms] == [[[2], [P0 % P1]], [[2], [P0 % P2]]]
-
-    def test_extension_takes_the_pivots_in_another_order(self):
-        # modulo p1 the first row (p1, 1, 0) has its pivot at column 1 and
-        # the second takes column 0: the same pivot set in another order,
-        # whose rows are put back in the order of the first prime's
-        red = CountingReducer(3)
-        red.add_rows(np.array([[P1, 1, 0], [1, 0, 1]], dtype=np.int64))
-        assert red._pivots == [0, 1]
-        assert red.nullspace() == [[-1, P1, 1]]
-        assert red.extensions == 1
-
-    def test_rank_lower_modulo_another_prime_raises(self):
-        # modulo p1 both rows reduce to (0, 0, -2^20): rank one against p0's
-        # two, and the entries 2^20/p1 need the extension
-        red = CountingReducer(3)
-        red.add_rows(np.array([[P1, 0, -2 ** 20], [0, P1, -2 ** 20]], dtype=np.int64))
-        assert red.rank == 2
-        with pytest.raises(ArithmeticError, match="pivot columns"):
+    @pytest.mark.parametrize("power", [20, 30])
+    def test_entry_past_the_lift_bound_fails_the_certificate(self, power):
+        # 2^20/3 and 2^30/3 are past the lift bound 4095, but p0 = 2^25 - 39,
+        # so they read 13/32 and 416 modulo p0: wrong lifts inside the
+        # bound, which the certificate rejects
+        red = RowReducer(2)
+        red.add_row([3, -2 ** power])
+        with pytest.raises(ArithmeticError, match="certificate"):
             red.nullspace()
-        assert red.extensions == 1
+
+    def test_certificate_rejects_a_lift_off_by_a_multiple_of_the_prime(self):
+        # the entry 3 + 2 p0 reads 3 modulo p0, which lifts to 3 and fails
+        # the certificate
+        red = RowReducer(2)
+        red.add_row([1, -(3 + 2 * P0)])
+        with pytest.raises(ArithmeticError, match="certificate"):
+            red.nullspace()
 
     def test_no_rows_absorbed(self):
-        # every row vanishes modulo p0, so the first lift is the identity,
-        # which the certificate rejects, and so it does with three primes
-        red = CountingReducer(2)
+        # every row vanishes modulo p0, so the lift is the identity, which
+        # the certificate rejects
+        red = RowReducer(2)
         assert not red.add_rows(np.array([[P0, 2 * P0]], dtype=np.int64))
         with pytest.raises(ArithmeticError, match="certificate"):
             red.nullspace()
-        assert red.extensions == 1
 
 
 def test_too_many_columns_are_refused():
@@ -238,6 +196,23 @@ def fraction_nullspace(rows, ncols):
     return free, basis
 
 
+def checked_nullspace(red, rows, ncols):
+    """`red.nullspace()` against the oracle: the oracle's basis when every
+    entry of it is a/b with |a|, b <= BOUND, so that it lifts from p0;
+    otherwise ArithmeticError, never a wrong basis, and None is returned."""
+    free, basis = fraction_nullspace(rows, ncols)
+    if all(abs(Fraction(v, row[c]).numerator) <= BOUND and Fraction(v, row[c]).denominator <= BOUND
+           for row, c in zip(basis, free) for v in row):
+        assert red.free_columns == free
+        assert red.nullspace() == basis
+        event("lifted")
+        return basis
+    with pytest.raises(ArithmeticError):
+        red.nullspace()
+    event("past the lift bound")
+    return None
+
+
 @st.composite
 def wide_systems(draw):
     """Integer rows with entries up to 2^12, some of them combinations."""
@@ -256,23 +231,10 @@ def wide_systems(draw):
 @settings(max_examples=150, deadline=None)
 @given(wide_systems())
 def test_nullspace_against_fraction_elimination(system):
-    # exact when every entry of the oracle's basis lifts from three primes;
-    # otherwise ArithmeticError, never a wrong basis
     ncols, rows = system
-    red = CountingReducer(ncols)
+    red = RowReducer(ncols)
     red.add_rows(np.array(rows, dtype=np.int64))
-    free, basis = fraction_nullspace(rows, ncols)
-    liftable = all(abs(Fraction(v, row[c]).numerator) <= BOUND
-                   and Fraction(v, row[c]).denominator <= BOUND
-                   for row, c in zip(basis, free) for v in row)
-    if liftable:
-        assert red.free_columns == free
-        assert red.nullspace() == basis
-    else:
-        with pytest.raises(ArithmeticError):
-            red.nullspace()
-        event("past the lift bound")
-    event("the other two primes" if red.extensions else "the first prime alone")
+    checked_nullspace(red, rows, ncols)
 
 
 small_int = st.integers(min_value=-4, max_value=4)
@@ -311,19 +273,26 @@ def dependent_blocks(draw):
     return ncols, blocks
 
 
+def nullspace_outcome(red):
+    """The basis `nullspace` returns, or the message of its ArithmeticError."""
+    try:
+        return red.nullspace()
+    except ArithmeticError as exc:
+        return str(exc)
+
+
 def assert_same_reducer(red, one_by_one):
     assert red._pivots == one_by_one._pivots
     assert red.free_columns == one_by_one.free_columns
-    assert np.array_equal(red._ech, one_by_one._ech)      # modulo the first prime
-    # the echelon forms modulo the other two primes, which only the
-    # extension of `nullspace` computes
-    for ours, theirs in zip(red._extension(), one_by_one._extension(), strict=True):
-        assert np.array_equal(ours, theirs)
-    assert red.nullspace() == one_by_one.nullspace()
+    assert np.array_equal(red._ech, one_by_one._ech)      # modulo p0
+    assert nullspace_outcome(red) == nullspace_outcome(one_by_one)
 
 
 @settings(max_examples=80, deadline=None)
 @given(dependent_blocks())
+# one block whose echelon basis has the denominator 4144, past the lift bound
+@example((7, [[[0, 0, 0, 0, 0, 0, 0], [0, -1, 0, 0, -4, 4, 1], [0, -3, 0, 0, -3, -4, 0],
+               [0, -3, 0, 0, 4, 0, 0], [-3, 0, 4, 0, 0, 0, 0], [4, 0, 4, 0, 0, 1, 1]]]))
 def test_block_offer_matches_row_by_row(system):
     # add_rows eliminates a block among itself and updates the echelon form
     # once; add_row offers blocks of one row
@@ -337,6 +306,7 @@ def test_block_offer_matches_row_by_row(system):
         start += len(block)
     assert got == absorbed
     assert_same_reducer(red, one_by_one)
+    checked_nullspace(one_by_one, rows, ncols)
 
 
 def test_block_past_the_int64_limit():
@@ -353,11 +323,11 @@ def test_block_past_the_int64_limit():
 
 
 def test_annihilation_check_is_exact():
-    q = (2 ** 25 - 1) * (2 ** 25 - 3) * (2 ** 25 - 5)     # the first three moduli
+    q = (2 ** 25 - 1) * (2 ** 25 - 3) * (2 ** 25 - 5)     # about 2^75
     for rows, cols, zero in [
-            ([[1, 2 ** 80]], [[2 ** 80], [-1]], True),        # needs seven moduli
+            ([[1, 2 ** 80]], [[2 ** 80], [-1]], True),        # past int64: Python ints
             ([[1, 2 ** 80]], [[2 ** 80 + 1], [-1]], False),
-            ([[q]], [[1]], False),                             # zero modulo three of them
+            ([[q]], [[1]], False),                             # zero modulo each of its factors
             ([[3, 4], [1, 0]], [[0], [0]], True)]:
         assert linsolve._annihilates([np.array(rows, dtype=object)],
                                      np.array(cols, dtype=object)) is zero
@@ -370,11 +340,12 @@ def test_rank_and_nullspace_against_plain_elimination(system):
     red = reducer_for(rows, ncols)
     rank = field_rank([[Fraction(v) for v in r] for r in rows], ncols)
     assert red.rank == rank
-    basis = red.nullspace()
-    assert len(basis) == ncols - rank
-    for x in basis:
-        for r in rows:
-            assert sum(Fraction(a) * b for a, b in zip(r, x)) == 0
+    basis = checked_nullspace(red, rows, ncols)
+    if basis is not None:
+        assert len(basis) == ncols - rank
+        for x in basis:
+            for r in rows:
+                assert sum(Fraction(a) * b for a, b in zip(r, x)) == 0
 
 
 @pytest.mark.parametrize("cond,space", [("eq1", "sp21"), ("thmA", "sp31")])
