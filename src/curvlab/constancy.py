@@ -2,7 +2,11 @@
 
 Holomorphic constancy is decided exactly: H is constant iff the quartic form
 X -> R(X,JX,JX,X) - c * g(X,X)^2 is the zero polynomial, which reduces to
-comparing totally symmetrized coefficient tensors.  Antiholomorphic and
+comparing totally symmetrized coefficient tensors, in int64 whenever a bound
+on the entries allows it (`_quartic_is_constant`).  Its witness hunt and the
+float backend's sampled criterion try the same integer candidate vectors,
+whose random coordinates are decoded in bulk from the generator's words
+(`_candidate_coords`, `scalars.bulk_below`).  Antiholomorphic and
 biholomorphic constancy are decided by exact-rational randomized probing
 over orthonormal antiholomorphic tuples of every realizable signature
 pattern (60 per pattern by default); a generic rational probe set witnesses
@@ -29,12 +33,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import chain, permutations
 from typing import Optional
 
 import numpy as np
 
-from .scalars import FLOAT_DEGENERATE_TOL, FLOAT_VERDICT_TOL, is_zero
+from .scalars import FLOAT_DEGENERATE_TOL, FLOAT_VERDICT_TOL, bulk_below, is_zero
 from .spaces import (GeometryError, PseudoHermitianSpace, frame_vectors,
                      integer_frame, realizable)
 from .tensors import (CurvatureTensor, _pair_signs, _wedge, component_scale,
@@ -110,10 +114,10 @@ def _symmetrize_quartic(A: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _norm_square_quartic(signs: tuple) -> np.ndarray:
-    """Symmetrized integer coefficient tensor of the quartic X -> g(X, X)^2,
-    built once per metric signature."""
+    """Symmetrized int64 coefficient tensor of the quartic X -> g(X, X)^2,
+    built once per metric signature; its entries are at most 24."""
     n = len(signs)
-    G4 = np.zeros((n, n, n, n), dtype=object)
+    G4 = np.zeros((n, n, n, n), dtype=np.int64)
     for i in range(n):
         for j in range(n):
             G4[i, i, j, j] = signs[i] * signs[j]
@@ -122,25 +126,61 @@ def _norm_square_quartic(signs: tuple) -> np.ndarray:
     return SG
 
 
+def _quartic_is_constant(R: CurvatureTensor, c: Fraction) -> bool:
+    """Whether R(X,JX,JX,X) = c g(X,X)^2 as polynomials, R exact: the
+    symmetrized quartic of the components N / D against that of g(X,X)^2.
+    With c = p / q it reads SA_N q == SG p D.  The arrays are int64 when J
+    is integral and every entry stays below 2^63: an SA_N entry sums 24
+    terms of n^2 products N J J, so |SA_N q| <= 24 n^2 max|N| max|J|^2 q,
+    and |SG p D| <= max|SG| |p| D.  Otherwise they hold Python ints, or
+    the Fractions or floats of J."""
+    space, form = R.space, R.integer_form
+    N, D = form or (R.components, 1)
+    J, SG = space.J, _norm_square_quartic(space.metric_signs)
+    p, q = c.as_integer_ratio()
+    dtype = object
+    if form is not None and all(type(x) is int or (type(x) is Fraction and x.denominator == 1)
+                                for x in J.flat):
+        n, n_max, j_max = space.n, max(N.max(), -N.min()), int(np.abs(J).max())
+        if max(24 * n * n * n_max * j_max * j_max * q,
+               int(np.abs(SG).max()) * abs(p) * D) < 2 ** 63:
+            dtype = np.int64
+    SA = _symmetrize_quartic(_holomorphic_quartic(N.astype(dtype), J.astype(dtype)))
+    return bool((SA * q == SG.astype(dtype) * (p * D)).all())
+
+
 def _candidate_coords(n: int, rng: random.Random):
-    """Integer coordinates of the holomorphic probe vectors, in a fixed order:
-    the basis vectors, then e_i + c e_j for c in (1, -1, 2), then random
-    vectors of [-3, 3]^n.  Isotropic ones are the caller's to skip."""
-    for i in range(n):
-        yield [int(k == i) for k in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for coef in (1, -1, 2):
-                v = [0] * n
-                v[i], v[j] = 1, coef
-                yield v
+    """Integer coordinates of the holomorphic probe vectors, as int64 blocks
+    of rows in a fixed order: the basis vectors, then e_i + c e_j for c in
+    (1, -1, 2), then blocks of 256 random vectors of [-3, 3]^n.  Their
+    coordinates are the values of successive rng.randint(-3, 3), row by row,
+    decoded in bulk (`bulk_below`), which may draw words past the last block
+    it yields.  Isotropic rows are the caller's to drop."""
+    eye = np.eye(n, dtype=np.int64)
+    yield eye
+    i, j = np.triu_indices(n, 1)
+    yield (eye[i][:, None] + np.array([1, -1, 2])[:, None] * eye[j][:, None]).reshape(-1, n)
+    rows = 256          # one block covers the float backend's default 200 samples
+    values, need = np.empty(0, dtype=np.int64), rows * n
     while True:
-        yield [rng.randint(-3, 3) for _ in range(n)]
+        # a word is a redraw with chance 1/8; the loop draws again if short
+        short = need - len(values)
+        values = np.concatenate([values, bulk_below(rng, 7, short + short // 6 + 8) - 3])
+        if len(values) >= need:
+            yield values[:need].reshape(rows, n)
+            values = values[need:]
 
 
-def _norm(space: PseudoHermitianSpace, coords) -> int:
-    """g(v, v) of an integer coordinate vector."""
-    return sum(sg * x * x for sg, x in zip(space.metric_signs, coords))
+def _probe_vectors(space: PseudoHermitianSpace, rng: random.Random, limit=None):
+    """The rows with g(v, v) != 0 of the candidate blocks, block by block;
+    with `limit`, only those among the first `limit` candidates."""
+    signs = np.array(space.metric_signs, dtype=np.int64)
+    for block in _candidate_coords(space.n, rng):
+        if limit is not None:
+            block, limit = block[:limit], limit - len(block)
+        yield block[(block * block).dot(signs) != 0]
+        if limit is not None and limit <= 0:
+            return
 
 
 def _holomorphic_screen(R: CurvatureTensor, V: np.ndarray) -> np.ndarray:
@@ -169,18 +209,12 @@ def constant_holomorphic(R: CurvatureTensor, samples: int = 200, seed: int = 0) 
     if R.is_exact:
         ref = space.basis_vector(0)
         c = holomorphic_sectional(R, ref)
-        # with components = N / D and c = p / q, SA == c SG reads SA_N q == SG p D
-        N, D = R.integer_form or (R.components, 1)
-        p, q = c.as_integer_ratio()
-        SA = _symmetrize_quartic(_holomorphic_quartic(N, space.J))
-        SG = _norm_square_quartic(space.metric_signs)
-        if (SA * q == SG * (p * D)).all():
+        if _quartic_is_constant(R, c):
             return ConstancyVerdict("constant", value=c)
         # genuinely nonconstant: hunt a differing pair of holomorphic planes
-        hunt = (coords for coords in islice(_candidate_coords(space.n, rng), _WITNESS_CANDIDATES)
-                if _norm(space, coords) != 0)
+        hunt = chain.from_iterable(_probe_vectors(space, rng, _WITNESS_CANDIDATES))
         for coords in hunt:
-            v = space.vector(coords)
+            v = space.vector(coords.tolist())
             if (h := holomorphic_sectional(R, v)) != c:
                 return ConstancyVerdict("nonconstant", witness=Witness(
                     "holomorphic", planes=((ref, space.apply_J(ref)), (v, space.apply_J(v))),
@@ -195,13 +229,18 @@ def constant_holomorphic(R: CurvatureTensor, samples: int = 200, seed: int = 0) 
     # first confirmed flag is the candidate the scalar loop stopped at.
     same, _ = _comparators(R)
     tol = FLOAT_VERDICT_TOL * component_scale(R.components)
-    nonisotropic = (v for v in _candidate_coords(space.n, rng) if _norm(space, v) != 0)
-    coords = list(islice(nonisotropic, max(samples, 1)))
-    H = _holomorphic_screen(R, np.array(coords, dtype=float))
-    ref_vec = space.vector(coords[0])
+    blocks, have = [], 0
+    for block in _probe_vectors(space, rng):
+        blocks.append(block)
+        have += len(block)
+        if have >= samples:
+            break
+    coords = np.concatenate(blocks)[:max(samples, 1)]
+    H = _holomorphic_screen(R, coords.astype(float))
+    ref_vec = space.vector(coords[0].tolist())
     ref_val = holomorphic_sectional(R, ref_vec)
     for k in np.flatnonzero(np.abs(H - H[0]) > tol / 2):
-        v = space.vector(coords[k])
+        v = space.vector(coords[k].tolist())
         if not same(h := holomorphic_sectional(R, v), ref_val):
             return ConstancyVerdict("nonconstant", witness=Witness(
                 "holomorphic",

@@ -58,8 +58,8 @@ from .linsolve import integer_row
 from .polarization import (TPolynomial, VectorFamily, bound_forced_identities,
                            complexified_family_expansion, expand)
 from .scalars import (FLOAT_IDENTITY_TOL, FLOAT_REVERIFY_TOL, RAND_DENOMINATOR,
-                      format_scalar, integerize, is_zero, rand_numerator,
-                      rand_rational)
+                      below, format_scalar, integerize, is_zero, rand_numerator,
+                      rand_rational, two_below)
 from .spaces import (GeometryError, PseudoHermitianSpace, light_isometry,
                      random_isometry, realizable, seed_columns, tuple_from_rng,
                      unitary_generators)
@@ -221,7 +221,7 @@ def _isotropic_config(space, rng, x_sign):
     """Unit X of given sign and exact isotropic xi with span{X, xi} weakly
     isotropic and antiholomorphic."""
     blocks = range(space.s, space.m) if x_sign == 1 else range(space.s)
-    b0 = rng.choice(list(blocks))
+    b0 = blocks[below(rng, len(blocks))]
     X, comp_idx, cols = _off_block_frame(space, rng, b0)
     plus_b = next(b for b in range(space.s, space.m) if b != b0)
     minus_b = next(b for b in range(space.s) if b != b0)
@@ -232,9 +232,9 @@ def _complexified_isotropic_config(space, rng):
     """Unit x and orthonormal u, v away from span{x, Jx} (definite metric);
     xi = u + i v is isotropic and span{x, xi} is weakly isotropic
     antiholomorphic in the complexification."""
-    b0 = rng.randrange(space.m)
+    b0 = below(rng, space.m)
     x, comp_idx, cols = _off_block_frame(space, rng, b0)
-    l1, l2 = rng.sample(range(len(comp_idx)), 2)
+    l1, l2 = two_below(rng, len(comp_idx))
     return x, cols[:, l1], cols[:, l2]
 
 

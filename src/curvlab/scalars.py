@@ -16,6 +16,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 # The float backend's tolerance policy.  Every tolerance test in the
 # package is `is_zero(x, tol, scale)` with one of these tolerances (the
 # batched float holomorphic screen applies FLOAT_VERDICT_TOL to an array);
@@ -191,12 +193,54 @@ def is_zero(x, tol: float, scale=1) -> bool:
     return abs(x) <= tol * max(1, abs(scale))
 
 
+# -- integer draws from a random.Random ----------------------------------------
+#
+# Every integer the package draws below a bound k comes from `below`, which
+# follows CPython's rule for `Random.randrange(k)`: getrandbits of k's bit
+# length, redrawn while >= k.  `choice`, `randint` and a small `sample` are
+# that rule applied to their own bounds, so replacing them by `below` keeps
+# every value and the generator's state after it, one Python call instead of
+# three or four.  getrandbits(b) for b <= 32 is the top b bits of one 32-bit
+# Mersenne Twister word (Matsumoto & Nishimura, 1998), which lets
+# `bulk_below` decode many draws from a single getrandbits call.
+
+def below(rng, k: int) -> int:
+    """rng.randrange(k) for k >= 1, drawn as CPython draws it; rng.choice(seq)
+    is seq[below(rng, len(seq))] and rng.randint(a, b) is a + below(rng, b - a + 1)."""
+    bits = k.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= k:
+        r = rng.getrandbits(bits)
+    return r
+
+
+def two_below(rng, k: int) -> tuple[int, int]:
+    """rng.sample(range(k), 2) for 2 <= k <= 21, where CPython picks from a
+    pool: the first index, then one below k - 1 that stands for k - 1 when
+    it hits the first."""
+    j0, j1 = below(rng, k), below(rng, k - 1)
+    return j0, k - 1 if j1 == j0 else j1
+
+
+def bulk_below(rng, k: int, words: int):
+    """The values that successive `below(rng, k)` calls take from the next
+    `words` 32-bit words of `rng`, for 1 <= k < 2^32, as an int64 array.
+    getrandbits(32 * words) returns the words with the first in the lowest
+    bits; a word gives its top k.bit_length() bits, and one at k or above is
+    a redraw.  Exactly `words` words are drawn, so a caller that keeps the
+    values it has not used yet continues the sequence of `below` exactly."""
+    raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+    top = np.frombuffer(raw, dtype="<u4") >> (32 - k.bit_length())
+    return top[top < k].astype(np.int64)
+
+
 RAND_DENOMINATOR = 64
 
 
 def rand_numerator(rng, denominator: int = RAND_DENOMINATOR, span: int = 1) -> int:
-    """The k of `rand_rational`, drawn the same way."""
-    return rng.randint(-span * denominator, span * denominator)
+    """The k of `rand_rational`, drawn the same way: rng.randint(-span *
+    denominator, span * denominator)."""
+    return below(rng, 2 * span * denominator + 1) - span * denominator
 
 
 def rand_rational(rng, denominator: int = RAND_DENOMINATOR, span: int = 1) -> Fraction:

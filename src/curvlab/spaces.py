@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .linsolve import field_rank
-from .scalars import (FLOAT_DEGENERATE_TOL, FLOAT_IDENTITY_TOL, ExactComplex,
-                      integerize, is_exact, is_zero, rational)
+from .scalars import (FLOAT_DEGENERATE_TOL, FLOAT_IDENTITY_TOL, ExactComplex, below,
+                      integerize, is_exact, is_zero, rational, two_below)
 
 
 class GeometryError(ValueError):
@@ -439,11 +439,15 @@ def make_space(m: int, s: int, J=None) -> PseudoHermitianSpace:
 # hyperbolic counterparts across mixed-sign coordinate pairs).  Rotation
 # coefficients come from a fixed small table of integer triples (c, s, d),
 # read as cos = c/d and sin = s/d (cosh and sinh for boosts), so entries stay
-# short rationals and downstream exact elimination is cheap.  A row rotation
-# acts on each column separately, so only the requested columns are rotated,
-# and it touches only its two rows.  Each row is Python-int numerators over
-# its own denominator: a step brings its two rows to the lcm of theirs and
-# multiplies that by d, and the rows meet over one lcm D at the end.  That
+# short rationals and downstream exact elimination is cheap.  Every draw (a
+# coordinate pair, a table row, a flip) goes through `scalars.below` and
+# `two_below`, which give exactly what `Random.randrange`, `choice` and
+# `sample` give, in fewer Python calls.  A row rotation acts on each column
+# separately, so only the requested columns are rotated, and it touches only
+# its two rows.  Each row is Python-int numerators over its own denominator
+# (a unitary isometry keeps one per J-block, whose two rows always move
+# together): a step brings its two rows to the lcm of theirs and multiplies
+# that by d, and the rows meet over one lcm D at the end.  That
 # integer form (`isometry_columns`, `integer_frame`) is what the classifiers
 # probe on; `light_isometry` and `tuple_from_rng` build one reduced Fraction
 # per entry from it.  For antiholomorphic tuples the rotations act per
@@ -458,11 +462,11 @@ _BOOST_TRIPLES = tuple((c, b, a) for a, b, c in
 
 def _rotation_coeffs(rng: random.Random, same_sign: bool) -> tuple[int, int, int]:
     if same_sign:
-        c, s, d = rng.choice(_CIRCLE_TRIPLES)
+        c, s, d = _CIRCLE_TRIPLES[below(rng, len(_CIRCLE_TRIPLES))]
         if rng.getrandbits(1):
             c, s = s, c
     else:
-        c, s, d = rng.choice(_BOOST_TRIPLES)
+        c, s, d = _BOOST_TRIPLES[below(rng, len(_BOOST_TRIPLES))]
     if rng.getrandbits(1):
         s = -s
     return c, s, d
@@ -482,48 +486,69 @@ def isometry_columns(signs: Sequence[int], rng: random.Random,
     n = len(signs)
     if columns is None:
         columns = range(n)
-    # N[r][t] / den[r] is entry (r, columns[t])
     N = [[int(r == col) for col in columns] for r in range(n)]
-    den = [1] * n
 
-    def rotate(pairs, c, s, d, same_sign):
+    def rotate(i, j, c, s, same_sign):
+        """Rows i and j, over one denominator, rotated by the numerators."""
         t = -s if same_sign else s
-        for i, j in pairs:
-            ri, rj, di, dj = N[i], N[j], den[i], den[j]
-            if di != dj:
-                L = math.lcm(di, dj)
-                ri, rj, di = [x * (L // di) for x in ri], [x * (L // dj) for x in rj], L
-            N[i] = [c * a + t * b for a, b in zip(ri, rj)]
-            N[j] = [s * a + c * b for a, b in zip(ri, rj)]
-            den[i] = den[j] = di * d
+        ri, rj = N[i], N[j]
+        N[i] = [c * a + t * b for a, b in zip(ri, rj)]
+        N[j] = [s * a + c * b for a, b in zip(ri, rj)]
+
+    def common(rows_a, da, rows_b, db) -> int:
+        """Bring two row groups over denominators da and db to their lcm."""
+        L = math.lcm(da, db)
+        for rows, d in ((rows_a, da), (rows_b, db)):
+            if d != L:
+                for r in rows:
+                    N[r] = [x * (L // d) for x in N[r]]
+        return L
 
     boosts = 0
     if unitary:
         m = n // 2
         if n % 2 or any(signs[2 * b] != signs[2 * b + 1] for b in range(m)):
             raise GeometryError("unitary rotations need equal-sign coordinate pairs")
+        # a phase or a block mix moves a J-block's two rows together, so they
+        # share one denominator: den[b] is that of rows 2b and 2b + 1
+        den = [1] * m
         for _ in range(2 * n + 4):
             if m == 1 or rng.random() < 0.4:
-                b = rng.randrange(m)
-                rotate([(2 * b, 2 * b + 1)], *_rotation_coeffs(rng, True), True)
-            else:
-                b1, b2 = rng.sample(range(m), 2)
-                same = signs[2 * b1] == signs[2 * b2]
-                if not same:
-                    if boosts >= _MAX_BOOSTS:
-                        continue
-                    boosts += 1
-                rotate([(2 * b1, 2 * b2), (2 * b1 + 1, 2 * b2 + 1)],
-                       *_rotation_coeffs(rng, same), same)
+                b = below(rng, m)
+                c, s, d = _rotation_coeffs(rng, True)
+                rotate(2 * b, 2 * b + 1, c, s, True)
+                den[b] *= d
+                continue
+            b1, b2 = two_below(rng, m)
+            same = signs[2 * b1] == signs[2 * b2]
+            if not same:
+                if boosts >= _MAX_BOOSTS:
+                    continue
+                boosts += 1
+            c, s, d = _rotation_coeffs(rng, same)
+            L = den[b1]
+            if den[b2] != L:
+                L = common((2 * b1, 2 * b1 + 1), L, (2 * b2, 2 * b2 + 1), den[b2])
+            rotate(2 * b1, 2 * b2, c, s, same)
+            rotate(2 * b1 + 1, 2 * b2 + 1, c, s, same)
+            den[b1] = den[b2] = L * d
+        den = [d for d in den for _ in range(2)]
     else:
+        # N[r][t] / den[r] is entry (r, columns[t])
+        den = [1] * n
         for _ in range(2 * n + 4):
-            i, j = rng.sample(range(n), 2)
+            i, j = two_below(rng, n)
             same = signs[i] == signs[j]
             if not same:
                 if boosts >= _MAX_BOOSTS:
                     continue
                 boosts += 1
-            rotate([(i, j)], *_rotation_coeffs(rng, same), same)
+            c, s, d = _rotation_coeffs(rng, same)
+            L = den[i]
+            if den[j] != L:
+                L = common((i,), L, (j,), den[j])
+            rotate(i, j, c, s, same)
+            den[i] = den[j] = L * d
     D = math.lcm(*den)
     return np.array([[x * (D // d) for x in row] for row, d in zip(N, den)], dtype=object).T, D
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 import pytest
@@ -197,9 +197,8 @@ class TestFloatHolomorphicScreen:
         randoms = [from_dense(space, scale * rng.standard_normal((n,) * 4),
                               symmetrize=True, bianchi_projection=True)
                    for scale in (1e-3, 1.0, 1e6)]
-        nonisotropic = (v for v in constancy._candidate_coords(n, random.Random(m))
-                        if constancy._norm(space, v))
-        coords = list(islice(nonisotropic, 200))
+        nonisotropic = chain.from_iterable(constancy._probe_vectors(space, random.Random(m)))
+        coords = [c.tolist() for c in islice(nonisotropic, 200)]
         for R in models + randoms:
             tol = constancy.FLOAT_VERDICT_TOL * component_scale(R.components)
             screen = constancy._holomorphic_screen(R, np.array(coords, dtype=float))

@@ -60,9 +60,23 @@ def test_isometry_columns_are_orthonormal(case):
     assert (sub.T.dot(G.dot(sub)) == G[np.ix_(columns, columns)]).all()
 
 
+def rotation_coeffs(rng, same_sign):
+    """The oracle's table rotation, drawn with `random.Random.choice`."""
+    if same_sign:
+        c, s, d = rng.choice(spaces._CIRCLE_TRIPLES)
+        if rng.getrandbits(1):
+            c, s = s, c
+    else:
+        c, s, d = rng.choice(spaces._BOOST_TRIPLES)
+    if rng.getrandbits(1):
+        s = -s
+    return c, s, d
+
+
 def fraction_isometry(signs, rng, unitary=False):
     """The oracle: the product of the drawn rotations as Fraction matrices,
-    each step one full matrix product, with the draws of `light_isometry`."""
+    each step one full matrix product, with the draws of `light_isometry`
+    made by `random.Random`'s own randrange, sample and choice."""
     n = len(signs)
     T = np.array([[Fraction(int(i == j)) for j in range(n)] for i in range(n)], dtype=object)
 
@@ -80,7 +94,7 @@ def fraction_isometry(signs, rng, unitary=False):
         if unitary:
             if m == 1 or rng.random() < 0.4:
                 b = rng.randrange(m)
-                rotate([(2 * b, 2 * b + 1)], *spaces._rotation_coeffs(rng, True), True)
+                rotate([(2 * b, 2 * b + 1)], *rotation_coeffs(rng, True), True)
                 continue
             b1, b2 = rng.sample(range(m), 2)
             i, j, pairs = 2 * b1, 2 * b2, [(2 * b1, 2 * b2), (2 * b1 + 1, 2 * b2 + 1)]
@@ -92,7 +106,7 @@ def fraction_isometry(signs, rng, unitary=False):
             if boosts >= spaces._MAX_BOOSTS:
                 continue
             boosts += 1
-        rotate(pairs, *spaces._rotation_coeffs(rng, same), same)
+        rotate(pairs, *rotation_coeffs(rng, same), same)
     return T
 
 

@@ -6,7 +6,10 @@
         WORKLOAD:SEED[:PAIRS] ...
 
 The parent side is `git archive REV`, unpacked into a temporary directory;
-the change side is this working tree.  Each WORKLOAD:SEED gets `--pairs`
+the change side is a copy of this working tree's files (tracked or not, but
+not ignored) in another one, so that both sides run from fresh directories
+of the same kind and no figure, `peak_rss_mib` included, depends on where a
+side runs from.  Each WORKLOAD:SEED gets `--pairs`
 pairs of untraced `perfbench/run.py` runs, one per side back to back, the
 side that runs first alternating from pair to pair.  The result file has the
 layout of BENCH_16.json: per workload and end-to-end metric the runs, median
@@ -33,8 +36,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METHOD = ("perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0, run on two "
-          "checkouts (the parent commit, unpacked from git archive, and the change) in "
-          "separate directories; each pair runs both sides back to back, alternating which "
+          "checkouts in fresh temporary directories (the parent commit, unpacked from git "
+          "archive, and a copy of the change's working-tree files); each pair runs both "
+          "sides back to back, alternating which "
           "side runs first. Medians and quartiles (inclusive method) are over the runs of one "
           "side; change_wins counts pairs where the change read better.")
 
@@ -48,6 +52,18 @@ def unpack(rev: str, into: Path) -> None:
         fh.seek(0)
         with tarfile.open(fileobj=fh) as tar:
             tar.extractall(into, filter="data")
+
+
+def copy_worktree(into: Path) -> None:
+    """The working tree's files that git does not ignore, copied under `into`."""
+    names = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], check=True, capture_output=True).stdout
+    for name in filter(None, names.decode().split("\0")):
+        source = ROOT / name
+        if source.is_file():        # a tracked file deleted in the working tree is left out
+            target = into / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -152,15 +168,17 @@ def main(argv=None) -> int:
     def save():
         out.write_text(json.dumps(record, indent=1) + "\n")
 
-    parent = Path(tempfile.mkdtemp(prefix="bench-parent-"))
+    sides = {side: Path(tempfile.mkdtemp(prefix=f"bench-{side}-"))
+             for side in ("parent", "change")}
     try:
-        unpack(args.parent, parent)
-        sides = {"parent": parent, "change": ROOT}
+        unpack(args.parent, sides["parent"])
+        copy_worktree(sides["change"])
         for workload, seed, pairs in specs:
             bench_workload(sides, workload, seed, pairs, args.seconds, args.trace_seconds,
                            metrics, record, save)
     finally:
-        shutil.rmtree(parent, ignore_errors=True)
+        for checkout in sides.values():
+            shutil.rmtree(checkout, ignore_errors=True)
     print(f"wrote {out}")
     return 0
 

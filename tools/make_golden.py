@@ -70,6 +70,8 @@ REPORTS = {
                             "--trials", "2", "--seed", "3"],
     "verify_thm6_3_0.out": ["verify", "--theorem", "thm6", "--m", "3", "--s", "0",
                             "--trials", "2", "--seed", "3"],
+    "verify_thmA_6_3.out": ["verify", "--theorem", "thmA", "--m", "6", "--s", "3",
+                            "--trials", "2", "--seed", "3"],
     "lemma3_spaceform.out": ["lemma3", "-i", "golden/spaceform_3_0.tensor",
                              "--probes", "10"],
     "check_spaceform.out": ["check-symmetries", "-i", "golden/spaceform_3_0.tensor",
