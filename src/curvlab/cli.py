@@ -59,6 +59,13 @@ def _emit(lines) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
+def _report(command: str, doc, lines) -> None:
+    """Write the report of `command` on the document `doc`: the shared
+    header, then `lines`."""
+    _emit([REPORT_HEADER, f"command = {command}", f"input = {doc.name or '(unnamed)'}",
+           f"space = m={doc.m} s={doc.s}", *lines])
+
+
 def _verdict_lines(prefix: str, verdict: ConstancyVerdict) -> list[str]:
     lines = [f"{prefix}.status = {verdict.status}"]
     if verdict.is_constant:
@@ -107,13 +114,9 @@ def _cmd_check_symmetries(args) -> int:
     names = ["antisym-12", "antisym-34", "pair-exchange"]
     if args.bianchi or doc.bianchi:
         names.append("bianchi")
-    lines = [REPORT_HEADER, "command = check-symmetries",
-             f"input = {doc.name or '(unnamed)'}",
-             f"space = m={doc.m} s={doc.s}"]
-    for name in names:
-        lines.append(f"check.{name} = {'fail' if name in bad else 'pass'}")
+    lines = [f"check.{name} = {'fail' if name in bad else 'pass'}" for name in names]
     lines.append(f"status = {'fail' if bad else 'pass'}")
-    _emit(lines)
+    _report("check-symmetries", doc, lines)
     return 1 if bad else 0
 
 
@@ -122,10 +125,7 @@ def _cmd_classify(args) -> int:
     R = build_tensor(doc)
     if args.backend == "float":
         R = R.to_float()
-    lines = [REPORT_HEADER, "command = classify",
-             f"input = {doc.name or '(unnamed)'}",
-             f"space = m={doc.m} s={doc.s}",
-             f"backend = {args.backend}"]
+    lines = [f"backend = {args.backend}"]
     lines += _verdict_lines("holomorphic", constant_holomorphic(R, seed=args.seed))
     # antiholomorphic frames are drawn for the canonical block structure only
     missing = ("m > 2" if R.space.m <= 2 else
@@ -140,7 +140,7 @@ def _cmd_classify(args) -> int:
     else:
         lines.append(f"antiholomorphic.status = unavailable (needs {missing})")
         lines.append(f"biholomorphic.status = unavailable (needs {missing})")
-    _emit(lines)
+    _report("classify", doc, lines)
     return 0
 
 
@@ -155,10 +155,7 @@ def _cmd_expand(args) -> int:
         x, w = gram_schmidt_tuple(space, args.seed, (1, 1), antiholomorphic=True)
         poly = complexified_family_expansion(R, x, w)
     envelope = 2
-    lines = [REPORT_HEADER, "command = expand",
-             f"input = {doc.name or '(unnamed)'}",
-             f"space = m={doc.m} s={doc.s}",
-             f"family = {args.family}",
+    lines = [f"family = {args.family}",
              f"seed = {args.seed}",
              f"pair.first = {_fmt_vec(x)}",
              f"pair.second = {_fmt_vec(w)}"]
@@ -172,7 +169,7 @@ def _cmd_expand(args) -> int:
         lines.append(f"bound.{label} = {format_scalar(value)}")
     forced = len(constraints) == 2 * envelope and all(v == 0 for v in constraints)
     lines.append(f"bound.compatible = {'true' if forced else 'false'}")
-    _emit(lines)
+    _report("expand", doc, lines)
     return 0
 
 
@@ -181,10 +178,7 @@ def _cmd_probe(args) -> int:
     R = build_tensor(doc)
     report = probe_unboundedness(R, threshold=args.threshold,
                                  budget=(args.pairs, args.rungs), seed=args.seed)
-    lines = [REPORT_HEADER, "command = probe",
-             f"input = {doc.name or '(unnamed)'}",
-             f"space = m={doc.m} s={doc.s}",
-             f"threshold = {report.threshold!r}",
+    lines = [f"threshold = {report.threshold!r}",
              f"budget = {args.pairs}x{args.rungs}",
              f"seed = {args.seed}",
              f"exceeded = {'true' if report.exceeded else 'false'}",
@@ -198,7 +192,7 @@ def _cmd_probe(args) -> int:
                   f"witness.value = {format_scalar(w.value)}",
                   f"witness.u = {_fmt_vec(w.u)}",
                   f"witness.v = {_fmt_vec(w.v)}"]
-    _emit(lines)
+    _report("probe", doc, lines)
     return 0
 
 
@@ -222,16 +216,13 @@ def _cmd_lemma3(args) -> int:
     doc = read_document(args.input)
     R = build_tensor(doc)
     rep = lemma3_check(R, probes=args.probes, seed=args.seed)
-    lines = [REPORT_HEADER, "command = lemma3",
-             f"input = {doc.name or '(unnamed)'}",
-             f"space = m={doc.m} s={doc.s}",
-             f"condition.a = {str(rep.condition_a).lower()}",
+    lines = [f"condition.a = {str(rep.condition_a).lower()}",
              f"condition.b = {str(rep.condition_b).lower()}",
              f"condition.c = {str(rep.condition_c).lower()}",
              f"agree = {str(rep.agree).lower()}"]
     if rep.verdict_c.is_constant:
         lines.append(f"value = {format_scalar(rep.verdict_c.value)}")
-    _emit(lines)
+    _report("lemma3", doc, lines)
     return 0 if rep.agree else 1
 
 

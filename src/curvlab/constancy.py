@@ -308,9 +308,8 @@ class _FrameProbe:
     def biholomorphic(self, N, D, norm: int):
         """R(u, Ju, Jv, v) times `norm` on the frame rows (u, v)."""
         R = self.R
-        J = R.space.apply_J
         u, v = N
-        ju, jv = J(u), J(v)
+        ju, jv = N.dot(R.space.J.T)             # frames need the canonical J
         if self.exact:
             value = _wedge(u, ju).dot(R.bivector_form).dot(_wedge(jv, v))
             return value * norm, R.integer_form[1] * D ** 4

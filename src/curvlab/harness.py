@@ -26,10 +26,15 @@ describes each pinching family once: the sign pattern of its drawn tuple,
 its multiplicity and ladder side, its curvature expression, and its bounded
 values on the two models.  `_THEOREMS` maps each catalog id to its
 requirements and a runner: imposed-hypothesis classification, the
-unboundedness dichotomy, or the definite-case bound check, each parametrized
-by a row of data.  Each space requirement is a named `_Need` written once and
-shared by every entry that has it; which sign patterns exist on a space is
-decided by `spaces.realizable` alone.
+unboundedness dichotomy (on one probe family, or for remark1 on each
+antiholomorphic kind alone), or the definite-case bound check, each
+parametrized by a row of data.  A runner is a generator of (item, evidence)
+pairs, one per check in report order: evidence is None for a passing check,
+and otherwise the failing tensor with what it failed on, (R, verdict),
+(R, probe report) or (model, expansion).  `verify` collects the items and
+keeps the first evidence as the report's payload.  Each space requirement is
+a named `_Need` written once and shared by every entry that has it; which
+sign patterns exist on a space is decided by `spaces.realizable` alone.
 
 Pinching families are evaluated exactly: the numerator polynomial comes
 from one exact expansion, and each ladder rung t = 1 -+ 2^-k is the exact
@@ -81,20 +86,10 @@ def model_constant_sectional(space: PseudoHermitianSpace, c) -> CurvatureTensor:
 
 def model_complex_space_form(space: PseudoHermitianSpace, c) -> CurvatureTensor:
     """The standard tensor with H = c: (c/4)(pi1 + J-paired terms)."""
-    n = space.n
-    g = space.inner
-    e = [space.basis_vector(i) for i in range(n)]
-    JG = np.empty((n, n), dtype=object)
-    for i in range(n):
-        Je = space.apply_J(e[i])
-        for j in range(n):
-            JG[i, j] = g(Je, e[j])
-    P = pi1_components(space)
-    c4 = Fraction(c) / 4
-    C = np.empty((n, n, n, n), dtype=object)
-    for i, j, k, l in np.ndindex(C.shape):
-        C[i, j, k, l] = c4 * (P[i, j, k, l] + JG[i, l] * JG[j, k]
-                              - JG[i, k] * JG[j, l] - 2 * JG[i, j] * JG[k, l])
+    JG = space.J.T * np.array(space.metric_signs)        # JG[i, j] = g(J e_i, e_j)
+    i, j, k, l = np.ix_(*(range(space.n),) * 4)
+    C = Fraction(c) / 4 * (pi1_components(space) + JG[i, l] * JG[j, k]
+                           - JG[i, k] * JG[j, l] - 2 * JG[i, j] * JG[k, l])
     return CurvatureTensor(space, C, bianchi=True)
 
 
@@ -584,7 +579,7 @@ class TheoremReport:
     seed: int
     status: str                # 'pass' | 'fail'
     items: tuple
-    payload: object = None     # failing (tensor, evidence) when status == 'fail'
+    payload: object = None     # the first failing check's evidence when status == 'fail'
 
     @property
     def passed(self) -> bool:
@@ -594,22 +589,19 @@ class TheoremReport:
 @dataclass(frozen=True)
 class _Theorem:
     needs: tuple
-    run: Callable              # (space, trials, seed, threshold, budget) -> (items, payload)
+    run: Callable              # (space, trials, seed, threshold, budget) yields (item, evidence)
 
 
 def _run_hypothesis(cond_id, classifier, label, space, trials, seed, threshold, budget):
     system = impose(space, cond_id, seed=seed)
-    items = [f"constraint rank = {system.rank}, solution dimension = {system.dimension}"]
-    payload = None
+    yield f"constraint rank = {system.rank}, solution dimension = {system.dimension}", None
     for i in range(trials):
         R = system.random_element(seed * 1_000_003 + 7 * i + 1)
         verdict = classifier(R)
         ok = verdict.is_constant
         value = f" value = {format_scalar(verdict.value)}" if ok else ""
-        items.append(f"trial {i}: {label} {'constant' if ok else 'NONCONSTANT'}{value}")
-        if not ok and payload is None:
-            payload = (R, verdict)
-    return items, payload
+        yield (f"trial {i}: {label} {'constant' if ok else 'NONCONSTANT'}{value}",
+               None if ok else (R, verdict))
 
 
 def _hypothesis(cond_id, classifier, label, extra_needs=()) -> _Theorem:
@@ -618,29 +610,22 @@ def _hypothesis(cond_id, classifier, label, extra_needs=()) -> _Theorem:
                     partial(_run_hypothesis, cond_id, classifier, label))
 
 
-def _realizable_kinds(space, family) -> list[str]:
-    return [k for k in PROBE_KINDS
-            if k.split(":")[0] == family and _kind_realizable(space, k)]
+def _run_dichotomy(name, classifier, label, space, trials, seed, threshold, budget):
+    """Models stay bounded at their constant; nonconstant tensors cross.
 
-
-def _check_dichotomy(kinds, classifier, label, space, trials, seed, threshold, budget):
-    """Models stay bounded at their constant; nonconstant tensors cross."""
-    items = []
-    payload = None
-
-    def bounded_check(name, R, expected):
-        nonlocal payload
+    `name` is a probe family, whose realizable kinds are probed together, or
+    one kind."""
+    kinds = [k for k in PROBE_KINDS
+             if name in (k, k.split(":")[0]) and _kind_realizable(space, k)]
+    c3, c2 = PROBE_KINDS[kinds[0]].model_values
+    for model, c, expected, what in ((model_constant_sectional, 3, c3, "constant-curvature"),
+                                     (model_complex_space_form, 2, c2, "holomorphic-model")):
+        R = model(space, c)
         rep = probe_unboundedness(R, threshold, budget, seed=seed, kinds=kinds)
         ok = not rep.exceeded and is_zero(rep.max_abs - expected, FLOAT_IDENTITY_TOL,
                                           max(rep.max_abs, expected))
-        items.append(f"model {name}: bounded, max = {rep.max_abs!r} "
-                     f"(expected {expected!r}){'' if ok else ' MISMATCH'}")
-        if not ok and payload is None:
-            payload = (R, rep)
-
-    c3, c2 = PROBE_KINDS[kinds[0]].model_values
-    bounded_check("constant-curvature c=3", model_constant_sectional(space, 3), c3)
-    bounded_check("holomorphic-model c=2", model_complex_space_form(space, 2), c2)
+        yield (f"model {what} c={c}: bounded, max = {rep.max_abs!r} "
+               f"(expected {expected!r}){'' if ok else ' MISMATCH'}", None if ok else (R, rep))
 
     for i in range(trials):
         R = random_tensor(space, seed * 1_000_003 + i, bianchi=True)
@@ -648,41 +633,27 @@ def _check_dichotomy(kinds, classifier, label, space, trials, seed, threshold, b
         rep = probe_unboundedness(R, threshold, budget, seed=seed + i, kinds=kinds)
         if verdict.is_constant:
             ok = not rep.exceeded
-            items.append(f"trial {i}: {label} constant; probe bounded = {ok}")
-        else:
-            ok = rep.exceeded
-            if ok:
-                recomputed = float(rep.witness.reverify(R.to_float()))
-                stored = float(rep.witness.value)
-                ok = is_zero(recomputed - stored, FLOAT_REVERIFY_TOL, stored)
-                items.append(
-                    f"trial {i}: nonconstant; witness {rep.witness.kind} "
+            item = f"trial {i}: {label} constant; probe bounded = {ok}"
+        elif rep.exceeded:
+            recomputed = float(rep.witness.reverify(R.to_float()))
+            stored = float(rep.witness.value)
+            ok = is_zero(recomputed - stored, FLOAT_REVERIFY_TOL, stored)
+            item = (f"trial {i}: nonconstant; witness {rep.witness.kind} "
                     f"|value| = {abs(stored)!r} at t = {format_scalar(rep.witness.t)}"
                     f"{' (reverified)' if ok else ' REVERIFY-FAILED'}")
-            else:
-                items.append(f"trial {i}: nonconstant but NO crossing "
-                             f"(max {rep.max_abs!r})")
-        if not ok and payload is None:
-            payload = (R, rep)
-    return items, payload
+        else:
+            ok = False
+            item = f"trial {i}: nonconstant but NO crossing (max {rep.max_abs!r})"
+        yield item, None if ok else (R, rep)
 
 
-def _run_unboundedness(family, classifier, label, space, trials, seed, threshold, budget):
-    return _check_dichotomy(_realizable_kinds(space, family), classifier, label,
-                            space, trials, seed, threshold, budget)
-
-
-def _run_restricted_signatures(space, trials, seed, threshold, budget):
-    items = []
-    payload = None
-    for kind in _realizable_kinds(space, "antiholomorphic"):
-        sub_items, sub_payload = _check_dichotomy(
-            [kind], constant_antiholomorphic, f"[{kind}]",
-            space, trials, seed, threshold, budget)
-        items.extend(f"{kind} :: {line}" for line in sub_items)
-        if sub_payload is not None and payload is None:
-            payload = sub_payload
-    return items, payload
+def _run_restricted_signatures(space, *run_args):
+    """Remark 1: thm2's dichotomy on each realizable antiholomorphic kind alone."""
+    for kind in PROBE_KINDS:
+        if kind.startswith("antiholomorphic:") and _kind_realizable(space, kind):
+            for item, evidence in _run_dichotomy(kind, constant_antiholomorphic,
+                                                 f"[{kind}]", space, *run_args):
+                yield f"{kind} :: {item}", evidence
 
 
 def _antiholomorphic_even_expansion(R, x, y, z):
@@ -721,9 +692,6 @@ _DEFINITE_ANTIHOLOMORPHIC = _DefiniteBound(
 
 
 def _run_definite_bound(row, space, trials, seed, threshold, budget):
-    items = []
-    payload = None
-
     def probe_expansion(R, rng):
         return row.expansion(R, *tuple_from_rng(space, rng, row.pattern,
                                                 antiholomorphic=True))
@@ -735,9 +703,8 @@ def _run_definite_bound(row, space, trials, seed, threshold, budget):
     model = model_complex_space_form(space, c)
     p = probe_expansion(model, random.Random(seed * 1_000_003 + row.model_offset))
     ok = p == TPolynomial.of(row.model_coeffs(c)) and bound_compatible(p)
-    items.append(f"model: {row.model_label.format(c=format_scalar(c))}: {ok}")
-    if not ok:
-        payload = (model, p)
+    yield (f"model: {row.model_label.format(c=format_scalar(c))}: {ok}",
+           None if ok else (model, p))
     for i in range(trials):
         R = random_tensor(space, seed * 1_000_003 + i, bianchi=True)
         verdict = row.classifier(R)
@@ -745,15 +712,13 @@ def _run_definite_bound(row, space, trials, seed, threshold, budget):
         violations = sum(not bound_compatible(probe_expansion(R, rng)) for _ in range(20))
         if verdict.is_constant:
             ok = violations == 0
-            items.append(f"trial {i}: {row.curvature} constant; "
-                         f"all {row.probes} bound-compatible = {ok}")
+            item = (f"trial {i}: {row.curvature} constant; "
+                    f"all {row.probes} bound-compatible = {ok}")
         else:
             ok = violations > 0
-            items.append(f"trial {i}: {row.curvature} nonconstant; violated "
-                         f"constraints on {violations}/20 {row.probes}")
-        if not ok and payload is None:
-            payload = (R, verdict)
-    return items, payload
+            item = (f"trial {i}: {row.curvature} nonconstant; violated "
+                    f"constraints on {violations}/20 {row.probes}")
+        yield item, None if ok else (R, verdict)
 
 
 _THEOREMS = {
@@ -763,12 +728,11 @@ _THEOREMS = {
     "thm3": _hypothesis("thm3", constant_biholomorphic, "biholomorphic"),
     "thm6": _hypothesis("thm6", constant_antiholomorphic, "antiholomorphic K"),
     "thm1": _Theorem((_INDEFINITE, _M_ABOVE_1), partial(
-        _run_unboundedness, "holomorphic", constant_holomorphic, "H")),
+        _run_dichotomy, "holomorphic", constant_holomorphic, "H")),
     "thm2": _Theorem((_INDEFINITE, _M_ABOVE_2), partial(
-        _run_unboundedness, "antiholomorphic", constant_antiholomorphic,
-        "antiholomorphic K")),
+        _run_dichotomy, "antiholomorphic", constant_antiholomorphic, "antiholomorphic K")),
     "thm4": _Theorem((_INDEFINITE, _M_ABOVE_2, _MIXED_TRIPLES), partial(
-        _run_unboundedness, "biholomorphic", constant_biholomorphic, "biholomorphic")),
+        _run_dichotomy, "biholomorphic", constant_biholomorphic, "biholomorphic")),
     "remark1": _Theorem((_INDEFINITE, _M_ABOVE_2), _run_restricted_signatures),
     "thm5": _Theorem((_DEFINITE, _M_ABOVE_1),
                      partial(_run_definite_bound, _DEFINITE_HOLOMORPHIC)),
@@ -789,7 +753,11 @@ def verify(theorem_id: str, space: PseudoHermitianSpace, trials: int = 20,
         raise GeometryError("verification needs at least one trial")
     theorem = _THEOREMS[theorem_id]
     _require(theorem_id, theorem.needs, space)
-    items, payload = theorem.run(space, trials, seed, threshold, budget)
+    items, payload = [], None
+    for item, evidence in theorem.run(space, trials, seed, threshold, budget):
+        items.append(item)
+        if payload is None:
+            payload = evidence
     status = "pass" if payload is None else "fail"
     return TheoremReport(theorem_id, space.m, space.s, trials, seed,
                          status, tuple(items), payload)

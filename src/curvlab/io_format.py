@@ -370,16 +370,9 @@ def document_from_tensor(R: CurvatureTensor, name: Optional[str] = None,
     J = None
     if not space.has_canonical_J:
         J = tuple(tuple(Fraction(x) for x in row) for row in space.J)
-    entries = []
-    n = space.n
-    comp = R.components
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    v = comp[i, j, k, l]
-                    if v:
-                        entries.append((i + 1, j + 1, k + 1, l + 1, Fraction(v)))
+    nonzero = np.nonzero(R.components)        # in row-major index order
+    entries = [(i + 1, j + 1, k + 1, l + 1, Fraction(v)) for i, j, k, l, v in
+               zip(*(a.tolist() for a in nonzero), R.components[nonzero].tolist())]
     doc = TensorDocument(m=space.m, s=space.s, J=J, name=name, seed=seed,
                          symmetrize=False, bianchi=False, entries=tuple(entries))
     return doc.canonical()

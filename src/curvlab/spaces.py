@@ -444,10 +444,10 @@ def make_space(m: int, s: int, J=None) -> PseudoHermitianSpace:
 # `two_below`, which give exactly what `Random.randrange`, `choice` and
 # `sample` give, in fewer Python calls.  A row rotation acts on each column
 # separately, so only the requested columns are rotated, and it touches only
-# its two rows.  Each row is Python-int numerators over its own denominator
-# (a unitary isometry keeps one per J-block, whose two rows always move
-# together): a step brings its two rows to the lcm of theirs and multiplies
-# that by d, and the rows meet over one lcm D at the end.  That
+# its two rows.  The rows are Python-int numerators over one denominator per
+# row group (a J-block's two rows for a unitary isometry, which always move
+# together, else one row): a step brings its groups to the lcm of theirs and
+# multiplies that by d, and the rows meet over one lcm D at the end.  That
 # integer form (`isometry_columns`, `integer_frame`) is what the classifiers
 # probe on; `light_isometry` and `tuple_from_rng` build one reduced Fraction
 # per entry from it.  For antiholomorphic tuples the rotations act per
@@ -487,70 +487,50 @@ def isometry_columns(signs: Sequence[int], rng: random.Random,
     if columns is None:
         columns = range(n)
     N = [[int(r == col) for col in columns] for r in range(n)]
-
-    def rotate(i, j, c, s, same_sign):
-        """Rows i and j, over one denominator, rotated by the numerators."""
-        t = -s if same_sign else s
-        ri, rj = N[i], N[j]
-        N[i] = [c * a + t * b for a, b in zip(ri, rj)]
-        N[j] = [s * a + c * b for a, b in zip(ri, rj)]
-
-    def common(rows_a, da, rows_b, db) -> int:
-        """Bring two row groups over denominators da and db to their lcm."""
-        L = math.lcm(da, db)
-        for rows, d in ((rows_a, da), (rows_b, db)):
-            if d != L:
-                for r in rows:
-                    N[r] = [x * (L // d) for x in N[r]]
-        return L
-
-    boosts = 0
     if unitary:
-        m = n // 2
-        if n % 2 or any(signs[2 * b] != signs[2 * b + 1] for b in range(m)):
+        if n % 2 or any(signs[r] != signs[r + 1] for r in range(0, n, 2)):
             raise GeometryError("unitary rotations need equal-sign coordinate pairs")
-        # a phase or a block mix moves a J-block's two rows together, so they
-        # share one denominator: den[b] is that of rows 2b and 2b + 1
-        den = [1] * m
-        for _ in range(2 * n + 4):
-            if m == 1 or rng.random() < 0.4:
-                b = below(rng, m)
-                c, s, d = _rotation_coeffs(rng, True)
-                rotate(2 * b, 2 * b + 1, c, s, True)
-                den[b] *= d
-                continue
-            b1, b2 = two_below(rng, m)
-            same = signs[2 * b1] == signs[2 * b2]
-            if not same:
-                if boosts >= _MAX_BOOSTS:
-                    continue
-                boosts += 1
-            c, s, d = _rotation_coeffs(rng, same)
-            L = den[b1]
-            if den[b2] != L:
-                L = common((2 * b1, 2 * b1 + 1), L, (2 * b2, 2 * b2 + 1), den[b2])
-            rotate(2 * b1, 2 * b2, c, s, same)
-            rotate(2 * b1 + 1, 2 * b2 + 1, c, s, same)
-            den[b1] = den[b2] = L * d
-        den = [d for d in den for _ in range(2)]
+        # a phase or a block mix moves a J-block's two rows together
+        groups = [(r, r + 1) for r in range(0, n, 2)]
     else:
-        # N[r][t] / den[r] is entry (r, columns[t])
-        den = [1] * n
-        for _ in range(2 * n + 4):
-            i, j = two_below(rng, n)
-            same = signs[i] == signs[j]
+        groups = [(r,) for r in range(n)]
+    k = len(groups)
+    group_signs = [signs[group[0]] for group in groups]
+    # N[r][t] / den[g] is entry (r, columns[t]) for each row r of group g
+    den = [1] * k
+    boosts = 0
+    for _ in range(2 * n + 4):
+        if unitary and (k == 1 or rng.random() < 0.4):
+            # a phase: the rotation of one block's two rows
+            g = below(rng, k)
+            c, s, d = _rotation_coeffs(rng, True)
+            pairs, same = (groups[g],), True
+            den[g] *= d
+        else:
+            g1, g2 = two_below(rng, k)
+            same = group_signs[g1] == group_signs[g2]
             if not same:
                 if boosts >= _MAX_BOOSTS:
                     continue
                 boosts += 1
             c, s, d = _rotation_coeffs(rng, same)
-            L = den[i]
-            if den[j] != L:
-                L = common((i,), L, (j,), den[j])
-            rotate(i, j, c, s, same)
-            den[i] = den[j] = L * d
+            L = den[g1]
+            if den[g2] != L:
+                L = math.lcm(L, den[g2])
+                for g in (g1, g2):
+                    if den[g] != L:
+                        for r in groups[g]:
+                            N[r] = [x * (L // den[g]) for x in N[r]]
+            pairs = zip(groups[g1], groups[g2])
+            den[g1] = den[g2] = L * d
+        t = -s if same else s
+        for i, j in pairs:
+            ri, rj = N[i], N[j]
+            N[i] = [c * a + t * b for a, b in zip(ri, rj)]
+            N[j] = [s * a + c * b for a, b in zip(ri, rj)]
     D = math.lcm(*den)
-    return np.array([[x * (D // d) for x in row] for row, d in zip(N, den)], dtype=object).T, D
+    return np.array([[x * (D // d) for x in N[r]] for group, d in zip(groups, den)
+                     for r in group], dtype=object).T, D
 
 
 def light_isometry(signs: Sequence[int], rng: random.Random,

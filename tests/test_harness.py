@@ -1,14 +1,17 @@
+import dataclasses
 import pathlib
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curvlab import harness
 from curvlab.harness import (HypothesisError, THEOREM_IDS, _ladder, impose,
                              model_complex_space_form, model_constant_sectional,
                              probe_unboundedness, random_tensor, verify)
 from curvlab.polarization import TPolynomial
-from curvlab.constancy import constant_holomorphic
+from curvlab.constancy import ConstancyVerdict, constant_holomorphic
 from curvlab.io_format import build_tensor, parse_document
 from curvlab.spaces import GeometryError, gram_schmidt_tuple, make_space
 from curvlab.tensors import failing_symmetries
@@ -224,12 +227,67 @@ class TestVerify:
         # starve the probe so a nonconstant tensor cannot cross: the report
         # must fail and carry re-checkable evidence
         report = verify("thm1", sp21, trials=2, seed=5, threshold=1e300)
-        assert not report.passed
+        assert not report.passed and report.status == "fail"
+        # the two model checks pass; both trials fail, and both are reported
+        assert len(report.items) == 4
+        assert all("NO crossing" in item for item in report.items[2:])
         R, probe_rep = report.payload
+        # the evidence is the first trial's
+        assert (R.components == random_tensor(sp21, 5 * 1_000_003 + 0).components).all()
         assert not constant_holomorphic(R).is_constant
         again = probe_unboundedness(R, threshold=1e300, seed=5 + 0,
                                     kinds=["holomorphic"])
-        assert not again.exceeded and again.max_abs == probe_rep.max_abs
+        assert again == probe_rep and not again.exceeded
+
+    def test_starved_remark1_payload_is_the_first_kind_trial(self, sp31):
+        report = verify("remark1", sp31, trials=1, seed=3, threshold=1e300)
+        assert report.status == "fail"
+        kinds = ["antiholomorphic:(+,+)", "antiholomorphic:(+,-)"]
+        # every realizable kind keeps its two model checks and its trial
+        assert [item.split(" :: ")[0] for item in report.items] == [k for k in kinds
+                                                                   for _ in range(3)]
+        assert all("NO crossing" in report.items[i] for i in (2, 5))
+        R, probe_rep = report.payload
+        first = random_tensor(sp31, 3 * 1_000_003 + 0)
+        assert (R.components == first.components).all()
+        assert probe_rep == probe_unboundedness(first, threshold=1e300, seed=3,
+                                                kinds=kinds[:1])
+
+    @staticmethod
+    def _recording(status):
+        """A classifier giving `status` on every tensor, with its calls and verdicts."""
+        calls, verdicts = [], []
+
+        def classify(R):
+            calls.append(R)
+            verdicts.append(ConstancyVerdict(status))
+            return verdicts[-1]
+        return classify, calls, verdicts
+
+    def test_hypothesis_payload_is_the_first_failing_trial(self, sp21, monkeypatch):
+        classify, calls, verdicts = self._recording("nonconstant")
+        monkeypatch.setitem(harness._THEOREMS, "lemma1",
+                            harness._hypothesis("eq1", classify, "H"))
+        report = verify("lemma1", sp21, trials=3, seed=2)
+        assert report.status == "fail"
+        assert report.items[0].startswith("constraint rank = ")
+        assert report.items[1:] == tuple(f"trial {i}: H NONCONSTANT" for i in range(3))
+        assert len(calls) == 3
+        assert report.payload[0] is calls[0] and report.payload[1] is verdicts[0]
+
+    def test_definite_bound_payload_is_the_first_failing_trial(self, sp20, monkeypatch):
+        # nonconstant tensors break the bound, which a constant verdict forbids
+        classify, calls, verdicts = self._recording("constant")
+        row = dataclasses.replace(harness._DEFINITE_HOLOMORPHIC, classifier=classify)
+        monkeypatch.setitem(harness._THEOREMS, "thm5", harness._Theorem(
+            harness._THEOREMS["thm5"].needs, partial(harness._run_definite_bound, row)))
+        report = verify("thm5", sp20, trials=2, seed=3)
+        assert report.status == "fail"
+        assert report.items[0].endswith(": True")          # the model check passes
+        assert report.items[1:] == tuple(f"trial {i}: H constant; all pairs "
+                                         "bound-compatible = False" for i in range(2))
+        assert len(calls) == 2
+        assert report.payload[0] is calls[0] and report.payload[1] is verdicts[0]
 
     def test_catalog_is_complete(self):
         assert set(THEOREM_IDS) == {"lemma1", "lemma2", "thmA", "thm1", "thm2",
