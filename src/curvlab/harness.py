@@ -27,14 +27,15 @@ its multiplicity and ladder side, its curvature expression, and its bounded
 values on the two models.  `_THEOREMS` maps each catalog id to its
 requirements and a runner: imposed-hypothesis classification, the
 unboundedness dichotomy (on one probe family, or for remark1 on each
-antiholomorphic kind alone), or the definite-case bound check, each
-parametrized by a row of data.  A runner is a generator of (item, evidence)
-pairs, one per check in report order: evidence is None for a passing check,
-and otherwise the failing tensor with what it failed on, (R, verdict),
-(R, probe report) or (model, expansion).  `verify` collects the items and
-keeps the first evidence as the report's payload.  Each space requirement is
-a named `_Need` written once and shared by every entry that has it; which
-sign patterns exist on a space is decided by `spaces.realizable` alone.
+antiholomorphic kind in turn, with the models and trial tensors built
+once), or the definite-case bound check, each parametrized by a row of
+data.  A runner is a generator of (item, evidence) pairs, one per check in
+report order: evidence is None for a passing check, and otherwise the
+failing tensor with what it failed on, (R, verdict), (R, probe report) or
+(model, expansion).  `verify` collects the items and keeps the first
+evidence as the report's payload.  Each space requirement is a named
+`_Need` written once and shared by every entry that has it; which sign
+patterns exist on a space is decided by `spaces.realizable` alone.
 
 Pinching families are evaluated exactly: the numerator polynomial comes
 from one exact expansion, and each ladder rung t = 1 -+ 2^-k is the exact
@@ -68,8 +69,8 @@ from .scalars import (FLOAT_IDENTITY_TOL, FLOAT_REVERIFY_TOL, RAND_DENOMINATOR,
 from .spaces import (GeometryError, PseudoHermitianSpace, light_isometry,
                      random_isometry, realizable, seed_columns, tuple_from_rng,
                      unitary_generators)
-from .tensors import (CurvatureTensor, _component_lift, _orbit_pairs, _wedge,
-                      from_dense, from_integer_form, pi1_components, sectional)
+from .tensors import (CurvatureTensor, _component_lift, _from_numerators, _orbit_pairs,
+                      _wedge, from_dense, from_integer_form, pi1_components, sectional)
 
 
 class HypothesisError(GeometryError):
@@ -80,8 +81,9 @@ class HypothesisError(GeometryError):
 
 def model_constant_sectional(space: PseudoHermitianSpace, c) -> CurvatureTensor:
     """c * pi1: every nondegenerate plane has sectional curvature c."""
-    comps = pi1_components(space) * Fraction(c)
-    return CurvatureTensor(space, comps, bianchi=True)
+    c = Fraction(c)
+    return _from_numerators(space, pi1_components(space) * c.numerator, c.denominator,
+                            bianchi=True, validate=True)
 
 
 def model_complex_space_form(space: PseudoHermitianSpace, c) -> CurvatureTensor:
@@ -610,50 +612,44 @@ def _hypothesis(cond_id, classifier, label, extra_needs=()) -> _Theorem:
                     partial(_run_hypothesis, cond_id, classifier, label))
 
 
-def _run_dichotomy(name, classifier, label, space, trials, seed, threshold, budget):
+def _run_dichotomy(names, classifier, label, space, trials, seed, threshold, budget):
     """Models stay bounded at their constant; nonconstant tensors cross.
 
-    `name` is a probe family, whose realizable kinds are probed together, or
-    one kind."""
-    kinds = [k for k in PROBE_KINDS
-             if name in (k, k.split(":")[0]) and _kind_realizable(space, k)]
-    c3, c2 = PROBE_KINDS[kinds[0]].model_values
-    for model, c, expected, what in ((model_constant_sectional, 3, c3, "constant-curvature"),
-                                     (model_complex_space_form, 2, c2, "holomorphic-model")):
-        R = model(space, c)
-        rep = probe_unboundedness(R, threshold, budget, seed=seed, kinds=kinds)
-        ok = not rep.exceeded and is_zero(rep.max_abs - expected, FLOAT_IDENTITY_TOL,
-                                          max(rep.max_abs, expected))
-        yield (f"model {what} c={c}: bounded, max = {rep.max_abs!r} "
-               f"(expected {expected!r}){'' if ok else ' MISMATCH'}", None if ok else (R, rep))
-
-    for i in range(trials):
-        R = random_tensor(space, seed * 1_000_003 + i, bianchi=True)
-        verdict = classifier(R)
-        rep = probe_unboundedness(R, threshold, budget, seed=seed + i, kinds=kinds)
-        if verdict.is_constant:
-            ok = not rep.exceeded
-            item = f"trial {i}: {label} constant; probe bounded = {ok}"
-        elif rep.exceeded:
-            recomputed = float(rep.witness.reverify(R.to_float()))
-            stored = float(rep.witness.value)
-            ok = is_zero(recomputed - stored, FLOAT_REVERIFY_TOL, stored)
-            item = (f"trial {i}: nonconstant; witness {rep.witness.kind} "
-                    f"|value| = {abs(stored)!r} at t = {format_scalar(rep.witness.t)}"
-                    f"{' (reverified)' if ok else ' REVERIFY-FAILED'}")
-        else:
-            ok = False
-            item = f"trial {i}: nonconstant but NO crossing (max {rep.max_abs!r})"
-        yield item, None if ok else (R, rep)
-
-
-def _run_restricted_signatures(space, *run_args):
-    """Remark 1: thm2's dichotomy on each realizable antiholomorphic kind alone."""
-    for kind in PROBE_KINDS:
-        if kind.startswith("antiholomorphic:") and _kind_realizable(space, kind):
-            for item, evidence in _run_dichotomy(kind, constant_antiholomorphic,
-                                                 f"[{kind}]", space, *run_args):
-                yield f"{kind} :: {item}", evidence
+    Each name is a probe family, its realizable kinds probed together under
+    `label`, or with no `label` a kind, probed alone, named in its items and
+    skipped when unrealizable.  Models and classified trials are built once."""
+    models = ((model_constant_sectional(space, 3), 3, "constant-curvature"),
+              (model_complex_space_form(space, 2), 2, "holomorphic-model"))
+    trial_tensors = [random_tensor(space, seed * 1_000_003 + i) for i in range(trials)]
+    verdicts = list(map(classifier, trial_tensors))
+    for name in names:
+        kinds = [k for k in PROBE_KINDS if k.startswith(name) and _kind_realizable(space, k)]
+        if not kinds:
+            continue
+        prefix, tag = ("", label) if label else (f"{name} :: ", f"[{name}]")
+        for (R, c, what), expected in zip(models, PROBE_KINDS[kinds[0]].model_values):
+            rep = probe_unboundedness(R, threshold, budget, seed=seed, kinds=kinds)
+            ok = not rep.exceeded and is_zero(rep.max_abs - expected, FLOAT_IDENTITY_TOL,
+                                              max(rep.max_abs, expected))
+            yield (f"{prefix}model {what} c={c}: bounded, max = {rep.max_abs!r} "
+                   f"(expected {expected!r}){'' if ok else ' MISMATCH'}",
+                   None if ok else (R, rep))
+        for i, (R, verdict) in enumerate(zip(trial_tensors, verdicts)):
+            rep = probe_unboundedness(R, threshold, budget, seed=seed + i, kinds=kinds)
+            if verdict.is_constant:
+                ok = not rep.exceeded
+                item = f"trial {i}: {tag} constant; probe bounded = {ok}"
+            elif rep.exceeded:
+                recomputed = float(rep.witness.reverify(R.to_float()))
+                stored = float(rep.witness.value)
+                ok = is_zero(recomputed - stored, FLOAT_REVERIFY_TOL, stored)
+                item = (f"trial {i}: nonconstant; witness {rep.witness.kind} "
+                        f"|value| = {abs(stored)!r} at t = {format_scalar(rep.witness.t)}"
+                        f"{' (reverified)' if ok else ' REVERIFY-FAILED'}")
+            else:
+                ok = False
+                item = f"trial {i}: nonconstant but NO crossing (max {rep.max_abs!r})"
+            yield prefix + item, None if ok else (R, rep)
 
 
 def _antiholomorphic_even_expansion(R, x, y, z):
@@ -728,12 +724,14 @@ _THEOREMS = {
     "thm3": _hypothesis("thm3", constant_biholomorphic, "biholomorphic"),
     "thm6": _hypothesis("thm6", constant_antiholomorphic, "antiholomorphic K"),
     "thm1": _Theorem((_INDEFINITE, _M_ABOVE_1), partial(
-        _run_dichotomy, "holomorphic", constant_holomorphic, "H")),
+        _run_dichotomy, ("holomorphic",), constant_holomorphic, "H")),
     "thm2": _Theorem((_INDEFINITE, _M_ABOVE_2), partial(
-        _run_dichotomy, "antiholomorphic", constant_antiholomorphic, "antiholomorphic K")),
+        _run_dichotomy, ("antiholomorphic",), constant_antiholomorphic, "antiholomorphic K")),
     "thm4": _Theorem((_INDEFINITE, _M_ABOVE_2, _MIXED_TRIPLES), partial(
-        _run_dichotomy, "biholomorphic", constant_biholomorphic, "biholomorphic")),
-    "remark1": _Theorem((_INDEFINITE, _M_ABOVE_2), _run_restricted_signatures),
+        _run_dichotomy, ("biholomorphic",), constant_biholomorphic, "biholomorphic")),
+    "remark1": _Theorem((_INDEFINITE, _M_ABOVE_2), partial(
+        _run_dichotomy, tuple(k for k in PROBE_KINDS if k.startswith("antiholomorphic:")),
+        constant_antiholomorphic, None)),
     "thm5": _Theorem((_DEFINITE, _M_ABOVE_1),
                      partial(_run_definite_bound, _DEFINITE_HOLOMORPHIC)),
     "thm7": _Theorem((_DEFINITE, _M_ABOVE_2),

@@ -26,8 +26,9 @@ computed at most once and cached on the immutable tensor.  The symmetry
 checks run on the numerators too, since scaling by D preserves which sums
 vanish: validating a tensor computes the integer form its first contraction
 then uses.  A caller that already has the integer form (a parsed document,
-a combination of integer coordinates) passes it in (`from_integer_form`),
-and nothing is integerized.
+a combination of integer coordinates) passes it in (`from_integer_form`);
+`from_dense` integerizes exact input once and projects on the numerators,
+D taking the factors 8 and 3.  Integer dtypes are stored as Python ints.
 
 The contraction itself runs on the bivector form: R is antisymmetric in each
 slot pair, so R(X, Y, Z, U) = (X^Y) S (Z^U)^T with the 2-forms written on
@@ -66,22 +67,9 @@ def component_scale(C: np.ndarray) -> float:
     return max(1.0, float(np.abs(C).max()))
 
 
-def symmetrize_components(C: np.ndarray) -> np.ndarray:
-    """Project onto tensors with both antisymmetries and pair-exchange."""
-    C = C - C.transpose(1, 0, 2, 3)
-    C = C - C.transpose(0, 1, 3, 2)
-    C = C + C.transpose(2, 3, 0, 1)
-    return C / 8
-
-
 def bianchi_cyclic_sum(C: np.ndarray) -> np.ndarray:
     """First-Bianchi cyclic sum over the first three slots."""
     return C + C.transpose(1, 2, 0, 3) + C.transpose(2, 0, 1, 3)
-
-
-def bianchi_project(C: np.ndarray) -> np.ndarray:
-    """Remove the alternating part; input must already be pair-symmetric."""
-    return (2 * C - C.transpose(1, 2, 0, 3) - C.transpose(2, 0, 1, 3)) / 3
 
 
 def failing_symmetries(C: np.ndarray, bianchi: bool = False,
@@ -177,6 +165,8 @@ class CurvatureTensor:
         n = self.space.n
         if self.components.shape != (n, n, n, n):
             raise DimensionMismatch(f"components must be {(n, n, n, n)}")
+        if self.components.dtype.kind in "iu":      # Python ints: exact, and no wrapping
+            object.__setattr__(self, "components", self.components.astype(object))
         self.components.setflags(write=False)
         if form is not None:
             self.__dict__["integer_form"] = form
@@ -351,15 +341,27 @@ def from_dense(space: PseudoHermitianSpace, components: np.ndarray,
                validate: bool = True) -> CurvatureTensor:
     """A tensor on the (optionally projected) components.  With `validate`
     off the raw components are kept unchecked, for a caller that reports
-    their `failing_symmetries` itself."""
+    their `failing_symmetries` itself.  Exact input (ints, numpy integers,
+    Fractions) is integerized once and projected on its numerators, the
+    denominator taking the factors 8 and 3 that float input is divided by."""
     C = components
-    if symmetrize:
-        C = symmetrize_components(C)
-    if bianchi_projection:
-        C = bianchi_project(C)
+    form = integerize(C.flat) if C.dtype.kind in "Oiu" else None
+    if form is not None:
+        C = np.array(form[0], dtype=object).reshape(C.shape)
+    if symmetrize:             # 8 times the projection on the pair symmetries
+        C = C - C.transpose(1, 0, 2, 3)
+        C = C - C.transpose(0, 1, 3, 2)
+        C = C + C.transpose(2, 3, 0, 1)
+        C = C / 8 if form is None else C
+    if bianchi_projection:     # 3 times C without its alternating part
+        C = 2 * C - C.transpose(1, 2, 0, 3) - C.transpose(2, 0, 1, 3)
+        C = C / 3 if form is None else C
     # a projection guarantees its own invariants; validate only raw input
-    return CurvatureTensor(space, C, bianchi=bianchi_projection,
-                           validate=validate and not symmetrize)
+    validate = validate and not symmetrize
+    if form is None:
+        return CurvatureTensor(space, C, bianchi=bianchi_projection, validate=validate)
+    D = form[1] * 8 ** symmetrize * 3 ** bianchi_projection
+    return _from_numerators(space, C, D, bianchi_projection, validate)
 
 
 def from_integer_form(space: PseudoHermitianSpace, N: np.ndarray, D: int,
@@ -372,6 +374,11 @@ def from_integer_form(space: PseudoHermitianSpace, N: np.ndarray, D: int,
     distinct numerator becomes one `Fraction`, gathered into place by its
     code.  With `validate` the symmetries are checked once, on N.
     """
+    return _from_numerators(space, N, D, False, validate)
+
+
+def _from_numerators(space, N, D, bianchi, validate) -> CurvatureTensor:
+    """`from_integer_form` with the tensor's `bianchi` flag."""
     values = set(N.flat)
     g = math.gcd(D, *values)
     if g > 1:
@@ -379,7 +386,8 @@ def from_integer_form(space: PseudoHermitianSpace, N: np.ndarray, D: int,
     code = {x: c for c, x in enumerate(values)}
     fractions = np.array([Fraction(x, D) for x in code], dtype=object)
     C = fractions[np.array(list(map(code.__getitem__, N.flat)), dtype=np.intp)]
-    return CurvatureTensor(space, C.reshape(N.shape), validate=validate, form=(N, D))
+    return CurvatureTensor(space, C.reshape(N.shape), bianchi=bianchi, validate=validate,
+                           form=(N, D))
 
 
 def dense_components(n: int, entries) -> np.ndarray:
@@ -442,17 +450,10 @@ def pi1_c(space: PseudoHermitianSpace, X, Y, Z, U):
 
 
 def pi1_components(space: PseudoHermitianSpace) -> np.ndarray:
-    n = space.n
-    s = space.metric_signs
-    C = np.empty((n, n, n, n), dtype=object)
-    C[...] = Fraction(0)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            C[i, j, j, i] = Fraction(s[i] * s[j])
-            C[i, j, i, j] = Fraction(-s[i] * s[j])
-    return C
+    """pi1_ijkl = g_il g_jk - g_ik g_jl for g = diag(metric signs), as an
+    object array of Python ints."""
+    g = np.diag(space.metric_signs)
+    return (np.einsum("il,jk->ijkl", g, g) - np.einsum("ik,jl->ijkl", g, g)).astype(object)
 
 
 def sectional(R: CurvatureTensor, u, v):

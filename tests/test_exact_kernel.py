@@ -8,7 +8,9 @@ and `expand` against single evaluations, `sectional` against the oracle
 ratio and its degenerate planes by Gram rank, and `failing_symmetries`
 against invariants broken by hand.  Validation shares the integer form with
 the first contraction, and an unvalidated tensor without both
-antisymmetries refuses to build its bivector form.
+antisymmetries refuses to build its bivector form.  `from_dense` projects
+on numerators, checked against the projections written as `Fraction` array
+formulas, and float input keeps the bits of the same formulas in floats.
 """
 
 import functools
@@ -23,13 +25,14 @@ from hypothesis import given, settings, strategies as st
 
 from curvlab import tensors
 from curvlab.constancy import constant_holomorphic
-from curvlab.harness import model_constant_sectional, random_tensor, tensor_from_coefficients
+from curvlab.harness import (model_constant_sectional, probe_unboundedness, random_tensor,
+                             tensor_from_coefficients)
 from curvlab.polarization import VectorFamily, expand
 from curvlab.scalars import ExactComplex
 from curvlab.spaces import (ComplexVector, DegeneratePlaneError, InvariantViolation,
                             make_space, random_isometry)
 from curvlab.tensors import (CurvatureTensor, failing_symmetries, from_components,
-                             from_dense, sectional)
+                             from_dense, pi1_components, sectional)
 
 SPACES = [make_space(1, 0), make_space(2, 1), make_space(3, 1),
           make_space(4, 0), make_space(4, 2)]
@@ -88,8 +91,7 @@ def sparse_coefficients(n):
 @st.composite
 def exact_tensors(draw):
     """A tensor with mixed denominators: symmetrized (maybe Bianchi-projected)
-    entries at m <= 3; at m = 4, where projecting n^4 Fractions takes about
-    0.07 s, the lift of a few pair-symmetric coordinates."""
+    entries at m <= 3; at m = 4 the lift of a few pair-symmetric coordinates."""
     space = draw(st.sampled_from(SPACES))
     if space.m == 4:
         return tensor_from_coefficients(space, draw(sparse_coefficients(space.n)))
@@ -469,6 +471,72 @@ def test_lifted_and_projected_tensors_match_the_loop_oracle(space, data):
               from_dense(space, C, symmetrize=True)):
         vs = [data.draw(vectors(n)) for _ in range(4)]
         assert R.eval(*vs) == oracle(R.components, *vs)
+
+
+def projection_oracle(C, symmetrize, bianchi):
+    """The projections as whole-array formulas, dividing as they go: exact on
+    a `Fraction` array, and the reference bits on a float one."""
+    if symmetrize:
+        C = C - C.transpose(1, 0, 2, 3)
+        C = C - C.transpose(0, 1, 3, 2)
+        C = (C + C.transpose(2, 3, 0, 1)) / 8
+    if bianchi:
+        C = (2 * C - C.transpose(1, 2, 0, 3) - C.transpose(2, 0, 1, 3)) / 3
+    return C
+
+
+@PROPERTY
+@given(space=st.sampled_from(SPACES[:2]), symmetrize=st.booleans(), bianchi=st.booleans(),
+       kind=st.sampled_from(("fractions", "ints", "int64", "floats")), data=st.data())
+def test_from_dense_projects_as_the_fraction_formulas(space, symmetrize, bianchi, kind, data):
+    n = space.n
+    numerators = data.draw(st.lists(st.integers(-BIG, BIG), min_size=n ** 4, max_size=n ** 4))
+    if kind in ("fractions", "floats"):
+        dens = data.draw(st.lists(st.sampled_from((1, 2, 3, 7, 12, BIG + 1)),
+                                  min_size=n ** 4, max_size=n ** 4))
+        values = list(map(Fraction, numerators, dens))
+    else:
+        values = numerators
+    exact = np.array([Fraction(v) for v in values], dtype=object).reshape((n,) * 4)
+    C = {"fractions": exact, "ints": np.array(values, dtype=object).reshape((n,) * 4),
+         "int64": exact.astype(np.int64), "floats": exact.astype(float)}[kind]
+    # raw input is validated unless symmetrized, and random input is not symmetric
+    R = from_dense(space, C, symmetrize=symmetrize, bianchi_projection=bianchi,
+                   validate=False)
+    if kind == "floats":
+        expected = projection_oracle(C, symmetrize, bianchi)
+        assert R.components.dtype == float
+        assert [x.hex() for x in R.components.flat] == [x.hex() for x in expected.flat]
+        return
+    expected = projection_oracle(exact, symmetrize, bianchi)
+    assert all(type(x) is Fraction for x in R.components.flat)
+    assert (R.components == expected).all()
+    assert R.integer_form[1] == math.lcm(*(x.denominator for x in expected.flat))
+    assert (R.integer_form[0] * Fraction(1, R.integer_form[1]) == expected).all()
+
+
+def test_symmetrized_python_ints_stay_exact():
+    # object arrays of Python ints used to be divided by 8 into floats,
+    # which left no integer form to probe on
+    space = SPACES[2]
+    C = np.array(range(space.n ** 4), dtype=object).reshape((space.n,) * 4) % 7
+    R = from_dense(space, C, symmetrize=True, bianchi_projection=True)
+    assert probe_unboundedness(R, budget=(1, 1)).evaluations > 0
+    assert R.is_exact and all(type(x) is Fraction for x in R.components.flat)
+    assert (R.components == projection_oracle(C * Fraction(1), True, True)).all()
+
+
+@pytest.mark.parametrize("build", [lambda sp, C: from_dense(sp, C),
+                                   lambda sp, C: CurvatureTensor(sp, C, bianchi=True)])
+def test_integer_dtype_components_are_exact(build):
+    # int64 components once cast Fraction vectors to int64: 1/2 read as 0
+    space = SPACES[1]
+    R = build(space, (3 * pi1_components(space)).astype(np.int64))
+    u = np.array([Fraction(1, 2), 0, 0, 0], dtype=object)
+    v = space.basis_vector(1)
+    assert R.eval(u, v, v, u) == Fraction(3, 4)
+    assert sectional(R, u, v) == 3
+    assert R.is_exact and R.integer_form is not None
 
 
 @PROPERTY

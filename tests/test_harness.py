@@ -275,6 +275,26 @@ class TestVerify:
         assert len(calls) == 3
         assert report.payload[0] is calls[0] and report.payload[1] is verdicts[0]
 
+    def test_remark1_classifies_each_trial_tensor_once(self, sp31, monkeypatch):
+        expected = verify("remark1", sp31, trials=2, seed=3).items
+        calls = []
+
+        def classify(R):
+            calls.append(R)
+            return harness.constant_antiholomorphic(R)
+        kinds = ("antiholomorphic:(+,+)", "antiholomorphic:(+,-)", "antiholomorphic:(-,-)")
+        monkeypatch.setitem(harness._THEOREMS, "remark1", harness._Theorem(
+            harness._THEOREMS["remark1"].needs,
+            partial(harness._run_dichotomy, kinds, classify, None)))
+        report = verify("remark1", sp31, trials=2, seed=3)
+        # each realizable kind in turn, with its two models and two trials
+        assert [item.split(" :: ")[0] for item in report.items] == [k for k in kinds[:2]
+                                                                   for _ in range(4)]
+        assert report.items == expected
+        assert len(calls) == 2
+        for i, R in enumerate(calls):
+            assert (R.components == random_tensor(sp31, 3 * 1_000_003 + i).components).all()
+
     def test_definite_bound_payload_is_the_first_failing_trial(self, sp20, monkeypatch):
         # nonconstant tensors break the bound, which a constant verdict forbids
         classify, calls, verdicts = self._recording("constant")

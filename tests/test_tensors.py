@@ -141,6 +141,14 @@ class TestPi1:
         X, Z, U = (rand_vector(sp21, rng) for _ in range(3))
         assert pi1(sp21, X, X, Z, U) == 0
 
+    def test_components_are_its_basis_values(self, sp21, sp31):
+        for space in (sp21, sp31):
+            P = pi1_components(space)
+            e = [space.basis_vector(i) for i in range(space.n)]
+            assert all(type(x) is int for x in P.flat)
+            assert all(P[i, j, k, l] == pi1(space, e[i], e[j], e[k], e[l])
+                       for i, j, k, l in np.ndindex(P.shape))
+
     def test_complexified_matches_tensor(self, sp21):
         R = model_constant_sectional(sp21, 1)
         rng = random.Random(12)

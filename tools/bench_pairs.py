@@ -8,8 +8,10 @@
 The parent side is `git archive REV`, unpacked into a temporary directory;
 the change side is a copy of this working tree's files (tracked or not, but
 not ignored) in another one, so that both sides run from fresh directories
-of the same kind and no figure, `peak_rss_mib` included, depends on where a
-side runs from.  Each WORKLOAD:SEED gets `--pairs`
+of the same kind.  `peak_rss_mib` still follows the directory a run starts
+from: identical trees unpacked under different names read 33.90-34.09 MiB
+on `impose`, so an RSS difference below about 0.6% is directory noise, not
+a property of the code.  Each WORKLOAD:SEED gets `--pairs`
 pairs of untraced `perfbench/run.py` runs, one per side back to back, the
 side that runs first alternating from pair to pair.  The result file has the
 layout of BENCH_16.json: per workload and end-to-end metric the runs, median
@@ -40,7 +42,9 @@ METHOD = ("perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0,
           "archive, and a copy of the change's working-tree files); each pair runs both "
           "sides back to back, alternating which "
           "side runs first. Medians and quartiles (inclusive method) are over the runs of one "
-          "side; change_wins counts pairs where the change read better.")
+          "side; change_wins counts pairs where the change read better. peak_rss_mib "
+          "follows the directory a run starts from: RSS differences below about 0.6% are "
+          "directory noise.")
 
 
 def unpack(rev: str, into: Path) -> None:
