@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import random
 import sys
 from fractions import Fraction
 
@@ -23,14 +24,17 @@ from .harness import (HypothesisError, THEOREM_IDS, model_complex_space_form,
                       random_tensor, verify)
 from .io_format import (ParseError, build_tensor, document_from_tensor,
                         parse_rational, read_document, serialize_document)
-from .polarization import (bound_forced_identities,
-                           complexified_family_expansion,
-                           holomorphic_family_expansion)
+from .polarization import (bound_forced_identities, complexified_frame_expansion,
+                           holomorphic_frame_expansion)
 from .scalars import format_scalar
-from .spaces import GeometryError, gram_schmidt_tuple, make_space
+from .spaces import GeometryError, frame_vectors, integer_frame, make_space
 from .tensors import failing_symmetries
 
 REPORT_HEADER = "curvlab-report/1"
+
+# the sign pattern of each family's drawn pair, and its integer-frame expansion
+_EXPANSIONS = {"holomorphic": ((1, -1), holomorphic_frame_expansion),
+               "complexified": ((1, 1), complexified_frame_expansion)}
 
 _EXPANSION_MEANING = {
     "holomorphic": (
@@ -147,26 +151,24 @@ def _cmd_classify(args) -> int:
 def _cmd_expand(args) -> int:
     doc = read_document(args.input)
     R = build_tensor(doc)
-    space = R.space
-    if args.family == "holomorphic":
-        x, w = gram_schmidt_tuple(space, args.seed, (1, -1), antiholomorphic=True)
-        poly = holomorphic_family_expansion(R, x, w)
-    else:
-        x, w = gram_schmidt_tuple(space, args.seed, (1, 1), antiholomorphic=True)
-        poly = complexified_family_expansion(R, x, w)
+    pattern, expansion = _EXPANSIONS[args.family]
+    N, D = integer_frame(R.space, random.Random(args.seed), pattern, antiholomorphic=True)
+    poly, den = expansion(R, N, D)
+    x, w = frame_vectors(N, D)
     envelope = 2
     lines = [f"family = {args.family}",
              f"seed = {args.seed}",
              f"pair.first = {_fmt_vec(x)}",
              f"pair.second = {_fmt_vec(w)}"]
-    coeffs = list(poly.coeffs) + [Fraction(0)] * (5 - len(poly.coeffs))
+    coeffs = list(poly.coeffs) + [0] * (5 - len(poly.coeffs))
     for k in range(5):
-        lines.append(f"coeff.t{k} = {format_scalar(coeffs[k])}")
+        lines.append(f"coeff.t{k} = {format_scalar(Fraction(coeffs[k], den))}")
         lines.append(f"coeff.t{k}.meaning = {_EXPANSION_MEANING[args.family][k]}")
+    # the bound's values are linear in the coefficients: numerators over den
     constraints = bound_forced_identities(poly, multiplicity=envelope)
     labels = ["round1.t=+1", "round1.t=-1", "round2.t=+1", "round2.t=-1"]
     for label, value in zip(labels, constraints):
-        lines.append(f"bound.{label} = {format_scalar(value)}")
+        lines.append(f"bound.{label} = {format_scalar(Fraction(value, den))}")
     forced = len(constraints) == 2 * envelope and all(v == 0 for v in constraints)
     lines.append(f"bound.compatible = {'true' if forced else 'false'}")
     _report("expand", doc, lines)

@@ -37,10 +37,11 @@ evidence as the report's payload.  Each space requirement is a named
 `_Need` written once and shared by every entry that has it; which sign
 patterns exist on a space is decided by `spaces.realizable` alone.
 
-Pinching families are evaluated exactly: the numerator polynomial comes
-from one exact expansion, and each ladder rung t = 1 -+ 2^-k is the exact
-value p(t) / sigma^multiplicity, sigma = 1 - t^2, as a quotient of two
-integers.  Bounded families report their true maximum, and a blow-up is
+Pinching families are evaluated exactly: each is drawn as an integer frame,
+its numerator polynomial comes from one integer expansion as Python-int
+coefficients over one denominator, and each ladder rung t = 1 -+ 2^-k is
+the exact value p(t) / sigma^multiplicity, sigma = 1 - t^2, as a quotient
+of two integers.  Bounded families report their true maximum, and a blow-up is
 never cancellation noise.  Probing therefore takes exact rational tensors
 only.
 """
@@ -62,13 +63,13 @@ from .constancy import (constant_antiholomorphic, constant_biholomorphic,
 from .closure import close
 from .linsolve import integer_row
 from .polarization import (TPolynomial, VectorFamily, bound_forced_identities,
-                           complexified_family_expansion, expand)
+                           complexified_family_expansion, expand, expand_numerators)
 from .scalars import (FLOAT_IDENTITY_TOL, FLOAT_REVERIFY_TOL, RAND_DENOMINATOR,
                       below, format_scalar, integerize, is_zero, rand_numerator,
                       rand_rational, two_below)
-from .spaces import (GeometryError, PseudoHermitianSpace, light_isometry,
-                     random_isometry, realizable, seed_columns, tuple_from_rng,
-                     unitary_generators)
+from .spaces import (GeometryError, PseudoHermitianSpace, frame_vectors, integer_frame,
+                     light_isometry, random_isometry, realizable, seed_columns,
+                     tuple_from_rng, unitary_generators)
 from .tensors import (CurvatureTensor, _component_lift, _from_numerators, _orbit_pairs,
                       _wedge, from_dense, from_integer_form, pi1_components, sectional)
 
@@ -87,12 +88,19 @@ def model_constant_sectional(space: PseudoHermitianSpace, c) -> CurvatureTensor:
 
 
 def model_complex_space_form(space: PseudoHermitianSpace, c) -> CurvatureTensor:
-    """The standard tensor with H = c: (c/4)(pi1 + J-paired terms)."""
+    """The standard tensor with H = c: (c/4)(pi1 + J-paired terms), built
+    from its integer form, the J-paired sum's numerators times p over 4 q d
+    for c = p/q and J's common denominator d."""
     JG = space.J.T * np.array(space.metric_signs)        # JG[i, j] = g(J e_i, e_j)
     i, j, k, l = np.ix_(*(range(space.n),) * 4)
-    C = Fraction(c) / 4 * (pi1_components(space) + JG[i, l] * JG[j, k]
-                           - JG[i, k] * JG[j, l] - 2 * JG[i, j] * JG[k, l])
-    return CurvatureTensor(space, C, bianchi=True)
+    c = Fraction(c)
+    C = (pi1_components(space) + JG[i, l] * JG[j, k]
+         - JG[i, k] * JG[j, l] - 2 * JG[i, j] * JG[k, l])
+    form = integerize(C.flat)
+    if form is None:        # a float J
+        return CurvatureTensor(space, c / 4 * C, bianchi=True)
+    N = np.array(form[0], dtype=object).reshape(C.shape) * c.numerator
+    return _from_numerators(space, N, 4 * c.denominator * form[1], bianchi=True, validate=True)
 
 
 def random_tensor(space: PseudoHermitianSpace, seed: int,
@@ -441,19 +449,18 @@ def _kind_realizable(space, kind) -> bool:
     return realizable(space, PROBE_KINDS[kind].pattern)
 
 
-def _family_for(R, row: _Kind, tup) -> TPolynomial:
-    """The numerator of `row`'s family through the drawn tuple."""
-    J = R.space.apply_J
-
-    def image(f):
-        """J applied to a family, built only for the kinds that use it."""
-        return VectorFamily(J(f.base), None if f.direction is None else J(f.direction))
-
-    base, *partner, direction = tup
-    u = VectorFamily.affine(base, direction)
-    v = VectorFamily.constant(partner[0]) if partner else image(u)
-    slots = (u, image(u), image(v), v) if row.biholomorphic else (u, v, v, u)
-    return expand(R, *slots)
+def _family_for(R, row: _Kind, N, D: int) -> tuple[TPolynomial, int]:
+    """(p, D_p): the numerator of `row`'s family through the integer frame
+    (N, D) is p / D_p, from one integer contraction (`expand_numerators`)."""
+    JN = N.dot(R.space.J.T)                 # frames need the canonical J
+    # the rows are (base, direction) or (base, partner, direction)
+    u, Ju = (VectorFamily.affine(M[0], M[-1]) for M in (N, JN))
+    if row.biholomorphic:
+        slots = (u, Ju, VectorFamily.constant(JN[1]), VectorFamily.constant(N[1]))
+    else:
+        v = VectorFamily.constant(N[1]) if len(N) == 3 else Ju
+        slots = (u, v, v, u)
+    return expand_numerators(R, *slots, D)
 
 
 @dataclass(frozen=True)
@@ -484,20 +491,19 @@ class ProbeReport:
     threshold: float
 
 
-def _ladder(poly: TPolynomial, multiplicity: int, step: int, rungs: int):
-    """(a, b, num, den) for the rungs k = 1 .. rungs of a pinching family:
-    t = a / b with b = 2^k and a = b + step, and p(t) / sigma^m = num / den.
+def _ladder(numerators, D: int, multiplicity: int, step: int, rungs: int):
+    """(a, b, num, den) for the rungs k = 1 .. rungs of a pinching family
+    whose numerator p has the coefficients c_j = numerators[j] / D: t = a / b
+    with b = 2^k and a = b + step, and p(t) / sigma^m = num / den.
 
-    In integers: with the coefficients c_j = n_j / D over one D, and d the
-    degree of p,
+    In integers, with d the degree of p,
 
         p(t) / sigma^m = (sum_j n_j a^j b^(d-j)) b^(2m) / (D b^d (b^2 - a^2)^m),
 
     the sum by homogeneous Horner.  den > 0, and num / den is an int true
     division, which rounds correctly, so its float is float(p(t) / sigma^m)
-    bit for bit (a zero value too is +0.0).
+    bit for bit (a zero value too is +0.0), whatever D the numerators share.
     """
-    numerators, D = integerize(poly.coeffs)
     d = max(len(numerators) - 1, 0)
     for k in range(1, rungs + 1):
         b = 1 << k
@@ -521,9 +527,13 @@ def probe_unboundedness(R: CurvatureTensor, threshold: float = 1e6,
     bounded-so-far report with the maximum found.  Requires an indefinite
     space, since definite metrics admit no isotropic limit directions, and
     an exact rational tensor: every rung is evaluated exactly, and a float
-    tensor's cancellation noise near t = +-1 would read as a blow-up.  The
-    rungs t = 1 -+ 2^-k are computed in integers (`_ladder`); the `Fraction`
-    t and value are built only for a witness.
+    tensor's cancellation noise near t = +-1 would read as a blow-up.
+
+    The families stay in integers: each tuple is `integer_frame`'s (N, D),
+    its family numerator is Python-int coefficients over one denominator
+    from one integer contraction (`_family_for`), and `_ladder` computes the
+    rungs t = 1 -+ 2^-k from those.  `Fraction`s are built only for a
+    witness: its t and value, and its u and v from `frame_vectors`.
     """
     space = R.space
     if space.is_definite:
@@ -551,17 +561,17 @@ def probe_unboundedness(R: CurvatureTensor, threshold: float = 1e6,
         rng = random.Random(seed * 1_000_003 + p_idx)
         for kind in kinds:
             row = PROBE_KINDS[kind]
-            tup = tuple_from_rng(space, rng, row.pattern, antiholomorphic=True)
-            poly = _family_for(R, row, tup)
+            N, D = integer_frame(space, rng, row.pattern, antiholomorphic=True)
+            poly, poly_den = _family_for(R, row, N, D)
             step = 1 if row.above_one else -1
-            for a, b, num, den in _ladder(poly, row.multiplicity, step, rungs):
+            for a, b, num, den in _ladder(poly.coeffs, poly_den, row.multiplicity, step, rungs):
                 evaluations += 1
                 fval = abs(num / den)
                 if fval > max_abs:
                     max_abs, max_kind = fval, kind
                 if fval > threshold:
                     t = Fraction(a, b)
-                    base, *partner, direction = tup
+                    base, *partner, direction = frame_vectors(N, D)
                     u = np.asarray(base) + t * np.asarray(direction)
                     v = partner[0] if partner else space.apply_J(u)
                     witness = BoundWitness(kind, u, v, t, Fraction(num, den), threshold)

@@ -13,6 +13,15 @@ E(sigma) + t*O(sigma); p / sigma^j takes the values E_j +- O_j at t = +-1
 once E and O start at sigma^j.  Those pairs, round by round, are what
 `bound_forced_identities` returns.  The rule is exact on exact coefficients;
 pinching families are only bounded and probed on exact tensors.
+
+Families through an integer frame (N, D) from `spaces.integer_frame` stay in
+integers: `expand_numerators` contracts the Python-int rows N and their
+J-images directly and returns the coefficient numerators over one
+denominator, and `bound_forced_identities`, linear in the coefficients,
+runs on those numerators.  The CLI's `expand` goes through
+`holomorphic_frame_expansion` and `complexified_frame_expansion`, the
+probe's families through `expand_numerators` itself; a `Fraction` is built
+only for a report.
 """
 
 from __future__ import annotations
@@ -22,8 +31,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .scalars import ExactComplex
-from .spaces import GeometryError, require_antiholomorphic_pair
-from .tensors import CurvatureTensor, complex_terms, polarized_coefficients
+from .spaces import GeometryError, require_antiholomorphic_frame, require_antiholomorphic_pair
+from .tensors import (CurvatureTensor, complex_terms, polarized_coefficients,
+                      polarized_numerators)
 
 
 @dataclass(frozen=True)
@@ -122,6 +132,19 @@ def expand(R: CurvatureTensor, f1: VectorFamily, f2: VectorFamily,
     return TPolynomial.of(coeffs)
 
 
+def expand_numerators(R: CurvatureTensor, f1: VectorFamily, f2: VectorFamily,
+                      f3: VectorFamily, f4: VectorFamily, d: int) -> tuple[TPolynomial, int]:
+    """(p, D): the real part of `expand`'s polynomial is p / D, for an exact
+    rational R and families whose rows are Python-int numerators over one d.
+    p has Python-int coefficients from one stacked integer contraction
+    (`polarized_numerators`), and no `Fraction` is built.  Their common
+    factor with D is divided out, which keeps the probe ladder's integers
+    short."""
+    coeffs, D = polarized_numerators(R, [f.terms() for f in (f1, f2, f3, f4)], d)
+    g = math.gcd(D, *(re for re, _ in coeffs))
+    return TPolynomial.of([re // g for re, _ in coeffs]), D // g
+
+
 def holomorphic_family_expansion(R: CurvatureTensor, x, a) -> TPolynomial:
     """Numerator of H along x + t*a for an orthonormal (+,-) pair {x,a}.
 
@@ -152,6 +175,29 @@ def complexified_family_expansion(R: CurvatureTensor, x, y) -> TPolynomial:
     fx = VectorFamily.imaginary(x, y)
     fJ = VectorFamily.imaginary(J(x), J(y))
     return expand(R, fx, fJ, fJ, fx).real_part()
+
+
+def holomorphic_frame_expansion(R: CurvatureTensor, N, D: int) -> tuple[TPolynomial, int]:
+    """`holomorphic_family_expansion` on the pair N[0] / D, N[1] / D of an
+    integer frame from `integer_frame` (so J is the canonical integer
+    matrix), as `expand_numerators`' (p, D_p) on an exact rational R."""
+    require_antiholomorphic_frame(R.space, N, D, "holomorphic family expansion",
+                                  signs=(1, -1))
+    (x, a), (Jx, Ja) = N, N.dot(R.space.J.T)
+    fx, fJ = VectorFamily.affine(x, a), VectorFamily.affine(Jx, Ja)
+    return expand_numerators(R, fx, fJ, fJ, fx, D)
+
+
+def complexified_frame_expansion(R: CurvatureTensor, N, D: int) -> tuple[TPolynomial, int]:
+    """`complexified_family_expansion` on an integer frame, as
+    `holomorphic_frame_expansion` is `holomorphic_family_expansion`."""
+    if R.space.is_indefinite:
+        raise GeometryError("complexified family expansion is a definite-metric tool")
+    require_antiholomorphic_frame(R.space, N, D, "complexified family expansion",
+                                  signs=(1, 1))
+    (x, y), (Jx, Jy) = N, N.dot(R.space.J.T)
+    fx, fJ = VectorFamily.imaginary(x, y), VectorFamily.imaginary(Jx, Jy)
+    return expand_numerators(R, fx, fJ, fJ, fx, D)
 
 
 def bound_forced_identities(p: TPolynomial, multiplicity: int = 2) -> list:

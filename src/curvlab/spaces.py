@@ -367,15 +367,25 @@ def require_antiholomorphic_pair(space: PseudoHermitianSpace, x, w, what: str,
     of +-1 when `signs` is None.
 
     Rational vectors are checked in Python ints, on their numerators over
-    one common d: g(x, x) = sigma reads sum_i s_i a_i^2 = sigma d^2.
+    one common d (`require_antiholomorphic_frame`); float ones as they are.
     """
     space._check_vec(x)
     space._check_vec(w)
-    g, scale = space.inner, 1
     form = integerize(chain(x, w))
-    if form is not None:
-        x, w = np.array(form[0], dtype=object).reshape(2, space.n)
-        scale = form[1] ** 2
+    if form is None:
+        require_antiholomorphic_frame(space, (x, w), 1, what, signs)
+    else:
+        require_antiholomorphic_frame(space, np.array(form[0], dtype=object).reshape(2, space.n),
+                                      form[1], what, signs)
+
+
+def require_antiholomorphic_frame(space: PseudoHermitianSpace, N, D: int, what: str,
+                                  signs: Optional[tuple] = None) -> None:
+    """`require_antiholomorphic_pair` on the pair N[0] / D, N[1] / D of an
+    integer frame, checked on the numerators: g(x, x) = sigma reads
+    sum_i s_i a_i^2 = sigma D^2."""
+    g, scale = space.inner, D * D
+    x, w = N[0], N[1]
     gxx, gww = g(x, x), g(w, w)
     if signs is None:
         conditions = [("g(x,x)^2=1", gxx * gxx - scale * scale),
@@ -385,7 +395,7 @@ def require_antiholomorphic_pair(space: PseudoHermitianSpace, x, w, what: str,
                       (f"g(w,w)={signs[1]}", gww - signs[1] * scale)]
     conditions += [("g(x,w)=0", g(x, w)), ("g(x,Jw)=0", g(x, space.apply_J(w)))]
     for name, val in conditions:
-        # on the numerators a float J's residue is measured against d^2
+        # on the numerators a float J's residue is measured against D^2
         if not is_zero(val, FLOAT_IDENTITY_TOL, scale):
             raise GeometryError(f"{what} needs an orthonormal antiholomorphic pair: {name} fails")
 
@@ -449,8 +459,9 @@ def make_space(m: int, s: int, J=None) -> PseudoHermitianSpace:
 # together, else one row): a step brings its groups to the lcm of theirs and
 # multiplies that by d, and the rows meet over one lcm D at the end.  That
 # integer form (`isometry_columns`, `integer_frame`) is what the classifiers
-# probe on; `light_isometry` and `tuple_from_rng` build one reduced Fraction
-# per entry from it.  For antiholomorphic tuples the rotations act per
+# probe on and what the pinching families of `probe` and `expand` are
+# expanded on; `light_isometry` and `tuple_from_rng` build one reduced
+# Fraction per entry from it, and `frame_vectors` does so for a report.  For antiholomorphic tuples the rotations act per
 # J-block (complex phases and block mixes), which makes the isometry commute
 # with J and preserves the J-orthogonality of the block-representative seeds.
 
@@ -597,7 +608,9 @@ def integer_frame(space: PseudoHermitianSpace, rng: random.Random, pattern,
 
 
 def frame_vectors(N: np.ndarray, D: int) -> list[np.ndarray]:
-    """The vectors N[t] / D of an integer frame, as frozen arrays of reduced Fractions."""
+    """The vectors N[t] / D of an integer frame, as frozen arrays of reduced
+    Fractions: the public view (`tuple_from_rng`), and what a report prints
+    of a frame the computation kept in integers."""
     return [_freeze(np.array([Fraction(x, D) for x in row], dtype=object)) for row in N]
 
 

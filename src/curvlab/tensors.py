@@ -36,7 +36,10 @@ the P = n(n-1)/2 indices (i < j) and S[(i<j), (k<l)] = N_ijkl, the P x P
 matrix of numerators, cached beside the integer form.  Rational vectors are
 integerized the same way (`scalars.integerize`), their wedges are integer
 rows, and a value is P^2 integer multiply-adds instead of n^4 (225 against
-1296 at m = 3), reduced to one `Fraction` at the end.  `sectional` reads its
+1296 at m = 3), reduced to one `Fraction` at the end.  Rows that already
+are integers over a known denominator, the integer frames of the pinching
+families (`polarized_numerators`), enter that branch directly
+(`_contract_numerators`) and come out as integers.  `sectional` reads its
 denominator off the same wedge: pi1(u, v, v, u) = sum_P s_i s_j (u^v)_P^2.
 Float tensors, and exact tensors on float vectors, keep the four-step dense
 contraction (U, Z, Y, X), so float values are unchanged bit for bit.
@@ -217,9 +220,8 @@ class CurvatureTensor:
         """(values, D): R on every choice of one row from each of the four
         stacks, as a (k1, k2, k3, k4) array.
 
-        On the bivector form when the tensor and every row are rational: the
-        values are the integer numerators (X^Y) S (Z^U)^T over D, one matrix
-        product on the stacked wedges of each slot pair.  Otherwise they are
+        When the tensor and every row are rational, each stack is integerized
+        and the values are `_contract_numerators` over D.  Otherwise they are
         the dense contraction in the tensor's own dtype (float64 stays
         float64) and D is None: U contracts first, on the last axis, then Z,
         Y and X, so one-row stacks repeat the single-vector contraction bit
@@ -231,14 +233,9 @@ class CurvatureTensor:
         forms = ([integerize(x for v in S for x in v) for S in stacks]
                  if self.integer_form else [None])
         if None not in forms:
-            X, Y, Z, U = (np.array(N, dtype=object).reshape(len(S), n)
-                          for (N, _), S in zip(forms, stacks))
-            P = len(self.bivector_form)
-            left = _wedge(X[:, None], Y[None]).reshape(-1, P)
-            right = _wedge(Z[:, None], U[None]).reshape(-1, P)
-            values = left.dot(self.bivector_form).dot(right.T)
-            den = self.integer_form[1] * math.prod(d for _, d in forms)
-            return values.reshape([len(S) for S in stacks]), den
+            return self._contract_numerators(
+                [np.array(N, dtype=object).reshape(len(S), n) for (N, _), S in zip(forms, stacks)],
+                math.prod(d for _, d in forms))
         out = self.components
         rows = [np.asarray(S, dtype=out.dtype) for S in stacks]
         k = 1
@@ -248,6 +245,19 @@ class CurvatureTensor:
             k = len(S)
         k1, k2, k3, k4 = map(len, rows)
         return out.reshape(k2, k3, k4, k1).transpose(3, 0, 1, 2), None
+
+    def _contract_numerators(self, stacks, den: int) -> tuple[np.ndarray, int]:
+        """(values, D) for four stacks of Python-int rows whose values are
+        over `den` (the product of the stacks' denominators), on an exact
+        rational tensor: the integer numerators (X^Y) S (Z^U)^T, one matrix
+        product on the stacked wedges of each slot pair, over D = D_R den.
+        Integer frames (`spaces.integer_frame`) come here directly."""
+        X, Y, Z, U = (np.asarray(S, dtype=object) for S in stacks)
+        P = len(self.bivector_form)
+        left = _wedge(X[:, None], Y[None]).reshape(-1, P)
+        right = _wedge(Z[:, None], U[None]).reshape(-1, P)
+        values = left.dot(self.bivector_form).dot(right.T)
+        return values.reshape([len(S) for S in stacks]), self.integer_form[1] * den
 
     def contract(self, S1, S2, S3, S4) -> np.ndarray:
         """The (k1, k2, k3, k4) array of R(S1[a], S2[b], S3[c], S4[d]) for
@@ -306,14 +316,30 @@ def polarized_coefficients(R: CurvatureTensor, slots) -> list:
     the common denominator once at the end; anything else gives `complex`.
     """
     values, den = R._contract([[row for row, _, _ in terms] for terms in slots])
+    coeffs = _by_degree(slots, values)
+    if den is None:
+        return [complex(float(re), float(im)) for re, im in coeffs]
+    return [ExactComplex(Fraction(re, den), Fraction(im, den)) for re, im in coeffs]
+
+
+def polarized_numerators(R: CurvatureTensor, slots, d: int) -> tuple[list, int]:
+    """(coeffs, D): `polarized_coefficients` as integer [re, im] pairs over
+    one D, for an exact rational R and slots whose rows are Python-int
+    numerators over d.  No row is integerized and no `Fraction` is built."""
+    values, den = R._contract_numerators([[row for row, _, _ in terms] for terms in slots],
+                                         d ** 4)
+    return _by_degree(slots, values), den
+
+
+def _by_degree(slots, values) -> list:
+    """[re, im] sums of the contracted values by total t-degree, each signed
+    and placed by its total power of i."""
     coeffs = [[0, 0] for _ in range(1 + sum(max(d for _, d, _ in terms) for terms in slots))]
     for picks, value in zip(product(*slots), values.flat):
         power = sum(p for _, _, p in picks) % 4
         acc = coeffs[sum(d for _, d, _ in picks)]
         acc[power % 2] += value if power < 2 else -value
-    if den is None:
-        return [complex(float(re), float(im)) for re, im in coeffs]
-    return [ExactComplex(Fraction(re, den), Fraction(im, den)) for re, im in coeffs]
+    return coeffs
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,28 @@ class TestCommandBehavior:
             assert f"bound.{label} = 0\n" in out
         assert "bound.compatible = true\n" in out
 
+    @pytest.mark.parametrize("document,family,message", [
+        # the frame is drawn before the expansion checks the space
+        ("random_2_1.tensor", "complexified", "error: antiholomorphic pattern (1, 1) needs 2 "
+         "positive and 0 negative J-blocks; space has 1 and 1\n"),
+        ("random_3_1.tensor", "complexified",
+         "error: complexified family expansion is a definite-metric tool\n"),
+        ("random_3_0.tensor", "holomorphic", "error: antiholomorphic pattern (1, -1) needs 1 "
+         "positive and 1 negative J-blocks; space has 3 and 0\n"),
+    ])
+    def test_expand_errors_keep_their_order(self, capsys, document, family, message):
+        code, out = run_cli(["expand", "-i", str(GOLDEN / document), "--family", family])
+        assert (code, out, capsys.readouterr().err) == (2, "", message)
+
+    def test_expand_with_custom_J_is_refused(self, tmp_path, capsys):
+        space = make_space(2, 1, J=-canonical_complex_structure(2))
+        doc = tmp_path / "flipped.tensor"
+        doc.write_text(serialize_document(document_from_tensor(
+            model_constant_sectional(space, 1), name="flipped")), encoding="ascii")
+        code, _ = run_cli(["expand", "-i", str(doc), "--family", "holomorphic"])
+        assert (code, capsys.readouterr().err) == (
+            2, "error: antiholomorphic tuples require the canonical J\n")
+
     def test_probe_bounded_report(self):
         code, out = run_cli(["probe", "-i", str(GOLDEN / "constant_2_1.tensor")])
         assert code == 0

@@ -13,6 +13,7 @@ from curvlab.harness import (HypothesisError, THEOREM_IDS, _ladder, impose,
 from curvlab.polarization import TPolynomial
 from curvlab.constancy import ConstancyVerdict, constant_holomorphic
 from curvlab.io_format import build_tensor, parse_document
+from curvlab.scalars import integerize
 from curvlab.spaces import GeometryError, gram_schmidt_tuple, make_space
 from curvlab.tensors import failing_symmetries
 
@@ -167,11 +168,16 @@ class TestProbeUnboundedness:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4)),
                     max_size=5),
-           st.sampled_from([1, 2]), st.sampled_from([1, -1]), st.integers(1, 60))
-    def test_integer_rungs_are_the_fraction_rungs(self, coeffs, multiplicity, step, rungs):
-        # degree up to 4; the zero polynomial included
+           st.sampled_from([1, 2]), st.sampled_from([1, -1]), st.integers(1, 60),
+           st.integers(1, 10 ** 6))
+    def test_integer_rungs_are_the_fraction_rungs(self, coeffs, multiplicity, step, rungs,
+                                                  extra):
+        # degree up to 4; the zero polynomial included; the numerators over
+        # any common denominator, not only the least one
         poly = TPolynomial.of(coeffs)
-        ladder = list(_ladder(poly, multiplicity, step, rungs))
+        numerators, D = integerize(poly.coeffs)
+        ladder = list(_ladder([n * extra for n in numerators], D * extra,
+                              multiplicity, step, rungs))
         assert len(ladder) == rungs
         for k, (a, b, num, den) in enumerate(ladder, start=1):
             t = 1 + Fraction(step, 2 ** k)

@@ -321,6 +321,33 @@ class TestModels:
         R = model_complex_space_form(make_space(m, s), 2)
         assert not failing_symmetries(R.components, bianchi=True)
 
+    @pytest.mark.parametrize("m,s", [(m, s) for m in range(1, 5) for s in range(m + 1)])
+    @pytest.mark.parametrize("c", [2, Fraction(-3, 5)])
+    def test_space_form_is_the_fraction_construction(self, m, s, c):
+        # the construction it replaced: n^4 Fractions, integerized on validation
+        from curvlab.spaces import make_space
+        from curvlab.tensors import CurvatureTensor
+        space = make_space(m, s)
+        JG = space.J.T * np.array(space.metric_signs)
+        i, j, k, l = np.ix_(*(range(space.n),) * 4)
+        C = Fraction(c) / 4 * (pi1_components(space) + JG[i, l] * JG[j, k]
+                               - JG[i, k] * JG[j, l] - 2 * JG[i, j] * JG[k, l])
+        reference = CurvatureTensor(space, C, bianchi=True)
+        R = model_complex_space_form(space, c)
+        assert R.bianchi and R.components.dtype == object
+        assert all(type(x) is Fraction for x in R.components.flat)
+        assert (R.components == reference.components).all()
+        (N, D), (N0, D0) = R.integer_form, reference.integer_form
+        assert D == D0 and (N == N0).all()
+        assert all(type(x) is int for x in N.flat)
+
+    def test_space_form_with_a_rational_J(self):
+        from curvlab.spaces import canonical_complex_structure, make_space
+        flipped = make_space(3, 1, J=-canonical_complex_structure(3))
+        # J enters the model twice in every term, so its sign cancels
+        assert (model_complex_space_form(flipped, 2).components
+                == model_complex_space_form(make_space(3, 1), 2).components).all()
+
     def test_random_tensor_deterministic(self, sp21):
         R1 = random_tensor(sp21, 42)
         R2 = random_tensor(sp21, 42)

@@ -26,6 +26,8 @@ TENSORS = {
                           "--s", "1", "--seed", "11"],
     "random_3_0.tensor": ["generate", "--model", "random", "--m", "3",
                           "--s", "0", "--seed", "13"],
+    "spaceform_3_1.tensor": ["generate", "--model", "space-form", "--c", "2",
+                             "--m", "3", "--s", "1"],
 }
 
 REPORTS = {
@@ -48,6 +50,7 @@ REPORTS = {
                                           "--family", "holomorphic", "--seed", "5"],
     "probe_constant.out": ["probe", "-i", "golden/constant_2_1.tensor"],
     "probe_random.out": ["probe", "-i", "golden/random_2_1.tensor"],
+    "probe_spaceform_3_1.out": ["probe", "-i", "golden/spaceform_3_1.tensor"],
     "verify_lemma1.out": ["verify", "--theorem", "lemma1", "--m", "2", "--s", "1",
                           "--trials", "3", "--seed", "7"],
     "verify_thm5.out": ["verify", "--theorem", "thm5", "--m", "2", "--s", "0",
