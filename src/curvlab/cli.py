@@ -24,17 +24,16 @@ from .harness import (HypothesisError, THEOREM_IDS, model_complex_space_form,
                       random_tensor, verify)
 from .io_format import (ParseError, build_tensor, document_from_tensor,
                         parse_rational, read_document, serialize_document)
-from .polarization import (bound_forced_identities, complexified_frame_expansion,
-                           holomorphic_frame_expansion)
+from .polarization import (FAMILIES, bound_forced_identities, complexified_family_expansion,
+                           holomorphic_family_expansion)
 from .scalars import format_scalar
 from .spaces import GeometryError, frame_vectors, integer_frame, make_space
 from .tensors import failing_symmetries
 
 REPORT_HEADER = "curvlab-report/1"
 
-# the sign pattern of each family's drawn pair, and its integer-frame expansion
-_EXPANSIONS = {"holomorphic": ((1, -1), holomorphic_frame_expansion),
-               "complexified": ((1, 1), complexified_frame_expansion)}
+_EXPANSIONS = {"holomorphic": holomorphic_family_expansion,
+               "complexified": complexified_family_expansion}
 
 _EXPANSION_MEANING = {
     "holomorphic": (
@@ -151,10 +150,10 @@ def _cmd_classify(args) -> int:
 def _cmd_expand(args) -> int:
     doc = read_document(args.input)
     R = build_tensor(doc)
-    pattern, expansion = _EXPANSIONS[args.family]
-    N, D = integer_frame(R.space, random.Random(args.seed), pattern, antiholomorphic=True)
-    poly, den = expansion(R, N, D)
+    N, D = integer_frame(R.space, random.Random(args.seed), FAMILIES[args.family].pattern,
+                         antiholomorphic=True)
     x, w = frame_vectors(N, D)
+    poly = _EXPANSIONS[args.family](R, x, w)
     envelope = 2
     lines = [f"family = {args.family}",
              f"seed = {args.seed}",
@@ -162,13 +161,12 @@ def _cmd_expand(args) -> int:
              f"pair.second = {_fmt_vec(w)}"]
     coeffs = list(poly.coeffs) + [0] * (5 - len(poly.coeffs))
     for k in range(5):
-        lines.append(f"coeff.t{k} = {format_scalar(Fraction(coeffs[k], den))}")
+        lines.append(f"coeff.t{k} = {format_scalar(Fraction(coeffs[k]))}")
         lines.append(f"coeff.t{k}.meaning = {_EXPANSION_MEANING[args.family][k]}")
-    # the bound's values are linear in the coefficients: numerators over den
     constraints = bound_forced_identities(poly, multiplicity=envelope)
     labels = ["round1.t=+1", "round1.t=-1", "round2.t=+1", "round2.t=-1"]
     for label, value in zip(labels, constraints):
-        lines.append(f"bound.{label} = {format_scalar(Fraction(value, den))}")
+        lines.append(f"bound.{label} = {format_scalar(Fraction(value))}")
     forced = len(constraints) == 2 * envelope and all(v == 0 for v in constraints)
     lines.append(f"bound.compatible = {'true' if forced else 'false'}")
     _report("expand", doc, lines)

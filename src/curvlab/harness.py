@@ -22,28 +22,30 @@ its orbit representatives and a configuration sampler.  Constraint rows are
 the identities written as functionals on the pair-symmetric basis (products
 of 2-form components); `condition_holds` rechecks the same identities with
 `R.eval` on independent isometry-built unit configurations.  `PROBE_KINDS`
-describes each pinching family once: the sign pattern of its drawn tuple,
-its multiplicity and ladder side, its curvature expression, and its bounded
-values on the two models.  `_THEOREMS` maps each catalog id to its
+describes each probe kind once: its pinching family (a row of
+`polarization.FAMILIES`, which holds each family's frame signs and slots),
+the sign its frame is drawn with, its multiplicity and ladder side, and its
+bounded values on the two models.  `_THEOREMS` maps each catalog id to its
 requirements and a runner: imposed-hypothesis classification, the
 unboundedness dichotomy (on one probe family, or for remark1 on each
 antiholomorphic kind in turn, with the models and trial tensors built
-once), or the definite-case bound check, each parametrized by a row of
-data.  A runner is a generator of (item, evidence) pairs, one per check in
-report order: evidence is None for a passing check, and otherwise the
-failing tensor with what it failed on, (R, verdict), (R, probe report) or
-(model, expansion).  `verify` collects the items and keeps the first
-evidence as the report's payload.  Each space requirement is a named
+once), or the definite-case bound check on one family, each parametrized
+by a row of data.  A runner is a generator of (item, evidence) pairs, one
+per check in report order: evidence is None for a passing check, and
+otherwise the failing tensor with what it failed on, (R, verdict), (R,
+probe report) or (model, expansion).  `verify` collects the items and keeps
+the first evidence as the report's payload.  Each space requirement is a named
 `_Need` written once and shared by every entry that has it; which sign
 patterns exist on a space is decided by `spaces.realizable` alone.
 
 Pinching families are evaluated exactly: each is drawn as an integer frame,
-its numerator polynomial comes from one integer expansion as Python-int
-coefficients over one denominator, and each ladder rung t = 1 -+ 2^-k is
-the exact value p(t) / sigma^multiplicity, sigma = 1 - t^2, as a quotient
-of two integers.  Bounded families report their true maximum, and a blow-up is
-never cancellation noise.  Probing therefore takes exact rational tensors
-only.
+and its numerator polynomial comes from one integer expansion
+(`polarization.family_numerators`) as Python-int coefficients over one
+denominator; the definite-case bounds (thm5, thm7) are tested on those.
+Each ladder rung t = 1 -+ 2^-k is the exact value p(t) / sigma^multiplicity,
+sigma = 1 - t^2, as a quotient of two integers.  Bounded families report
+their true maximum, and a blow-up is never cancellation noise.  Probing
+therefore takes exact rational tensors only.
 """
 
 from __future__ import annotations
@@ -62,14 +64,14 @@ from .constancy import (constant_antiholomorphic, constant_biholomorphic,
                         constant_holomorphic, normalized_biholomorphic)
 from .closure import close
 from .linsolve import integer_row
-from .polarization import (TPolynomial, VectorFamily, bound_forced_identities,
-                           complexified_family_expansion, expand, expand_numerators)
+from .polarization import FAMILIES, TPolynomial, bound_forced_identities, family_numerators
 from .scalars import (FLOAT_IDENTITY_TOL, FLOAT_REVERIFY_TOL, RAND_DENOMINATOR,
                       below, format_scalar, integerize, is_zero, rand_numerator,
                       rand_rational, two_below)
 from .spaces import (GeometryError, PseudoHermitianSpace, frame_vectors, integer_frame,
-                     light_isometry, random_isometry, realizable, seed_columns,
-                     tuple_from_rng, unitary_generators)
+                     light_isometry, random_isometry, realizable,
+                     require_antiholomorphic_frame, seed_columns, tuple_from_rng,
+                     unitary_generators)
 from .tensors import (CurvatureTensor, _component_lift, _from_numerators, _orbit_pairs,
                       _wedge, from_dense, from_integer_form, pi1_components, sectional)
 
@@ -417,29 +419,29 @@ def impose(space: PseudoHermitianSpace, condition_id: str, seed: int = 0) -> Con
 
 @dataclass(frozen=True)
 class _Kind:
-    """One pinching family, approaching isotropic planes of one signature.
+    """A pinching family of `FAMILIES` on its frame signs times `sign`,
+    pushed toward isotropic planes span{u, v}: u = base + t*direction and
+    v = Ju or the partner of a frame (base, [partner,] direction).  Its
+    numerator is over sigma^multiplicity, sigma = 1 - t^2."""
 
-    The drawn orthonormal antiholomorphic tuple is (base, direction) or
-    (base, partner, direction); the family's planes are span{u, v} with
-    u = base + t*direction and v = Ju or the partner.  Its numerator is
-    R(u,v,v,u), or R(u,Ju,Jv,v) when biholomorphic, over
-    sigma^multiplicity, sigma = 1 - t^2.
-    """
-
-    pattern: tuple             # signs of the drawn tuple
+    family: str
     multiplicity: int
     above_one: bool            # ladder approaches t = 1 from above
-    biholomorphic: bool
     model_values: tuple        # bounded maxima on the c=3 constant-curvature
                                # model and the c=2 holomorphic model
+    sign: int = 1
+
+    @cached_property
+    def pattern(self) -> tuple:
+        return tuple(self.sign * p for p in FAMILIES[self.family].pattern)
 
 
 PROBE_KINDS = {
-    "holomorphic": _Kind((1, -1), 2, False, False, (3.0, 2.0)),
-    "antiholomorphic:(+,+)": _Kind((1, 1, -1), 1, False, False, (3.0, 0.5)),
-    "antiholomorphic:(+,-)": _Kind((1, 1, -1), 1, True, False, (3.0, 0.5)),
-    "antiholomorphic:(-,-)": _Kind((-1, -1, 1), 1, False, False, (3.0, 0.5)),
-    "biholomorphic": _Kind((1, 1, -1), 1, False, True, (0.0, 1.0)),
+    "holomorphic": _Kind("holomorphic", 2, False, (3.0, 2.0)),
+    "antiholomorphic:(+,+)": _Kind("antiholomorphic", 1, False, (3.0, 0.5)),
+    "antiholomorphic:(+,-)": _Kind("antiholomorphic", 1, True, (3.0, 0.5)),
+    "antiholomorphic:(-,-)": _Kind("antiholomorphic", 1, False, (3.0, 0.5), sign=-1),
+    "biholomorphic": _Kind("biholomorphic", 1, False, (0.0, 1.0)),
 }
 
 
@@ -447,20 +449,6 @@ def _kind_realizable(space, kind) -> bool:
     if kind not in PROBE_KINDS:
         raise GeometryError(f"unknown probe kind {kind!r}")
     return realizable(space, PROBE_KINDS[kind].pattern)
-
-
-def _family_for(R, row: _Kind, N, D: int) -> tuple[TPolynomial, int]:
-    """(p, D_p): the numerator of `row`'s family through the integer frame
-    (N, D) is p / D_p, from one integer contraction (`expand_numerators`)."""
-    JN = N.dot(R.space.J.T)                 # frames need the canonical J
-    # the rows are (base, direction) or (base, partner, direction)
-    u, Ju = (VectorFamily.affine(M[0], M[-1]) for M in (N, JN))
-    if row.biholomorphic:
-        slots = (u, Ju, VectorFamily.constant(JN[1]), VectorFamily.constant(N[1]))
-    else:
-        v = VectorFamily.constant(N[1]) if len(N) == 3 else Ju
-        slots = (u, v, v, u)
-    return expand_numerators(R, *slots, D)
 
 
 @dataclass(frozen=True)
@@ -476,7 +464,7 @@ class BoundWitness:
 
     def reverify(self, R: CurvatureTensor):
         """Recompute the curvature at the stored plane by direct evaluation."""
-        if PROBE_KINDS[self.kind].biholomorphic:
+        if PROBE_KINDS[self.kind].family == "biholomorphic":
             return normalized_biholomorphic(R, self.u, self.v)
         return sectional(R, self.u, self.v)
 
@@ -528,12 +516,8 @@ def probe_unboundedness(R: CurvatureTensor, threshold: float = 1e6,
     space, since definite metrics admit no isotropic limit directions, and
     an exact rational tensor: every rung is evaluated exactly, and a float
     tensor's cancellation noise near t = +-1 would read as a blow-up.
-
-    The families stay in integers: each tuple is `integer_frame`'s (N, D),
-    its family numerator is Python-int coefficients over one denominator
-    from one integer contraction (`_family_for`), and `_ladder` computes the
-    rungs t = 1 -+ 2^-k from those.  `Fraction`s are built only for a
-    witness: its t and value, and its u and v from `frame_vectors`.
+    Frames, families and rungs stay in integers; `Fraction`s are built only
+    for a witness: its t and value, and its u and v from `frame_vectors`.
     """
     space = R.space
     if space.is_definite:
@@ -562,7 +546,7 @@ def probe_unboundedness(R: CurvatureTensor, threshold: float = 1e6,
         for kind in kinds:
             row = PROBE_KINDS[kind]
             N, D = integer_frame(space, rng, row.pattern, antiholomorphic=True)
-            poly, poly_den = _family_for(R, row, N, D)
+            poly, poly_den = family_numerators(R, row.family, N, D)
             step = 1 if row.above_one else -1
             for a, b, num, den in _ladder(poly.coeffs, poly_den, row.multiplicity, step, rungs):
                 evaluations += 1
@@ -662,20 +646,12 @@ def _run_dichotomy(names, classifier, label, space, trials, seed, threshold, bud
             yield prefix + item, None if ok else (R, rep)
 
 
-def _antiholomorphic_even_expansion(R, x, y, z):
-    """Real part of the complexified K numerator along y + i t z (unit x)."""
-    p = expand(R, VectorFamily.constant(x), VectorFamily.imaginary(y, z),
-               VectorFamily.imaginary(y, z), VectorFamily.constant(x))
-    return p.real_part()
-
-
 @dataclass(frozen=True)
 class _DefiniteBound:
-    """A definite-case bound: the pinching expansion it constrains, the exact
+    """A definite-case bound: the pinching family it constrains, the exact
     expansion of the c-model, and the report wording."""
 
-    pattern: tuple             # signs of the orthonormal antiholomorphic probe tuple
-    expansion: Callable        # (R, *tuple) -> TPolynomial
+    family: str                # a row of `FAMILIES`
     multiplicity: int          # the bound is |p(t)| <= c (1 - t^2)^multiplicity
     model_coeffs: Callable     # c -> coefficients of the model's expansion
     model_label: str           # formatted with c
@@ -687,27 +663,34 @@ class _DefiniteBound:
 
 
 _DEFINITE_HOLOMORPHIC = _DefiniteBound(
-    (1, 1), complexified_family_expansion, 2, lambda c: (c, 0, -2 * c, 0, c),
+    "complexified", 2, lambda c: (c, 0, -2 * c, 0, c),
     "expansion equals c*(1-t^2)^2 with c = {c}", constant_holomorphic,
     "H", "pairs", 3, 1000)
 
 _DEFINITE_ANTIHOLOMORPHIC = _DefiniteBound(
-    (1, 1, 1), _antiholomorphic_even_expansion, 1, lambda c: (c / 4, 0, -c / 4),
+    "complexified-antiholomorphic", 1, lambda c: (c / 4, 0, -c / 4),
     "K family reduces to (c/4)*(1-t^2)", constant_antiholomorphic,
     "K", "triples", 5, 2000)
 
 
 def _run_definite_bound(row, space, trials, seed, threshold, budget):
+    """The c-model meets the bound; a nonconstant trial breaks it on some of
+    its 20 frames, checked on the integer numerators (the bound is linear)."""
+    pattern = FAMILIES[row.family].pattern
+
     def probe_expansion(R, rng):
-        return row.expansion(R, *tuple_from_rng(space, rng, row.pattern,
-                                                antiholomorphic=True))
+        N, D = integer_frame(space, rng, pattern, antiholomorphic=True)
+        require_antiholomorphic_frame(space, N, D, f"{row.family} family expansion",
+                                      signs=pattern[:2])
+        return family_numerators(R, row.family, N, D)
 
     def bound_compatible(p):
         return all(v == 0 for v in bound_forced_identities(p, multiplicity=row.multiplicity))
 
     c = Fraction(4)
     model = model_complex_space_form(space, c)
-    p = probe_expansion(model, random.Random(seed * 1_000_003 + row.model_offset))
+    p, D = probe_expansion(model, random.Random(seed * 1_000_003 + row.model_offset))
+    p = TPolynomial.of([Fraction(x, D) for x in p.coeffs])
     ok = p == TPolynomial.of(row.model_coeffs(c)) and bound_compatible(p)
     yield (f"model: {row.model_label.format(c=format_scalar(c))}: {ok}",
            None if ok else (model, p))
@@ -715,7 +698,7 @@ def _run_definite_bound(row, space, trials, seed, threshold, budget):
         R = random_tensor(space, seed * 1_000_003 + i, bianchi=True)
         verdict = row.classifier(R)
         rng = random.Random(seed * 1_000_003 + row.trial_offset + i)
-        violations = sum(not bound_compatible(probe_expansion(R, rng)) for _ in range(20))
+        violations = sum(not bound_compatible(probe_expansion(R, rng)[0]) for _ in range(20))
         if verdict.is_constant:
             ok = violations == 0
             item = (f"trial {i}: {row.curvature} constant; "

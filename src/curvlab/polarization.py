@@ -14,26 +14,25 @@ once E and O start at sigma^j.  Those pairs, round by round, are what
 `bound_forced_identities` returns.  The rule is exact on exact coefficients;
 pinching families are only bounded and probed on exact tensors.
 
-Families through an integer frame (N, D) from `spaces.integer_frame` stay in
-integers: `expand_numerators` contracts the Python-int rows N and their
-J-images directly and returns the coefficient numerators over one
-denominator, and `bound_forced_identities`, linear in the coefficients,
-runs on those numerators.  The CLI's `expand` goes through
-`holomorphic_frame_expansion` and `complexified_frame_expansion`, the
-probe's families through `expand_numerators` itself; a `Fraction` is built
-only for a report.
+Each pinching family is one row of `FAMILIES`: its frame signs and its
+four slots.  `family_numerators` expands a row through an integer frame
+(N, D) from `spaces.integer_frame` in integers, as coefficient numerators
+over one denominator, on which `bound_forced_identities` (linear) runs.
+`probe`, the CLI's `expand` and the definite-case bounds all go through it;
+`holomorphic_family_expansion` and `complexified_family_expansion` are its
+exact adapters for a rational pair.  `expand` also serves float and
+complex families.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from fractions import Fraction
+from typing import Callable, Sequence
 
-from .scalars import ExactComplex
-from .spaces import GeometryError, require_antiholomorphic_frame, require_antiholomorphic_pair
-from .tensors import (CurvatureTensor, complex_terms, polarized_coefficients,
-                      polarized_numerators)
+from .spaces import GeometryError, require_antiholomorphic_pair
+from .tensors import CurvatureTensor, _by_degree, complex_terms, polarized_coefficients
 
 
 @dataclass(frozen=True)
@@ -61,12 +60,6 @@ class TPolynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def real_part(self) -> "TPolynomial":
-        out = []
-        for c in self.coeffs:
-            out.append(c.real if isinstance(c, (ExactComplex, complex)) else c)
-        return TPolynomial.of(out)
 
     def sigma_form(self) -> tuple["TPolynomial", "TPolynomial"]:
         """(E, O) with p(t) = E(sigma) + t * O(sigma), sigma = 1 - t^2.
@@ -132,17 +125,70 @@ def expand(R: CurvatureTensor, f1: VectorFamily, f2: VectorFamily,
     return TPolynomial.of(coeffs)
 
 
-def expand_numerators(R: CurvatureTensor, f1: VectorFamily, f2: VectorFamily,
-                      f3: VectorFamily, f4: VectorFamily, d: int) -> tuple[TPolynomial, int]:
-    """(p, D): the real part of `expand`'s polynomial is p / D, for an exact
-    rational R and families whose rows are Python-int numerators over one d.
-    p has Python-int coefficients from one stacked integer contraction
-    (`polarized_numerators`), and no `Fraction` is built.  Their common
-    factor with D is divided out, which keeps the probe ladder's integers
-    short."""
-    coeffs, D = polarized_numerators(R, [f.terms() for f in (f1, f2, f3, f4)], d)
+@dataclass(frozen=True)
+class PinchingFamily:
+    """A pinching family: the signs of its orthonormal antiholomorphic frame,
+    and its four slots of R from the frame rows N and their J-images NJ."""
+
+    pattern: tuple
+    slots: Callable            # (N, NJ) -> four VectorFamily slots
+
+
+def _uvvu(u, v) -> tuple:
+    return u, v, v, u
+
+
+FAMILIES = {
+    # R(u, Ju, Ju, u), u = x + t*a on a (+,-) frame (x, a): H's numerator
+    "holomorphic": PinchingFamily((1, -1), lambda N, NJ: _uvvu(
+        VectorFamily.affine(N[0], N[1]), VectorFamily.affine(NJ[0], NJ[1]))),
+    # the same with u = x + i*t*y on a (+,+) frame (x, y): H^C's numerator
+    "complexified": PinchingFamily((1, 1), lambda N, NJ: _uvvu(
+        VectorFamily.imaginary(N[0], N[1]), VectorFamily.imaginary(NJ[0], NJ[1]))),
+    # R(u, v, v, u), u = base + t*direction, on a frame (base, v, direction)
+    "antiholomorphic": PinchingFamily((1, 1, -1), lambda N, NJ: _uvvu(
+        VectorFamily.affine(N[0], N[2]), VectorFamily.constant(N[1]))),
+    # R(u, Ju, Jv, v) on the same frame
+    "biholomorphic": PinchingFamily((1, 1, -1), lambda N, NJ: (
+        VectorFamily.affine(N[0], N[2]), VectorFamily.affine(NJ[0], NJ[2]),
+        VectorFamily.constant(NJ[1]), VectorFamily.constant(N[1]))),
+    # R(x, w, w, x), w = y + i*t*z on a (+,+,+) frame (x, y, z): K^C's numerator
+    "complexified-antiholomorphic": PinchingFamily((1, 1, 1), lambda N, NJ: _uvvu(
+        VectorFamily.constant(N[0]), VectorFamily.imaginary(N[1], N[2]))),
+}
+
+
+def family_numerators(R: CurvatureTensor, family: str, N, D: int) -> tuple[TPolynomial, int]:
+    """(p, D_p): the real part of the numerator of `FAMILIES[family]`
+    through the integer frame N / D is p / D_p, for an exact rational R and
+    J.  One stacked integer contraction (`_contract_numerators`) of the
+    Python-int rows and their J-images (by `J_form`), summed by t-degree
+    like `polarized_coefficients`, with no `Fraction`; the coefficients'
+    common factor with D_p is divided out, which keeps the probe ladder's
+    integers short."""
+    J = R.space.J_form
+    if R.integer_form is None or J is None:
+        raise GeometryError(f"{family} family expansion needs an exact rational tensor and J")
+    JN, d = J
+    NJ = N.dot(JN.T)
+    if d != 1:                  # NJ is over D d: bring N there too
+        N, D = N * d, D * d
+    slots = [f.terms() for f in FAMILIES[family].slots(N, NJ)]
+    values, D = R._contract_numerators([[row for row, _, _ in t] for t in slots], D ** 4)
+    coeffs = _by_degree(slots, values)
     g = math.gcd(D, *(re for re, _ in coeffs))
     return TPolynomial.of([re // g for re, _ in coeffs]), D // g
+
+
+def _pair_expansion(R: CurvatureTensor, family: str, x, w) -> TPolynomial:
+    """`family_numerators` on the rational pair (x, w), integerized once by
+    its check, with `Fraction` coefficients."""
+    what = f"{family} family expansion"
+    frame = require_antiholomorphic_pair(R.space, x, w, what, signs=FAMILIES[family].pattern)
+    if frame is None:
+        raise GeometryError(f"{what} needs rational vectors")
+    p, D = family_numerators(R, family, *frame)
+    return TPolynomial.of([Fraction(c, D) for c in p.coeffs])
 
 
 def holomorphic_family_expansion(R: CurvatureTensor, x, a) -> TPolynomial:
@@ -152,13 +198,9 @@ def holomorphic_family_expansion(R: CurvatureTensor, x, a) -> TPolynomial:
     normalizers are 1 for unit vectors), the odd coefficients are twice the
     mixed combinations R(x,Jx,Jx,a) + R(x,Jx,Ja,x) and its {x,a}-swapped
     mirror, and the quadratic one collects the four mixed-plane terms.
+    Exact only: a float tensor or float vectors raise GeometryError.
     """
-    space = R.space
-    require_antiholomorphic_pair(space, x, a, "holomorphic family expansion", signs=(1, -1))
-    J = space.apply_J
-    fx = VectorFamily.affine(x, a)
-    fJ = VectorFamily.affine(J(x), J(a))
-    return expand(R, fx, fJ, fJ, fx)
+    return _pair_expansion(R, "holomorphic", x, a)
 
 
 def complexified_family_expansion(R: CurvatureTensor, x, y) -> TPolynomial:
@@ -166,38 +208,11 @@ def complexified_family_expansion(R: CurvatureTensor, x, y) -> TPolynomial:
 
     Requires an orthonormal antiholomorphic pair {x,y} of signature (+,+);
     odd coefficients vanish identically, so the result is even of degree 4.
+    Exact only, like `holomorphic_family_expansion`.
     """
-    space = R.space
-    if space.is_indefinite:
-        raise GeometryError("complexified family expansion is a definite-metric tool")
-    require_antiholomorphic_pair(space, x, y, "complexified family expansion", signs=(1, 1))
-    J = space.apply_J
-    fx = VectorFamily.imaginary(x, y)
-    fJ = VectorFamily.imaginary(J(x), J(y))
-    return expand(R, fx, fJ, fJ, fx).real_part()
-
-
-def holomorphic_frame_expansion(R: CurvatureTensor, N, D: int) -> tuple[TPolynomial, int]:
-    """`holomorphic_family_expansion` on the pair N[0] / D, N[1] / D of an
-    integer frame from `integer_frame` (so J is the canonical integer
-    matrix), as `expand_numerators`' (p, D_p) on an exact rational R."""
-    require_antiholomorphic_frame(R.space, N, D, "holomorphic family expansion",
-                                  signs=(1, -1))
-    (x, a), (Jx, Ja) = N, N.dot(R.space.J.T)
-    fx, fJ = VectorFamily.affine(x, a), VectorFamily.affine(Jx, Ja)
-    return expand_numerators(R, fx, fJ, fJ, fx, D)
-
-
-def complexified_frame_expansion(R: CurvatureTensor, N, D: int) -> tuple[TPolynomial, int]:
-    """`complexified_family_expansion` on an integer frame, as
-    `holomorphic_frame_expansion` is `holomorphic_family_expansion`."""
     if R.space.is_indefinite:
         raise GeometryError("complexified family expansion is a definite-metric tool")
-    require_antiholomorphic_frame(R.space, N, D, "complexified family expansion",
-                                  signs=(1, 1))
-    (x, y), (Jx, Jy) = N, N.dot(R.space.J.T)
-    fx, fJ = VectorFamily.imaginary(x, y), VectorFamily.imaginary(Jx, Jy)
-    return expand_numerators(R, fx, fJ, fJ, fx, D)
+    return _pair_expansion(R, "complexified", x, y)
 
 
 def bound_forced_identities(p: TPolynomial, multiplicity: int = 2) -> list:

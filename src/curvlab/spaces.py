@@ -112,6 +112,14 @@ class PseudoHermitianSpace:
     def has_canonical_J(self) -> bool:
         return bool((self.J == canonical_complex_structure(self.m)).all())
 
+    @cached_property
+    def J_form(self) -> Optional[tuple]:
+        """(JN, d): J = JN / d with Python ints JN; None for a float J."""
+        form = integerize(self.J.flat)
+        if form is None:
+            return None
+        return np.array(form[0], dtype=object).reshape(self.J.shape), form[1]
+
     def __post_init__(self):
         if self.m < 1:
             raise GeometryError("complex dimension m must be >= 1")
@@ -361,22 +369,24 @@ def classify_plane(space: PseudoHermitianSpace, u, v) -> PlaneClass:
 
 
 def require_antiholomorphic_pair(space: PseudoHermitianSpace, x, w, what: str,
-                                 signs: Optional[tuple] = None) -> None:
+                                 signs: Optional[tuple] = None) -> Optional[tuple]:
     """Raise GeometryError unless {x, w} is an orthonormal antiholomorphic pair:
     g(x,w) = g(x,Jw) = 0, and g(x,x), g(w,w) equal to `signs`, or to either
     of +-1 when `signs` is None.
 
     Rational vectors are checked in Python ints, on their numerators over
-    one common d (`require_antiholomorphic_frame`); float ones as they are.
+    one common d (`require_antiholomorphic_frame`), and that integer frame
+    (N, d) is returned; float ones are checked as they are, returning None.
     """
     space._check_vec(x)
     space._check_vec(w)
     form = integerize(chain(x, w))
     if form is None:
         require_antiholomorphic_frame(space, (x, w), 1, what, signs)
-    else:
-        require_antiholomorphic_frame(space, np.array(form[0], dtype=object).reshape(2, space.n),
-                                      form[1], what, signs)
+        return None
+    N = np.array(form[0], dtype=object).reshape(2, space.n)
+    require_antiholomorphic_frame(space, N, form[1], what, signs)
+    return N, form[1]
 
 
 def require_antiholomorphic_frame(space: PseudoHermitianSpace, N, D: int, what: str,
@@ -459,11 +469,12 @@ def make_space(m: int, s: int, J=None) -> PseudoHermitianSpace:
 # together, else one row): a step brings its groups to the lcm of theirs and
 # multiplies that by d, and the rows meet over one lcm D at the end.  That
 # integer form (`isometry_columns`, `integer_frame`) is what the classifiers
-# probe on and what the pinching families of `probe` and `expand` are
-# expanded on; `light_isometry` and `tuple_from_rng` build one reduced
-# Fraction per entry from it, and `frame_vectors` does so for a report.  For antiholomorphic tuples the rotations act per
-# J-block (complex phases and block mixes), which makes the isometry commute
-# with J and preserves the J-orthogonality of the block-representative seeds.
+# probe on and what every pinching family is expanded on
+# (`polarization.family_numerators`); `light_isometry` and `tuple_from_rng`
+# build one reduced Fraction per entry from it, and `frame_vectors` does so
+# for a report.  For antiholomorphic tuples the rotations act per J-block
+# (complex phases and block mixes), which makes the isometry commute with J
+# and preserves the J-orthogonality of the block-representative seeds.
 
 _CIRCLE_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29))
 _BOOST_TRIPLES = tuple((c, b, a) for a, b, c in

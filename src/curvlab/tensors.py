@@ -38,7 +38,7 @@ integerized the same way (`scalars.integerize`), their wedges are integer
 rows, and a value is P^2 integer multiply-adds instead of n^4 (225 against
 1296 at m = 3), reduced to one `Fraction` at the end.  Rows that already
 are integers over a known denominator, the integer frames of the pinching
-families (`polarized_numerators`), enter that branch directly
+families (`polarization.family_numerators`), enter that branch directly
 (`_contract_numerators`) and come out as integers.  `sectional` reads its
 denominator off the same wedge: pi1(u, v, v, u) = sum_P s_i s_j (u^v)_P^2.
 Float tensors, and exact tensors on float vectors, keep the four-step dense
@@ -320,15 +320,6 @@ def polarized_coefficients(R: CurvatureTensor, slots) -> list:
     if den is None:
         return [complex(float(re), float(im)) for re, im in coeffs]
     return [ExactComplex(Fraction(re, den), Fraction(im, den)) for re, im in coeffs]
-
-
-def polarized_numerators(R: CurvatureTensor, slots, d: int) -> tuple[list, int]:
-    """(coeffs, D): `polarized_coefficients` as integer [re, im] pairs over
-    one D, for an exact rational R and slots whose rows are Python-int
-    numerators over d.  No row is integerized and no `Fraction` is built."""
-    values, den = R._contract_numerators([[row for row, _, _ in terms] for terms in slots],
-                                         d ** 4)
-    return _by_degree(slots, values), den
 
 
 def _by_degree(slots, values) -> list:

@@ -252,6 +252,20 @@ class TestCommandBehavior:
         assert (code, capsys.readouterr().err) == (
             2, "error: antiholomorphic tuples require the canonical J\n")
 
+    @pytest.mark.parametrize("command", [["probe", "--pairs", "4"],
+                                         ["expand", "--family", "holomorphic"]])
+    def test_a_spelled_out_canonical_J_reads_as_canonical(self, tmp_path, command):
+        # a custom J block equal to the canonical J gives a J of Fractions
+        golden = GOLDEN / "random_2_1.tensor"
+        rows = "\n".join(f"J[{r}] = " + " ".join(map(str, row))
+                         for r, row in enumerate(canonical_complex_structure(2), start=1))
+        doc = tmp_path / "spelled.tensor"
+        doc.write_text(golden.read_text(encoding="ascii").replace(
+            "J = canonical", "J = custom\n" + rows), encoding="ascii")
+        name, *options = command
+        assert (run_cli([name, "-i", str(doc), *options])
+                == run_cli([name, "-i", str(golden), *options]))
+
     def test_probe_bounded_report(self):
         code, out = run_cli(["probe", "-i", str(GOLDEN / "constant_2_1.tensor")])
         assert code == 0

@@ -21,7 +21,7 @@ from curvlab import constancy
 from curvlab.constancy import constant_holomorphic
 from curvlab.harness import model_complex_space_form, model_constant_sectional, random_tensor
 from curvlab.scalars import below, bulk_below, rand_numerator, two_below
-from curvlab.spaces import canonical_complex_structure, light_isometry, make_space
+from curvlab.spaces import MAX_M, canonical_complex_structure, light_isometry, make_space
 from curvlab.tensors import CurvatureTensor
 
 seeds = st.integers(0, 2 ** 64)
@@ -39,12 +39,17 @@ def test_below_is_randrange_choice_and_randint(seed, k):
 
 
 @settings(max_examples=200, deadline=None)
-@given(seeds, st.integers(2, 12))
+@given(seeds, st.integers(2, 21))
 def test_two_below_is_sample(seed, k):
     ours, theirs = random.Random(seed), random.Random(seed)
     assert [two_below(ours, k) for _ in range(20)] == \
         [tuple(theirs.sample(range(k), 2)) for _ in range(20)]
     assert ours.getstate() == theirs.getstate()
+
+
+def test_two_below_covers_every_space():
+    # the isometries draw two of at most n = 2 m coordinates
+    assert 2 * MAX_M <= 21
 
 
 @settings(max_examples=50, deadline=None)

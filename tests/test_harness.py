@@ -315,6 +315,22 @@ class TestVerify:
         assert len(calls) == 2
         assert report.payload[0] is calls[0] and report.payload[1] is verdicts[0]
 
+    @pytest.mark.parametrize("theorem,row,sp,expected", [
+        ("thm5", "_DEFINITE_HOLOMORPHIC", (2, 0), (4, 0, -8, 0, 4)),
+        ("thm7", "_DEFINITE_ANTIHOLOMORPHIC", (3, 0), (1, 0, -1))])
+    def test_definite_bound_model_payload_is_the_fraction_expansion(
+            self, monkeypatch, theorem, row, sp, expected):
+        # a wrong model expectation: the payload is the model and its exact expansion
+        row = dataclasses.replace(getattr(harness, row), model_coeffs=lambda c: (c,))
+        monkeypatch.setitem(harness._THEOREMS, theorem, harness._Theorem(
+            harness._THEOREMS[theorem].needs, partial(harness._run_definite_bound, row)))
+        report = verify(theorem, make_space(*sp), trials=1, seed=3)
+        assert report.status == "fail" and report.items[0].endswith(": False")
+        model, p = report.payload
+        c4 = harness.model_complex_space_form(model.space, 4)
+        assert (model.components == c4.components).all()
+        assert p == TPolynomial.of(expected) and all(type(c) is Fraction for c in p.coeffs)
+
     def test_catalog_is_complete(self):
         assert set(THEOREM_IDS) == {"lemma1", "lemma2", "thmA", "thm1", "thm2",
                                     "thm3", "thm4", "thm5", "thm6", "thm7",

@@ -57,6 +57,10 @@ REPORTS = {
                         "--trials", "2", "--seed", "3"],
     "verify_thm7.out": ["verify", "--theorem", "thm7", "--m", "3", "--s", "0",
                         "--trials", "1", "--seed", "3"],
+    "verify_thm5_4_0.out": ["verify", "--theorem", "thm5", "--m", "4", "--s", "0",
+                            "--trials", "2", "--seed", "3"],
+    "verify_thm7_4_0.out": ["verify", "--theorem", "thm7", "--m", "4", "--s", "0",
+                            "--trials", "2", "--seed", "3"],
     "verify_remark1_3_1.out": ["verify", "--theorem", "remark1", "--m", "3",
                                "--s", "1", "--trials", "1", "--seed", "3"],
     "verify_remark1_3_2.out": ["verify", "--theorem", "remark1", "--m", "3",
