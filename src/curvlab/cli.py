@@ -24,16 +24,12 @@ from .harness import (HypothesisError, THEOREM_IDS, model_complex_space_form,
                       random_tensor, verify)
 from .io_format import (ParseError, build_tensor, document_from_tensor,
                         parse_rational, read_document, serialize_document)
-from .polarization import (FAMILIES, bound_forced_identities, complexified_family_expansion,
-                           holomorphic_family_expansion)
+from .polarization import (FAMILIES, bound_forced_identities, family_numerators,
+                           require_family_frame)
 from .scalars import format_scalar
 from .spaces import GeometryError, frame_vectors, integer_frame, make_space
-from .tensors import failing_symmetries
 
 REPORT_HEADER = "curvlab-report/1"
-
-_EXPANSIONS = {"holomorphic": holomorphic_family_expansion,
-               "complexified": complexified_family_expansion}
 
 _EXPANSION_MEANING = {
     "holomorphic": (
@@ -112,8 +108,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_check_symmetries(args) -> int:
     doc = read_document(args.input)
-    bad = failing_symmetries(build_tensor(doc, validate=False).components,
-                             bianchi=args.bianchi or doc.bianchi)
+    bad = build_tensor(doc, validate=False).symmetry_failures(args.bianchi or doc.bianchi)
     names = ["antisym-12", "antisym-34", "pair-exchange"]
     if args.bianchi or doc.bianchi:
         names.append("bianchi")
@@ -152,8 +147,10 @@ def _cmd_expand(args) -> int:
     R = build_tensor(doc)
     N, D = integer_frame(R.space, random.Random(args.seed), FAMILIES[args.family].pattern,
                          antiholomorphic=True)
+    require_family_frame(R, args.family, N, D)
+    # the coefficients and the bound values (the bound is linear) over D_p
+    poly, D_p = family_numerators(R, args.family, N, D)
     x, w = frame_vectors(N, D)
-    poly = _EXPANSIONS[args.family](R, x, w)
     envelope = 2
     lines = [f"family = {args.family}",
              f"seed = {args.seed}",
@@ -161,12 +158,12 @@ def _cmd_expand(args) -> int:
              f"pair.second = {_fmt_vec(w)}"]
     coeffs = list(poly.coeffs) + [0] * (5 - len(poly.coeffs))
     for k in range(5):
-        lines.append(f"coeff.t{k} = {format_scalar(Fraction(coeffs[k]))}")
+        lines.append(f"coeff.t{k} = {format_scalar(Fraction(coeffs[k], D_p))}")
         lines.append(f"coeff.t{k}.meaning = {_EXPANSION_MEANING[args.family][k]}")
     constraints = bound_forced_identities(poly, multiplicity=envelope)
     labels = ["round1.t=+1", "round1.t=-1", "round2.t=+1", "round2.t=-1"]
     for label, value in zip(labels, constraints):
-        lines.append(f"bound.{label} = {format_scalar(Fraction(value))}")
+        lines.append(f"bound.{label} = {format_scalar(Fraction(value, D_p))}")
     forced = len(constraints) == 2 * envelope and all(v == 0 for v in constraints)
     lines.append(f"bound.compatible = {'true' if forced else 'false'}")
     _report("expand", doc, lines)

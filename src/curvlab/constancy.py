@@ -149,6 +149,21 @@ def _quartic_is_constant(R: CurvatureTensor, c: Fraction) -> bool:
     return bool((SA * q == SG.astype(dtype) * (p * D)).all())
 
 
+def _holomorphic_at_e0(R: CurvatureTensor) -> Fraction:
+    """H(e_0) of an exact tensor, the `Fraction` `holomorphic_sectional(R,
+    e_0)` gives: with J = JN / d, the rows d e_0 and JN e_0 over d, whose
+    wedge w gives H = -w S w^T / (D_R pi1(w)), d^4 cancelling."""
+    form, J = R.integer_form, R.space.J_form
+    if form is None or J is None:
+        return holomorphic_sectional(R, R.space.basis_vector(0))
+    JN, d = J
+    e0 = np.zeros(R.space.n, dtype=object)
+    e0[0] = d
+    w = _wedge(e0, JN[:, 0])
+    return Fraction(-w.dot(R.bivector_form).dot(w),
+                    w.dot(w * _pair_signs(R.space.metric_signs)) * form[1])
+
+
 def _candidate_coords(n: int, rng: random.Random):
     """Integer coordinates of the holomorphic probe vectors, as int64 blocks
     of rows in a fixed order: the basis vectors, then e_i + c e_j for c in
@@ -208,7 +223,7 @@ def constant_holomorphic(R: CurvatureTensor, samples: int = 200, seed: int = 0) 
     rng = random.Random(seed)
     if R.is_exact:
         ref = space.basis_vector(0)
-        c = holomorphic_sectional(R, ref)
+        c = _holomorphic_at_e0(R)
         if _quartic_is_constant(R, c):
             return ConstancyVerdict("constant", value=c)
         # genuinely nonconstant: hunt a differing pair of holomorphic planes

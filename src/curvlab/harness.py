@@ -64,14 +64,14 @@ from .constancy import (constant_antiholomorphic, constant_biholomorphic,
                         constant_holomorphic, normalized_biholomorphic)
 from .closure import close
 from .linsolve import integer_row
-from .polarization import FAMILIES, TPolynomial, bound_forced_identities, family_numerators
+from .polarization import (FAMILIES, TPolynomial, bound_forced_identities, family_numerators,
+                           require_family_frame)
 from .scalars import (FLOAT_IDENTITY_TOL, FLOAT_REVERIFY_TOL, RAND_DENOMINATOR,
                       below, format_scalar, integerize, is_zero, rand_numerator,
                       rand_rational, two_below)
 from .spaces import (GeometryError, PseudoHermitianSpace, frame_vectors, integer_frame,
-                     light_isometry, random_isometry, realizable,
-                     require_antiholomorphic_frame, seed_columns, tuple_from_rng,
-                     unitary_generators)
+                     light_isometry, random_isometry, realizable, seed_columns,
+                     tuple_from_rng, unitary_generators)
 from .tensors import (CurvatureTensor, _component_lift, _from_numerators, _orbit_pairs,
                       _wedge, from_dense, from_integer_form, pi1_components, sectional)
 
@@ -680,8 +680,7 @@ def _run_definite_bound(row, space, trials, seed, threshold, budget):
 
     def probe_expansion(R, rng):
         N, D = integer_frame(space, rng, pattern, antiholomorphic=True)
-        require_antiholomorphic_frame(space, N, D, f"{row.family} family expansion",
-                                      signs=pattern[:2])
+        require_family_frame(R, row.family, N, D)
         return family_numerators(R, row.family, N, D)
 
     def bound_compatible(p):

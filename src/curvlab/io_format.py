@@ -28,9 +28,12 @@ the line grammar with their own line numbers, so errors are reported as
 before.  All entries meet in one column form, a flat component index and a
 value text per entry: duplicates are summed, zeros dropped and entries
 sorted on the flat index, and each distinct value text becomes one
-`Fraction`.  `build_tensor` then builds the tensor straight from the integer
-form N / D the parse left on the document, and checks its symmetries once,
-on N.
+`Fraction`.  The parsed document keeps that column form and builds its
+`entries` tuple from it only when read, which nothing on the way from text
+to tensor does.  `build_tensor` builds the tensor straight from the integer
+form N / D the parse left on the document, gathering values and numerators
+by code (the numerators into int64 too, when they fit), and checks its
+symmetries once, on N, in int64 below the checker's bound.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import numpy as np
 
 from .scalars import format_rational
 from .spaces import MAX_M, GeometryError, make_space
-from .tensors import CurvatureTensor, dense_components, from_dense
+from .tensors import CurvatureTensor, _from_codes, dense_components, from_dense
 
 HEADER = "curvlab-tensor/1"
 _ZERO = Fraction(0)
@@ -73,6 +76,25 @@ class ParseError(GeometryError):
         self.col = col
 
 
+class _Entries:
+    """The `entries` field: stored as given, except that a parsed document
+    is given None and builds its entries from `_columns` on first read."""
+
+    def __get__(self, doc, owner=None):
+        if doc is None:
+            return ()                   # the field's default
+        entries = doc.__dict__["entries"]
+        if entries is None and doc._columns is not None:
+            flat, codes, fractions = doc._columns[:3]
+            indices = _index_maps(2 * doc.m)[1]
+            entries = doc.__dict__["entries"] = tuple(
+                [indices[f] + (fractions[c],) for f, c in zip(flat, codes)])
+        return entries
+
+    def __set__(self, doc, entries):
+        doc.__dict__["entries"] = entries
+
+
 @dataclass(frozen=True)
 class TensorDocument:
     """Parsed tensor file: space description plus sparse components."""
@@ -84,7 +106,7 @@ class TensorDocument:
     seed: Optional[int] = None
     symmetrize: bool = False
     bianchi: bool = False
-    entries: tuple = ()                # ((i, j, k, l, Fraction), ...) 1-based
+    entries: tuple = _Entries()        # ((i, j, k, l, Fraction), ...) 1-based
     # the entries' integer form, set by parse_document only: flat 0-based
     # component indices, a value code per entry, and by code (0 for zero) the
     # Fraction values and their numerators over D.  Not an init field, so
@@ -273,10 +295,12 @@ def parse_document(text: str) -> TensorDocument:
 
 def _canonical(doc, m: int, keys: list, texts: list, entries: list,
                values: dict) -> TensorDocument:
-    """`doc(entries=...)`, canonical, for the serialized entries (index texts
-    `keys` and value `texts`) and the other entry lines (i, j, k, l, value
-    text).  `values` maps the other lines' value texts to their Fractions;
-    the serialized ones are added, each distinct text converted once."""
+    """The canonical document `doc(entries=...)` for the serialized entries
+    (index texts `keys` and value `texts`) and the other entry lines (i, j,
+    k, l, value text).  `values` maps the other lines' value texts to their
+    Fractions; the serialized ones are added, each distinct text converted
+    once.  In the column form the document is given its entries as None,
+    to be built from `_columns` when read."""
     for t in set(texts).difference(values):
         values[t] = Fraction(*map(int, t.split("/")))      # every number converts (_LINE)
     texts += [e[4] for e in entries]
@@ -305,8 +329,7 @@ def _canonical(doc, m: int, keys: list, texts: list, entries: list,
     fractions = [_ZERO] + list(map(values.__getitem__, code))
     D = math.lcm(*(v.denominator for v in fractions))
     numerators = [v.numerator * (D // v.denominator) for v in fractions]
-    indices = maps[1]
-    out = doc(entries=tuple([indices[f] + (v,) for f, v in zip(flat, map(values.__getitem__, texts))]))
+    out = doc(entries=None)             # built from the columns when read
     object.__setattr__(out, "_columns", (flat, list(map(code.__getitem__, texts)),
                                          fractions, numerators, D))
     return out
@@ -338,27 +361,31 @@ def serialize_document(doc: TensorDocument) -> str:
 def build_tensor(doc: TensorDocument, validate: bool = True) -> CurvatureTensor:
     """Construct the space and tensor a document describes (exact backend).
 
-    A parsed document without projection flags is built straight from the
-    integer form `parse_document` left on it: its components are the
-    document's values, one `Fraction` per distinct value text, and nothing
-    is integerized.  Other documents
-    are built entry by entry.  Validation runs on the tensor's integer form,
-    which stays cached for its first contraction.  With `validate` off the components are kept
-    unchecked, for a caller that reports their `failing_symmetries` itself.
+    A parsed document is built from the integer form `parse_document` left
+    on it: the values and numerators by code are gathered into place, one
+    `Fraction` per distinct value text, the numerators also as int64 for the
+    symmetry checks when they fit (`tensors._from_codes`), and nothing is
+    integerized; with projection flags the gathered components are projected.
+    Other documents are built entry by entry.  Validation runs on the
+    tensor's integer form, which stays cached for its first contraction.
+    With `validate` off the components are kept unchecked, for a caller that
+    reports their `symmetry_failures` itself.
     """
     space = make_space(doc.m, doc.s, J=doc.J)
-    if doc._columns is None or doc.symmetrize or doc.bianchi:
+    if doc._columns is None:
         C = dense_components(space.n, [(i - 1, j - 1, k - 1, l - 1, v)
                                        for (i, j, k, l, v) in doc.entries])
         return from_dense(space, C, symmetrize=doc.symmetrize,
                           bianchi_projection=doc.bianchi, validate=validate)
     flat, codes, fractions, numerators, D = doc._columns
     index = np.zeros(space.n ** 4, dtype=np.intp)
-    index[flat] = codes
+    index[np.fromiter(flat, np.intp, len(flat))] = np.fromiter(codes, np.intp, len(codes))
     index = index.reshape((space.n,) * 4)
-    # gathered by code, so numpy inspects each distinct value once
-    return CurvatureTensor(space, np.array(fractions, dtype=object)[index], validate=validate,
-                           form=(np.array(numerators, dtype=object)[index], D))
+    if doc.symmetrize or doc.bianchi:
+        return from_dense(space, np.fromiter(fractions, object, len(fractions))[index],
+                          symmetrize=doc.symmetrize, bianchi_projection=doc.bianchi,
+                          validate=validate)
+    return _from_codes(space, index, numerators, D, validate=validate, fractions=fractions)
 
 
 def document_from_tensor(R: CurvatureTensor, name: Optional[str] = None,

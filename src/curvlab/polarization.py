@@ -20,8 +20,10 @@ four slots.  `family_numerators` expands a row through an integer frame
 over one denominator, on which `bound_forced_identities` (linear) runs.
 `probe`, the CLI's `expand` and the definite-case bounds all go through it;
 `holomorphic_family_expansion` and `complexified_family_expansion` are its
-exact adapters for a rational pair.  `expand` also serves float and
-complex families.
+exact adapters for a rational pair.  The CLI's `expand`, the definite-case
+bounds and the adapters check their frame with one function,
+`require_family_frame`, on its numerators; the CLI builds a `Fraction`
+only for its report.  `expand` also serves float and complex families.
 """
 
 from __future__ import annotations
@@ -29,9 +31,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Sequence
 
-from .spaces import GeometryError, require_antiholomorphic_pair
+import numpy as np
+
+from .scalars import integerize
+from .spaces import GeometryError, require_antiholomorphic_frame
 from .tensors import CurvatureTensor, _by_degree, complex_terms, polarized_coefficients
 
 
@@ -180,13 +186,29 @@ def family_numerators(R: CurvatureTensor, family: str, N, D: int) -> tuple[TPoly
     return TPolynomial.of([re // g for re, _ in coeffs]), D // g
 
 
-def _pair_expansion(R: CurvatureTensor, family: str, x, w) -> TPolynomial:
-    """`family_numerators` on the rational pair (x, w), integerized once by
-    its check, with `Fraction` coefficients."""
+def require_family_frame(R: CurvatureTensor, family: str, N, D) -> None:
+    """The checks of an exact expansion of `family` on the frame N / D, in
+    this order: the complexified family is a definite-metric tool, and the
+    first two rows must be an orthonormal antiholomorphic pair with the
+    family's signs, checked on the numerators (`require_antiholomorphic_frame`).
+    The adapters, the CLI's `expand` and the definite-case bounds check here."""
     what = f"{family} family expansion"
-    frame = require_antiholomorphic_pair(R.space, x, w, what, signs=FAMILIES[family].pattern)
-    if frame is None:
-        raise GeometryError(f"{what} needs rational vectors")
+    if family == "complexified" and R.space.is_indefinite:
+        raise GeometryError(f"{what} is a definite-metric tool")
+    require_antiholomorphic_frame(R.space, N, D, what, signs=FAMILIES[family].pattern[:2])
+
+
+def _pair_expansion(R: CurvatureTensor, family: str, x, w) -> TPolynomial:
+    """`family_numerators` on the rational pair (x, w), integerized once and
+    checked by `require_family_frame`, with `Fraction` coefficients."""
+    n = R.space.n
+    # float vectors, and vectors of the wrong length, are checked as they
+    # are; the check reports a wrong length
+    form = len(x) == len(w) == n and integerize(chain(x, w))
+    frame = (np.array(form[0], dtype=object).reshape(2, n), form[1]) if form else ((x, w), 1)
+    require_family_frame(R, family, *frame)
+    if not form:
+        raise GeometryError(f"{family} family expansion needs rational vectors")
     p, D = family_numerators(R, family, *frame)
     return TPolynomial.of([Fraction(c, D) for c in p.coeffs])
 
@@ -210,8 +232,6 @@ def complexified_family_expansion(R: CurvatureTensor, x, y) -> TPolynomial:
     odd coefficients vanish identically, so the result is even of degree 4.
     Exact only, like `holomorphic_family_expansion`.
     """
-    if R.space.is_indefinite:
-        raise GeometryError("complexified family expansion is a definite-metric tool")
     return _pair_expansion(R, "complexified", x, y)
 
 

@@ -133,12 +133,23 @@ class PseudoHermitianSpace:
         J = self.J
         if J.shape != (self.n, self.n):
             raise InvariantViolation("J.shape", f"J must be {self.n}x{self.n}")
-        G = np.diag(np.array(signs, dtype=object))
-        minus_id = np.diag(np.array([-1] * self.n, dtype=object))
-        for name, residual, what in (("J.square", J.dot(J) - minus_id, "J o J != -identity"),
-                                     ("J.metric-compat", J.T.dot(G.dot(J)) - G,
+        form = self.J_form
+        d, dtype = 1, object
+        if form is not None:
+            # J = JN / d: J^2 = -id and J^T G J = G read JN JN = -d^2 id and
+            # JN^T G JN = d^2 G.  An entry sums n products, in int64 while
+            # n max|JN|^2 + d^2 < 2^63, else in Python ints
+            J, d = form
+            top = max(map(abs, J.flat))
+            if self.n * top * top + d * d < 2 ** 63:
+                J, dtype = J.astype(np.int64), np.int64
+        G, one = np.diag(np.array(signs, dtype=dtype)), np.eye(self.n, dtype=dtype)
+        for name, residual, what in (("J.square", J.dot(J) + d * d * one, "J o J != -identity"),
+                                     ("J.metric-compat", J.T.dot(G.dot(J)) - d * d * G,
                                       "g(JX,JY) != g(X,Y)")):
-            if not all(is_zero(x, FLOAT_DEGENERATE_TOL) for x in residual.flat):
+            # a float J is checked to tolerance
+            if (np.count_nonzero(residual) if form is not None else
+                    not all(is_zero(x, FLOAT_DEGENERATE_TOL) for x in residual.flat)):
                 raise InvariantViolation(name, f"{what} (float tolerance {FLOAT_DEGENERATE_TOL})")
 
     # -- vectors ----------------------------------------------------------
@@ -369,24 +380,23 @@ def classify_plane(space: PseudoHermitianSpace, u, v) -> PlaneClass:
 
 
 def require_antiholomorphic_pair(space: PseudoHermitianSpace, x, w, what: str,
-                                 signs: Optional[tuple] = None) -> Optional[tuple]:
+                                 signs: Optional[tuple] = None) -> None:
     """Raise GeometryError unless {x, w} is an orthonormal antiholomorphic pair:
     g(x,w) = g(x,Jw) = 0, and g(x,x), g(w,w) equal to `signs`, or to either
     of +-1 when `signs` is None.
 
     Rational vectors are checked in Python ints, on their numerators over
-    one common d (`require_antiholomorphic_frame`), and that integer frame
-    (N, d) is returned; float ones are checked as they are, returning None.
+    one common d (`require_antiholomorphic_frame`); float ones are checked
+    as they are.
     """
     space._check_vec(x)
     space._check_vec(w)
     form = integerize(chain(x, w))
     if form is None:
         require_antiholomorphic_frame(space, (x, w), 1, what, signs)
-        return None
-    N = np.array(form[0], dtype=object).reshape(2, space.n)
-    require_antiholomorphic_frame(space, N, form[1], what, signs)
-    return N, form[1]
+    else:
+        N = np.array(form[0], dtype=object).reshape(2, space.n)
+        require_antiholomorphic_frame(space, N, form[1], what, signs)
 
 
 def require_antiholomorphic_frame(space: PseudoHermitianSpace, N, D: int, what: str,
@@ -656,7 +666,8 @@ def unitary_generators(space: PseudoHermitianSpace) -> tuple:
     the plain and J-twisted rotations E_bc - E_cb and i (E_bc + E_cb) of
     consecutive blocks, the infinitesimal steps of
     `light_isometry(unitary=True)`.  su(p, q) is simple, so two elements
-    generate it (Kuranishi, 1951), and these two do for every m <= 6; the
+    generate it (Kuranishi, 1951), and these two do for every m <= MAX_M
+    (their Lie closure has rank m^2 modulo a prime, a test checks); the
     signed weights sum_b s_b 2^b never vanish, so X also reaches the centre.
     GeometryError unless J is exact and every K commutes with it and is
     g-skew, which holds for J = +-canonical J.

@@ -25,10 +25,15 @@ over one common denominator D (the lcm of the component denominators),
 computed at most once and cached on the immutable tensor.  The symmetry
 checks run on the numerators too, since scaling by D preserves which sums
 vanish: validating a tensor computes the integer form its first contraction
-then uses.  A caller that already has the integer form (a parsed document,
-a combination of integer coordinates) passes it in (`from_integer_form`);
-`from_dense` integerizes exact input once and projects on the numerators,
-D taking the factors 8 and 3.  Integer dtypes are stored as Python ints.
+then uses.  They run in int64 while every |N| < 2^60, since a check adds at
+most three entries, and on the Python ints past that.  A caller that
+already has the integer form (a parsed document, a combination of integer
+coordinates) passes it in (`from_integer_form`); `from_dense` integerizes
+exact input once and projects on the numerators, D taking the factors 8
+and 3.  Both build through `_from_codes`, which gathers one `Fraction` and
+one numerator per distinct value into place, and the numerators' int64
+copy for the checks, so no n^4 object array is converted.  Integer dtypes
+are stored as Python ints.
 
 The contraction itself runs on the bivector form: R is antisymmetric in each
 slot pair, so R(X, Y, Z, U) = (X^Y) S (Z^U)^T with the 2-forms written on
@@ -39,8 +44,12 @@ rows, and a value is P^2 integer multiply-adds instead of n^4 (225 against
 1296 at m = 3), reduced to one `Fraction` at the end.  Rows that already
 are integers over a known denominator, the integer frames of the pinching
 families (`polarization.family_numerators`), enter that branch directly
-(`_contract_numerators`) and come out as integers.  `sectional` reads its
-denominator off the same wedge: pi1(u, v, v, u) = sum_P s_i s_j (u^v)_P^2.
+(`_contract_numerators`) and come out as integers.  When the last two
+stacks repeat the first two in reverse, R(u, v, v, u), the right wedges
+are the left ones negated and are not formed again; values are summed by
+t-degree and power of i through a plan cached per slot shape.  `sectional`
+reads its denominator off the same wedge: pi1(u, v, v, u) =
+sum_P s_i s_j (u^v)_P^2.
 Float tensors, and exact tensors on float vectors, keep the four-step dense
 contraction (U, Z, Y, X), so float values are unchanged bit for bit.
 """
@@ -75,15 +84,23 @@ def bianchi_cyclic_sum(C: np.ndarray) -> np.ndarray:
     return C + C.transpose(1, 2, 0, 3) + C.transpose(2, 0, 1, 3)
 
 
+# A symmetry check adds at most three entries (the Bianchi sum), so no check
+# on int64 entries below 2^60 in absolute value wraps: 3 * 2^60 < 2^63.
+_INT64_CHECK_BOUND = 2 ** 60
+
+
 def failing_symmetries(C: np.ndarray, bianchi: bool = False,
                        integral: bool = False) -> list[str]:
     """Names of violated tensor invariants, empty when all hold.
 
     `integral` says that C already holds Python ints (an integer form's
-    numerators), which are checked as they are.
+    numerators), which are checked as they are.  An integer array is checked
+    exactly: in int64 when every |entry| < 2^60, else as Python ints.
     """
-    scale = component_scale(C)
-    if C.dtype == object and not integral:
+    if C.dtype.kind in "iu":
+        fits = -_INT64_CHECK_BOUND < C.min() and C.max() < _INT64_CHECK_BOUND
+        C = C.astype(np.int64, copy=False) if fits else C.astype(object)
+    elif C.dtype == object and not integral:
         # scaling by the common denominator preserves which sums vanish
         form = integerize(C.flat)
         if form is not None:
@@ -95,6 +112,9 @@ def failing_symmetries(C: np.ndarray, bianchi: bool = False,
     ]
     if bianchi:
         checks.append(("bianchi", bianchi_cyclic_sum(C)))
+    if C.dtype == np.int64:
+        return [name for name, diff in checks if np.count_nonzero(diff)]
+    scale = component_scale(C)
     return [name for name, diff in checks
             if not is_zero(np.abs(diff).max(), FLOAT_IDENTITY_TOL, scale)]
 
@@ -161,10 +181,12 @@ class CurvatureTensor:
     bianchi: bool = False      # True when the Bianchi identity was enforced
     validate: bool = True      # False only for freshly projected components
     # the integer form when the caller has it (`from_integer_form`,
-    # `io_format.build_tensor`): it must equal the one `integer_form` computes
+    # `io_format.build_tensor`): it must equal the one `integer_form` computes,
+    # and with it `numerators64`, gathered by code (`_from_codes`)
     form: InitVar[tuple | None] = None
+    form64: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, form):
+    def __post_init__(self, form, form64):
         n = self.space.n
         if self.components.shape != (n, n, n, n):
             raise DimensionMismatch(f"components must be {(n, n, n, n)}")
@@ -173,12 +195,11 @@ class CurvatureTensor:
         self.components.setflags(write=False)
         if form is not None:
             self.__dict__["integer_form"] = form
+            self.__dict__["numerators64"] = form64
         if self.validate:
             # on the numerators of the integer form, which stays cached for
             # the first contraction
-            form = self.integer_form
-            bad = failing_symmetries(self.components if form is None else form[0],
-                                     bianchi=self.bianchi, integral=form is not None)
+            bad = self.symmetry_failures(self.bianchi)
             if bad:
                 raise InvariantViolation(bad[0], "curvature symmetry violated")
 
@@ -195,6 +216,28 @@ class CurvatureTensor:
         return np.array(form[0], dtype=object).reshape(self.components.shape), form[1]
 
     @cached_property
+    def numerators64(self) -> np.ndarray | None:
+        """The integer form's numerators as int64, None without an integer
+        form or when a numerator does not fit."""
+        form = self.integer_form
+        if form is None:
+            return None
+        try:
+            return form[0].astype(np.int64)
+        except OverflowError:
+            return None
+
+    def symmetry_failures(self, bianchi: bool = False) -> list[str]:
+        """`failing_symmetries` of the components, checked on the integer
+        form's numerators: on `numerators64` when they fit, which the check
+        runs in int64 below its bound, else on the Python ints."""
+        if self.numerators64 is not None:
+            return failing_symmetries(self.numerators64, bianchi=bianchi)
+        form = self.integer_form
+        return failing_symmetries(self.components if form is None else form[0],
+                                  bianchi=bianchi, integral=form is not None)
+
+    @cached_property
     def bivector_form(self) -> np.ndarray:
         """The P x P matrix S[P, Q] = R_ijkl on the 2-form indices P = (i < j)
         and Q = (k < l), computed once: the integer form's numerators (over
@@ -206,13 +249,11 @@ class CurvatureTensor:
         rather than contract as its antisymmetric part.
         """
         form = self.integer_form
-        C = self.components if form is None else form[0]
         if not self.validate:
-            bad = [name for name in failing_symmetries(C, integral=form is not None)
-                   if name.startswith("antisym")]
+            bad = [name for name in self.symmetry_failures() if name.startswith("antisym")]
             if bad:
                 raise InvariantViolation(bad[0], "the bivector form needs both antisymmetries")
-        return _bivector_matrix(C)
+        return _bivector_matrix(self.components if form is None else form[0])
 
     # -- evaluation --------------------------------------------------------
 
@@ -254,9 +295,13 @@ class CurvatureTensor:
         Integer frames (`spaces.integer_frame`) come here directly."""
         X, Y, Z, U = (np.asarray(S, dtype=object) for S in stacks)
         P = len(self.bivector_form)
-        left = _wedge(X[:, None], Y[None]).reshape(-1, P)
-        right = _wedge(Z[:, None], U[None]).reshape(-1, P)
-        values = left.dot(self.bivector_form).dot(right.T)
+        left = _wedge(X[:, None], Y[None])
+        if Z.shape == Y.shape and U.shape == X.shape and (Z == Y).all() and (U == X).all():
+            # R(u, v, v, u), as in sectional values and most families: v^u = -(u^v)
+            right = -left.transpose(1, 0, 2)
+        else:
+            right = _wedge(Z[:, None], U[None])
+        values = left.reshape(-1, P).dot(self.bivector_form).dot(right.reshape(-1, P).T)
         return values.reshape([len(S) for S in stacks]), self.integer_form[1] * den
 
     def contract(self, S1, S2, S3, S4) -> np.ndarray:
@@ -325,12 +370,23 @@ def polarized_coefficients(R: CurvatureTensor, slots) -> list:
 def _by_degree(slots, values) -> list:
     """[re, im] sums of the contracted values by total t-degree, each signed
     and placed by its total power of i."""
-    coeffs = [[0, 0] for _ in range(1 + sum(max(d for _, d, _ in terms) for terms in slots))]
-    for picks, value in zip(product(*slots), values.flat):
-        power = sum(p for _, _, p in picks) % 4
-        acc = coeffs[sum(d for _, d, _ in picks)]
-        acc[power % 2] += value if power < 2 else -value
+    degrees, plan = _degree_plan(tuple(tuple((d, p) for _, d, p in terms) for terms in slots))
+    coeffs = [[0, 0] for _ in range(degrees)]
+    for (k, part, negate), value in zip(plan, values.flat):
+        coeffs[k][part] += -value if negate else value
     return coeffs
+
+
+@lru_cache(maxsize=256)
+def _degree_plan(shape: tuple) -> tuple:
+    """For four slots' (t-degree, power of i) terms: the number of t-degrees,
+    and per choice of one term per slot, in `product` order, the degree it
+    adds to, its part (0 real, 1 imaginary) and whether it enters negated."""
+    plan = []
+    for picks in product(*shape):
+        power = sum(p for _, p in picks) % 4
+        plan.append((sum(d for d, _ in picks), power % 2, power >= 2))
+    return 1 + sum(max(d for d, _ in terms) for terms in shape), tuple(plan)
 
 
 @dataclass(frozen=True)
@@ -398,13 +454,28 @@ def _from_numerators(space, N, D, bianchi, validate) -> CurvatureTensor:
     """`from_integer_form` with the tensor's `bianchi` flag."""
     values = set(N.flat)
     g = math.gcd(D, *values)
-    if g > 1:
-        N, D, values = N // g, D // g, {x // g for x in values}
     code = {x: c for c, x in enumerate(values)}
-    fractions = np.array([Fraction(x, D) for x in code], dtype=object)
-    C = fractions[np.array(list(map(code.__getitem__, N.flat)), dtype=np.intp)]
-    return CurvatureTensor(space, C.reshape(N.shape), bianchi=bianchi, validate=validate,
-                           form=(N, D))
+    index = np.array(list(map(code.__getitem__, N.flat)), dtype=np.intp).reshape(N.shape)
+    return _from_codes(space, index, [x // g for x in code], D // g, bianchi, validate)
+
+
+def _from_codes(space, index, numerators: list, D: int, bianchi: bool = False,
+                validate: bool = True, fractions=None) -> CurvatureTensor:
+    """The tensor with component numerators[c] / D wherever `index` holds the
+    code c, for Python-int `numerators` by code over the D of the reduced
+    integer form.  The `Fraction`s by code (built here unless `fractions`
+    has them) and the numerators are gathered into place; so are the
+    numerators as int64 when they fit, which `symmetry_failures` checks."""
+    if fractions is None:
+        fractions = [Fraction(x, D) for x in numerators]
+    try:
+        N64 = np.array(numerators, dtype=np.int64)[index]
+    except OverflowError:
+        N64 = None
+    # fromiter: np.array would probe every Fraction for the array protocols
+    C = np.fromiter(fractions, dtype=object, count=len(fractions))[index]
+    return CurvatureTensor(space, C, bianchi=bianchi, validate=validate,
+                           form=(np.array(numerators, dtype=object)[index], D), form64=N64)
 
 
 def dense_components(n: int, entries) -> np.ndarray:

@@ -21,7 +21,7 @@ import pytest
 from curvlab import harness
 from curvlab.harness import CONDITIONS, _thmA_x_signs, impose
 from curvlab.linsolve import RowReducer
-from curvlab.spaces import (GeometryError, canonical_complex_structure, make_space,
+from curvlab.spaces import (MAX_M, GeometryError, canonical_complex_structure, make_space,
                             unitary_generators)
 from curvlab.tensors import failing_symmetries
 
@@ -112,7 +112,7 @@ def lie_closure_dimension(gens) -> int:
     return reducer.rank
 
 
-@pytest.mark.parametrize("m,s", SIGNATURES)
+@pytest.mark.parametrize("m,s", [(m, s) for m in range(1, MAX_M + 1) for s in range(m + 1)])
 def test_generators_span_u_pq(m, s):
     assert lie_closure_dimension(unitary_generators(make_space(m, s))) == m * m
 

@@ -26,6 +26,36 @@ def perturbed_pi1(space, seed=0):
 
 
 class TestConstantHolomorphic:
+    @pytest.mark.parametrize("m,s", [(m, s) for m in range(1, 5) for s in range(m + 1)])
+    def test_reference_value_is_the_vector_path_value(self, m, s):
+        # H(e_0) from the integer rows of e_0 and J e_0, against the Fraction
+        # vectors through `holomorphic_sectional`
+        space = make_space(m, s)
+        flipped = make_space(m, s, J=-space.J)
+        tensors = [random_tensor(space, m + s), random_tensor(flipped, 3),
+                   model_complex_space_form(space, Fraction(-7, 3))]
+        if m > 1:
+            tensors.append(perturbed_pi1(space))
+        for R in tensors:
+            c = constancy._holomorphic_at_e0(R)
+            assert type(c) is Fraction
+            assert c == holomorphic_sectional(R, R.space.basis_vector(0))
+
+    def test_reference_value_with_a_rational_and_a_float_J(self):
+        P = np.eye(4, dtype=object) * Fraction(1)
+        P[0, 0] = P[2, 2] = Fraction(3, 5)
+        P[2, 0], P[0, 2] = Fraction(4, 5), Fraction(-4, 5)
+        J = P.dot(make_space(2, 0).J).dot(P.T)
+        rational = random_tensor(make_space(2, 0, J=J.tolist()), 4)
+        assert rational.space.J_form[1] > 1
+        floaty = CurvatureTensor(make_space(2, 0, J=J.astype(float).tolist()),
+                                 rational.components)
+        assert floaty.space.J_form is None
+        for R in (rational, floaty):
+            assert (constancy._holomorphic_at_e0(R)
+                    == holomorphic_sectional(R, R.space.basis_vector(0)))
+            assert constant_holomorphic(R).is_constant is False
+
     def test_constant_model(self, sp21):
         v = constant_holomorphic(model_constant_sectional(sp21, 3))
         assert v.is_constant and v.value == 3

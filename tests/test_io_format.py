@@ -1,8 +1,11 @@
+import dataclasses
 import io
+import pathlib
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +18,9 @@ from curvlab.harness import model_constant_sectional, random_tensor
 from curvlab.scalars import integerize
 from curvlab.spaces import (MAX_M, DimensionMismatch, GeometryError, InvariantViolation,
                             canonical_complex_structure, make_space)
-from curvlab.tensors import failing_symmetries
+from curvlab.tensors import CurvatureTensor, failing_symmetries, pi1_components
+
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "golden"
 
 
 GOOD = """\
@@ -447,3 +452,110 @@ class TestFuzz:
             build_tensor(read_document(path))
         except (ParseError, GeometryError):
             pass
+
+
+def document_text(m: int, s: int, entries) -> str:
+    """A document with the 1-based (i, j, k, l, value) entries, one line each."""
+    return "\n".join([HEADER, f"m = {m}", f"s = {s}",
+                      *(f"R[{i},{j},{k},{l}] = {v}" for i, j, k, l, v in entries)]) + "\n"
+
+
+def run_main(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestInt64Checks:
+    """The symmetry checks run in int64 while every |numerator| < 2^60
+    (`tensors._INT64_CHECK_BOUND`) and on Python ints past it, with the same
+    verdicts."""
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    @pytest.mark.parametrize("nudge", [0, 1, -1])
+    @pytest.mark.parametrize("bianchi", [False, True])
+    def test_both_sides_of_the_guard_name_the_same_invariants(self, tmp_path, offset,
+                                                              nudge, bianchi):
+        c = 2 ** 60 + offset
+        space = make_space(2, 1)
+        entries = [(i + 1, j + 1, k + 1, l + 1, c * int(v))
+                   for (i, j, k, l), v in np.ndenumerate(pi1_components(space)) if v]
+        entries.append((1, 2, 3, 4, nudge))         # pi1 is zero there
+        doc = parse_document(document_text(2, 1, entries))
+        R = build_tensor(doc, validate=False)
+        N = R.integer_form[0]
+        expected = plain_failures(N, bianchi)
+        assert expected == (["antisym-12", "antisym-34", "pair-exchange", "bianchi"][:3 + bianchi]
+                            if nudge else [])
+        assert R.numerators64 is not None and abs(R.numerators64).max() == c
+        assert failing_symmetries(R.numerators64, bianchi) == expected
+        assert failing_symmetries(N, bianchi, integral=True) == expected
+        assert R.symmetry_failures(bianchi) == expected
+        path = tmp_path / "nudged.tensor"
+        path.write_text(serialize_document(doc))
+        argv = ["check-symmetries", "-i", str(path)] + ["--bianchi"] * bianchi
+        code, out, _ = run_main(argv)
+        assert code == (1 if expected else 0)
+        assert f"status = {'fail' if expected else 'pass'}\n" in out
+        if expected:
+            with pytest.raises(InvariantViolation) as exc:
+                build_tensor(doc)
+            assert exc.value.invariant == expected[0]
+
+    def test_sums_past_int64_are_not_wrapped(self, tmp_path):
+        # Three orbits whose cyclic sum at (1, 2, 3, 4) is x + x + y = 2^64:
+        # every entry fits in int64, but an int64 Bianchi sum would wrap to 0.
+        x, y = 3 * 2 ** 61, 2 ** 62
+        entries = orbit(1, 2, 3, 4, x) + orbit(2, 3, 1, 4, x) + orbit(3, 1, 2, 4, y)
+        doc = parse_document(document_text(2, 0, entries))
+        R = build_tensor(doc, validate=False)
+        assert R.numerators64.dtype == np.int64
+        assert plain_failures(R.integer_form[0], True) == ["bianchi"]
+        assert failing_symmetries(R.numerators64, bianchi=True) == ["bianchi"]
+        assert R.symmetry_failures(bianchi=True) == ["bianchi"]
+        with pytest.raises(InvariantViolation) as exc:
+            CurvatureTensor(R.space, R.components, bianchi=True)
+        assert exc.value.invariant == "bianchi"
+        path = tmp_path / "wrapping.tensor"
+        path.write_text(serialize_document(doc))
+        code, out, _ = run_main(["check-symmetries", "-i", str(path), "--bianchi"])
+        assert code == 1 and "check.bianchi = fail\n" in out
+
+    def test_numerators_past_int64_skip_the_copy(self):
+        c = 2 ** 63
+        entries = orbit(1, 2, 2, 1, c) + [(1, 2, 3, 4, 1)]
+        R = build_tensor(parse_document(document_text(2, 1, entries)), validate=False)
+        assert R.numerators64 is None
+        assert R.symmetry_failures(True) == plain_failures(R.integer_form[0], True) == [
+            "antisym-12", "antisym-34", "pair-exchange", "bianchi"]
+
+
+class TestEntriesOnDemand:
+    """A parsed document builds its entries from its columns when read; it
+    compares, prints, hashes, canonicalizes, copies and serializes like the
+    same document given its entries."""
+
+    @pytest.mark.parametrize("name", ["random_3_1.tensor", "spaceform_3_0.tensor",
+                                      "constant_2_1.tensor"])
+    @pytest.mark.parametrize("flags", ["", "symmetrize = true\nbianchi = true\n"])
+    def test_a_parsed_document_behaves_like_a_given_one(self, name, flags):
+        text = (GOLDEN / name).read_text().replace("symmetrize = false\nbianchi = false\n", flags)
+        doc = parse_document(text)
+        build_tensor(doc)                       # the build reads no entries
+        assert doc.__dict__["entries"] is None
+        given = TensorDocument(doc.m, doc.s, doc.J, doc.name, doc.seed, doc.symmetrize,
+                               doc.bianchi, tuple(parse_document(text).entries))
+        assert repr(doc) == repr(given) and doc == given and hash(doc) == hash(given)
+        assert doc.canonical() == given.canonical() and doc.entries == given.entries
+        renamed = dataclasses.replace(doc, name="renamed")
+        assert renamed == dataclasses.replace(given, name="renamed")
+        assert renamed._columns is None
+        assert serialize_document(doc) == serialize_document(given)
+        assert build_tensor(given).integer_form[1] == build_tensor(doc).integer_form[1]
+        assert (build_tensor(given).components == build_tensor(doc).components).all()
+
+    def test_the_default_is_no_entries(self):
+        assert TensorDocument(1, 0).entries == ()
+        assert [f.default for f in dataclasses.fields(TensorDocument)
+                if f.name == "entries"] == [()]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from curvlab.scalars import ExactComplex
-from curvlab.spaces import (ComplexVector, DependentVectorsError,
+from curvlab.spaces import (MAX_M, ComplexVector, DependentVectorsError,
                             DimensionMismatch, GeometryError,
                             InvariantViolation, UnrealizablePatternError,
                             canonical_complex_structure,
@@ -28,7 +28,7 @@ class TestMakeSpace:
         assert make_space(1, 0).metric_signs == (1, 1)
         assert make_space(3, 3).metric_signs == (-1,) * 6
 
-    @pytest.mark.parametrize("m,s", [(0, 0), (2, -1), (2, 3), (7, 0), (40, 1)])
+    @pytest.mark.parametrize("m,s", [(0, 0), (2, -1), (2, 3), (MAX_M + 1, 0), (40, 1)])
     def test_rejects_bad_parameters(self, m, s):
         with pytest.raises(GeometryError):
             make_space(m, s)
@@ -38,6 +38,7 @@ class TestMakeSpace:
         with pytest.raises(InvariantViolation) as exc:
             make_space(2, 0, J=J)
         assert exc.value.invariant == "J.square"
+        assert str(exc.value) == "J.square: J o J != -identity (float tolerance 1e-12)"
 
     def test_custom_J_must_preserve_metric(self):
         # J^2 = -id but g(J.,J.) != g: swap a mixed-sign pair on (2,1)
@@ -45,6 +46,7 @@ class TestMakeSpace:
         with pytest.raises(InvariantViolation) as exc:
             make_space(2, 1, J=J)
         assert exc.value.invariant == "J.metric-compat"
+        assert str(exc.value) == "J.metric-compat: g(JX,JY) != g(X,Y) (float tolerance 1e-12)"
 
     def test_valid_custom_J_accepted(self):
         J = -canonical_complex_structure(2)
@@ -73,6 +75,19 @@ class TestMakeSpace:
         with pytest.raises(InvariantViolation) as exc:
             make_space(1, 0, J=[[0.0, -1.000001], [1.0, 0.0]])
         assert exc.value.invariant == "J.square"
+
+    @pytest.mark.parametrize("square", [-1, -2])
+    def test_J_identities_on_both_sides_of_the_int64_bound(self, square):
+        # J = [[0, -k], [square / k, 0]] has numerators [[0, -k^2], [square, 0]]
+        # over d = k; the identities run in int64 while 2 k^4 + k^2 < 2^63
+        below = next(k for k in range(46000, 47000) if 2 * (k + 1) ** 4 + (k + 1) ** 2 >= 2 ** 63)
+        name = "J.metric-compat" if square == -1 else "J.square"
+        for k in (below, below + 1, 2 ** 40):
+            with pytest.raises(InvariantViolation) as exc:
+                make_space(1, 0, J=[[0, -k], [Fraction(-square, k), 0]])
+            assert exc.value.invariant == name
+        # k = 1, square = -1 is the canonical J
+        assert make_space(1, 0, J=[[0, -1], [Fraction(1), 0]]).has_canonical_J
 
 
 class TestInner:

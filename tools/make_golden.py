@@ -28,6 +28,9 @@ TENSORS = {
                           "--s", "0", "--seed", "13"],
     "spaceform_3_1.tensor": ["generate", "--model", "space-form", "--c", "2",
                              "--m", "3", "--s", "1"],
+    # numerators past 2^63: the symmetry checks run on Python ints
+    "spaceform_big_3_1.tensor": ["generate", "--model", "space-form",
+                                 "--c", "18446744073709551629", "--m", "3", "--s", "1"],
 }
 
 REPORTS = {
@@ -83,6 +86,10 @@ REPORTS = {
                              "--probes", "10"],
     "check_spaceform.out": ["check-symmetries", "-i", "golden/spaceform_3_0.tensor",
                             "--bianchi"],
+    "check_spaceform_big.out": ["check-symmetries", "-i", "golden/spaceform_big_3_1.tensor",
+                                "--bianchi"],
+    "expand_spaceform_big_holomorphic.out": ["expand", "-i", "golden/spaceform_big_3_1.tensor",
+                                             "--family", "holomorphic", "--seed", "5"],
 }
 
 
